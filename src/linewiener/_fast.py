@@ -10,29 +10,17 @@ large sparse graphs, plain adjacency BFS wins).
 
 from __future__ import annotations
 
-
-def masks_from_adjacency(adj) -> list[int]:
-    masks = [0] * len(adj)
-    for v, nbrs in enumerate(adj):
-        m = 0
-        for u in nbrs:
-            m |= 1 << u
-        masks[v] = m
-    return masks
+from .enumeration import layout_parents
 
 
 def layout_masks(layout: list[int]) -> list[int]:
     """Masks straight from a preorder level sequence, skipping Graph."""
-    n = len(layout)
-    masks = [0] * n
-    last = [0] * n
-    for i in range(1, n):
-        level = layout[i]
-        p = last[level - 1]
-        bit = 1 << i
-        masks[p] |= bit
+    parent = layout_parents(layout)
+    masks = [0] * len(parent)
+    for i in range(1, len(parent)):
+        p = parent[i]
+        masks[p] |= 1 << i
         masks[i] |= 1 << p
-        last[level] = i
     return masks
 
 
@@ -43,13 +31,8 @@ def wiener_tree_layout(layout: list[int]) -> int:
     the subtree below it, so no BFS is needed; a backward pass over the
     preorder suffices.
     """
-    n = len(layout)
-    parent = [0] * n
-    last = [0] * n
-    for i in range(1, n):
-        level = layout[i]
-        parent[i] = last[level - 1]
-        last[level] = i
+    parent = layout_parents(layout)
+    n = len(parent)
     size = [1] * n
     total = 0
     for i in range(n - 1, 0, -1):

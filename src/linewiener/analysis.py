@@ -16,12 +16,7 @@ from math import comb
 from typing import Optional
 
 from . import _fast
-from .enumeration import (
-    _layout_adjacency,
-    _layout_degrees,
-    canonical_code,
-    free_tree_layouts,
-)
+from .enumeration import canonical_code, free_tree_layouts, layout_graph
 from .errors import ParameterError, SearchLimitError
 from .families import BalancedQuipu, Path, Spider, Star, SubdividedQuipu, build
 from .formulas import (
@@ -40,7 +35,6 @@ from .formulas import (
 from .graphs import (
     DEFAULT_BUDGET,
     Graph,
-    _graph_from_sorted_adjacency,
     is_tree,
     iterated_line_graph,
     line_graph,
@@ -318,11 +312,6 @@ def _scan_stripe(args):
     for an empty stripe. Witnesses are the codes of this stripe's argmins.
     """
     n, k, max_degree, min_max_degree, min_degree3_count, index, step = args
-    filtered = (
-        max_degree is not None
-        or min_max_degree is not None
-        or min_degree3_count is not None
-    )
     scanned = 0
     best_wk = best_w = None
     witnesses: list[bytes] = []
@@ -330,39 +319,27 @@ def _scan_stripe(args):
     wiener_tree_layout = _fast.wiener_tree_layout
     line_masks = _fast.line_masks
     layout_masks = _fast.layout_masks
-    pos = 0
-    for layout in free_tree_layouts(n):
-        mine = pos % step == index
-        pos += 1
-        if not mine:
-            continue
-        if filtered:
-            deg = _layout_degrees(layout)
-            top = max(deg)
-            if max_degree is not None and top > max_degree:
-                continue
-            if min_max_degree is not None and top < min_max_degree:
-                continue
-            if min_degree3_count is not None:
-                if sum(1 for d in deg if d == 3) < min_degree3_count:
-                    continue
+    for layout in free_tree_layouts(
+        n,
+        max_degree=max_degree,
+        min_max_degree=min_max_degree,
+        min_degree3_count=min_degree3_count,
+        stripe=(index, step),
+    ):
         scanned += 1
         w = wiener_tree_layout(layout)
         it = layout_masks(layout)
         for _ in range(k):
             it = line_masks(it)
         wk = wiener_masks(it)
-        assert w > 0 and wk >= 0
+        if w <= 0 or wk < 0:
+            raise ArithmeticError(f"W = {w}, W_{k} = {wk} for layout {layout}")
         if best_w is None or wk * best_w < best_wk * w:
             best_wk, best_w = wk, w
-            witnesses = [_layout_code(layout)]
+            witnesses = [canonical_code(layout_graph(layout))]
         elif wk * best_w == best_wk * w:
-            witnesses.append(_layout_code(layout))
+            witnesses.append(canonical_code(layout_graph(layout)))
     return scanned, best_wk, best_w, witnesses
-
-
-def _layout_code(layout) -> bytes:
-    return canonical_code(_graph_from_sorted_adjacency(_layout_adjacency(layout)))
 
 
 def _min_ratio_scan(

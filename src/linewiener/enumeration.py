@@ -22,6 +22,8 @@ from .graphs import Graph, _graph_from_sorted_adjacency, is_tree
 
 # A layout is a preorder level sequence: layout[i] is the depth of vertex i,
 # and each vertex's parent is the most recent earlier vertex one level up.
+# This module is the only reader of the format: other code decodes a layout
+# through layout_parents or layout_graph.
 
 
 def _next_rooted_layout(layout: list[int], p: Optional[int] = None):
@@ -86,60 +88,63 @@ def _next_free_layout(candidate: list[int]):
     return successor
 
 
-def free_tree_layouts(n: int) -> Iterator[list[int]]:
-    """Level sequences of all free trees on n vertices, one per class.
-
-    Deterministic: re-running yields the identical sequence. The first
-    layout is the path rooted near its center, the last is the star.
-    """
-    if n < 1:
-        raise ParameterError(f"free_tree_layouts needs n >= 1, got {n}")
-    if n == 1:
-        yield [0]
-        return
-    layout = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    while layout is not None:
-        layout = _next_free_layout(layout)
-        if layout is not None:
-            yield layout
-            layout = _next_rooted_layout(layout)
-
-
-def _layout_adjacency(layout: list[int]) -> list[list[int]]:
-    """Adjacency lists (already sorted) for a preorder level sequence."""
+def layout_parents(layout: list[int]) -> list[int]:
+    """Parent of each vertex of a layout; the root's entry is -1."""
     n = len(layout)
-    adj: list[list[int]] = [[] for _ in range(n)]
+    parent = [-1] * n
     last = [0] * n
     for i in range(1, n):
         level = layout[i]
-        p = last[level - 1]
+        parent[i] = last[level - 1]
+        last[level] = i
+    return parent
+
+
+def layout_graph(layout: list[int]) -> Graph:
+    """The tree of a layout, vertex i at preorder position i."""
+    parent = layout_parents(layout)
+    adj: list[list[int]] = [[] for _ in parent]
+    # increasing i keeps every list sorted: parent first, then children
+    for i in range(1, len(parent)):
+        p = parent[i]
         adj[p].append(i)
         adj[i].append(p)
-        last[level] = i
-    return adj
+    return _graph_from_sorted_adjacency(adj)
 
 
-def _layout_degrees(layout: list[int]) -> list[int]:
-    n = len(layout)
-    deg = [0] * n
-    last = [0] * n
-    for i in range(1, n):
-        level = layout[i]
-        deg[last[level - 1]] += 1
-        deg[i] += 1
-        last[level] = i
-    return deg
+def _degree_filter(max_degree, min_max_degree, min_degree3_count):
+    """Layout predicate for the degree filters, or None when none is set."""
+    if max_degree is None and min_max_degree is None and min_degree3_count is None:
+        return None
+
+    def keep(layout: list[int]) -> bool:
+        # every vertex but the root has one parent edge
+        deg = [1] * len(layout)
+        deg[0] = 0
+        for p in layout_parents(layout)[1:]:
+            deg[p] += 1
+        top = max(deg)
+        if max_degree is not None and top > max_degree:
+            return False
+        if min_max_degree is not None and top < min_max_degree:
+            return False
+        return min_degree3_count is None or deg.count(3) >= min_degree3_count
+
+    return keep
 
 
-def free_trees(
+def free_tree_layouts(
     n: int,
     *,
     max_degree: Optional[int] = None,
     min_max_degree: Optional[int] = None,
     min_degree3_count: Optional[int] = None,
     stripe: Optional[tuple[int, int]] = None,
-) -> Iterator[Graph]:
-    """All free trees on n vertices, one per isomorphism class.
+) -> Iterator[list[int]]:
+    """Level sequences of all free trees on n vertices, one per class.
+
+    Deterministic: re-running yields the identical sequence. The first
+    layout is the path rooted near its center, the last is the star.
 
     Filters restrict the stream without changing the order of survivors:
     `max_degree` keeps trees with every degree <= the bound,
@@ -152,36 +157,47 @@ def free_trees(
     cover everything, and apply before filtering, so parallel consumers can
     run one stripe each and merge by position.
     """
-    if stripe is None:
-        index, step = 0, 1
-    else:
-        index, step = stripe
-        if step < 1 or not 0 <= index < step:
-            raise ParameterError(
-                f"stripe must be (index, step) with 0 <= index < step, got {stripe}"
-            )
-    filtered = (
-        max_degree is not None
-        or min_max_degree is not None
-        or min_degree3_count is not None
-    )
+    index, step = (0, 1) if stripe is None else stripe
+    if step < 1 or not 0 <= index < step:
+        raise ParameterError(
+            f"stripe must be (index, step) with 0 <= index < step, got {stripe}"
+        )
+    if n < 1:
+        raise ParameterError(f"free_tree_layouts needs n >= 1, got {n}")
+    keep = _degree_filter(max_degree, min_max_degree, min_degree3_count)
+    if n == 1:
+        if index == 0 and (keep is None or keep([0])):
+            yield [0]
+        return
+    layout = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     pos = 0
-    for layout in free_tree_layouts(n):
-        mine = pos % step == index
+    while layout is not None:
+        layout = _next_free_layout(layout)
+        if pos % step == index and (keep is None or keep(layout)):
+            yield layout
         pos += 1
-        if not mine:
-            continue
-        if filtered:
-            deg = _layout_degrees(layout)
-            top = max(deg)
-            if max_degree is not None and top > max_degree:
-                continue
-            if min_max_degree is not None and top < min_max_degree:
-                continue
-            if min_degree3_count is not None:
-                if sum(1 for d in deg if d == 3) < min_degree3_count:
-                    continue
-        yield _graph_from_sorted_adjacency(_layout_adjacency(layout))
+        layout = _next_rooted_layout(layout)
+
+
+def free_trees(
+    n: int,
+    *,
+    max_degree: Optional[int] = None,
+    min_max_degree: Optional[int] = None,
+    min_degree3_count: Optional[int] = None,
+    stripe: Optional[tuple[int, int]] = None,
+) -> Iterator[Graph]:
+    """All free trees on n vertices, one per isomorphism class: the
+    `free_tree_layouts` stream, with the same filters and stripe, decoded
+    into graphs."""
+    layouts = free_tree_layouts(
+        n,
+        max_degree=max_degree,
+        min_max_degree=min_max_degree,
+        min_degree3_count=min_degree3_count,
+        stripe=stripe,
+    )
+    yield from map(layout_graph, layouts)
 
 
 # ------------------------------------------------------- canonical codes

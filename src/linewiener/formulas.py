@@ -2,8 +2,8 @@
 
 Everything here is integer or `fractions.Fraction` arithmetic; no floats.
 Half-integer intermediates (the spider and quipu polynomials have them) are
-evaluated over rationals and then asserted integral rather than rearranged
-by hand, so a transcription slip fails loudly instead of rounding.
+evaluated over rationals and then checked integral rather than rearranged
+by hand, so a transcription slip raises ArithmeticError instead of rounding.
 
 Families covered:
 
@@ -24,6 +24,14 @@ from fractions import Fraction
 from .errors import ParameterError
 
 CASES = ("i", "ii", "iii")
+
+
+def _integral(value: Fraction, name: str, *args: int) -> int:
+    """`value` as an int; a fraction here means a wrong closed form."""
+    if value.denominator != 1:
+        shown = ", ".join(map(str, args))
+        raise ArithmeticError(f"{name}({shown}) = {value} is not integral")
+    return int(value)
 
 
 def w_path(n: int) -> int:
@@ -73,8 +81,7 @@ def d2_spider(a: int, b: int, c: int) -> int:
         + 2 * (a * b + a * c + b * c)
         - Fraction(a + b + c, 2)
     )
-    assert value.denominator == 1, f"d2_spider({a},{b},{c}) not integral"
-    return int(value)
+    return _integral(value, "d2_spider", a, b, c)
 
 
 def w_quipu(a: int) -> int:
@@ -89,8 +96,7 @@ def w_quipu(a: int) -> int:
         + Fraction(11, 6) * a
         + 1
     )
-    assert value.denominator == 1, f"w_quipu({a}) not integral"
-    return int(value)
+    return _integral(value, "w_quipu", a)
 
 
 def d2_quipu(a: int) -> int:
@@ -110,8 +116,7 @@ def d2_quipu(a: int) -> int:
         + Fraction(5, 2) * a
         + 1
     )
-    assert value.denominator == 1, f"d2_quipu({a}) not integral"
-    return int(value)
+    return _integral(value, "d2_quipu", a)
 
 
 @dataclass(frozen=True)
@@ -162,9 +167,7 @@ def balanced_spider_case(a: int, case: str) -> SpiderCaseValues:
     if case == "i":
         n = 3 * a + 1
         w = a * (a + 1) * (7 * a + 2) // 2
-        d2_frac = Fraction(3, 2) * a * (5 * a - 1)
-        assert d2_frac.denominator == 1
-        d2 = int(d2_frac)
+        d2 = _integral(Fraction(3, 2) * a * (5 * a - 1), "case i D2", a)
         tree = Fraction(3 * (5 * a - 1), (a + 1) * (7 * a + 2))
         path = Fraction(18 * a, (3 * a + 1) * (3 * a + 2))
     elif case == "ii":

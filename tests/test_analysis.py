@@ -144,17 +144,34 @@ def test_subdivided_quipu_deviations_shrink():
 
 
 def test_layout_wiener_against_oracle():
-    # the search computes tree Wiener straight off the level sequence, so
-    # pin that kernel to the naive BFS oracle over every small tree
-    from linewiener._fast import wiener_tree_layout
-    from linewiener.enumeration import _layout_adjacency, free_tree_layouts
-    from linewiener.graphs import Graph
+    # the searches evaluate trees straight off the level sequence with the
+    # bitmask kernels, so pin each kernel to graphs and the naive oracle
+    from linewiener._fast import (
+        layout_masks,
+        line_masks,
+        wiener_masks,
+        wiener_tree_layout,
+    )
+    from linewiener.enumeration import free_tree_layouts, layout_graph
+    from linewiener.graphs import iterated_line_graph, wiener_index
 
-    for n in range(2, 11):
+    def masks_of(g):
+        return [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
+
+    for n in range(1, 11):
         for layout in free_tree_layouts(n):
-            adj = _layout_adjacency(layout)
-            g = Graph(n, ((u, v) for u, nbrs in enumerate(adj) for v in nbrs if v > u))
+            g = layout_graph(layout)
             assert wiener_tree_layout(layout) == naive_wiener(g)
+            masks = layout_masks(layout)
+            assert masks == masks_of(g)
+            for k in range(3):
+                h = iterated_line_graph(g, k)
+                assert masks == masks_of(h), (layout, k)
+                if h.vertex_count:
+                    assert wiener_masks(masks) == wiener_index(h), (layout, k)
+                masks = line_masks(masks)
+    assert wiener_masks([0, 0]) == -1
+    assert wiener_masks([0b010, 0b001, 0]) == -1
 
 
 def brute_force_min_r2(n, keep=lambda g: True):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import subprocess
@@ -233,3 +234,28 @@ def test_consumer_closing_early_is_not_an_error():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+# sha256 of the exact stdout bytes; a refactor of the layout stream, the
+# search or the reports must leave every one of these unchanged
+GOLDEN_STDOUT = {
+    "enumerate --n 9 --max-degree 3 --stripe 1/3":
+        "1087b3f5cdee5c46ebe73b725fe8e0df47bd039c38adecc81c8ee4f161657304",
+    "search min-r2 --n 10":
+        "981fed46df344c212c572714659c984d2472c47149936fcd7d0c43cfa824dcf0",
+    "search min-r2 --n 12 --min-degree3 2 --jobs 2 --format json":
+        "34f8bba0f49662e3b9d1e2e252c2fd8e516b28946dcb2428820b7f9362d29c22",
+    "scan --case ua --a-range 2..6":
+        "8841a0f69c89cc7185bb18db1a6085f69fddeb66346b2eabed95c1d578afca0b",
+    "verify --a 12":
+        "e024d6a4c8a0cee27949251fd98d2173d32cf1fdd1dd3febdd7c8184eccf2b5a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_golden_stdout_bytes(capsysbinary, command):
+    code = main(command.split())
+    captured = capsysbinary.readouterr()
+    assert code == 0
+    assert captured.err == b""
+    assert hashlib.sha256(captured.out).hexdigest() == GOLDEN_STDOUT[command]

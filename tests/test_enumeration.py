@@ -27,10 +27,21 @@ from linewiener import (
     write_graph,
 )
 
+from linewiener.enumeration import free_tree_layouts, layout_graph
+
 from oracles import all_labeled_trees, isomorphism_count, random_tree
 
 # number of free trees on n vertices, n = 1..14
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
+
+
+def decoded_layouts(n, **kwargs):
+    return map(layout_graph, free_tree_layouts(n, **kwargs))
+
+
+# the stream contract (stripes, filters, validation) holds for the graphs
+# and for the raw layouts they are decoded from
+STREAMS = (free_trees, decoded_layouts)
 
 
 def shuffled(rng, g):
@@ -72,14 +83,16 @@ def test_stream_is_deterministic():
 
 
 def test_stripes_partition_the_stream():
-    full = [write_graph(g, "graph6") for g in free_trees(9)]
-    for step in (2, 3, 5):
-        for index in range(step):
-            part = [
-                write_graph(g, "graph6")
-                for g in free_trees(9, stripe=(index, step))
-            ]
-            assert part == full[index::step]
+    for stream in STREAMS:
+        for n in (1, 2, 9):
+            full = [write_graph(g, "graph6") for g in stream(n)]
+            for step in (2, 3, 5):
+                for index in range(step):
+                    part = [
+                        write_graph(g, "graph6")
+                        for g in stream(n, stripe=(index, step))
+                    ]
+                    assert part == full[index::step], (stream, n, index, step)
 
 
 def test_stripe_applies_before_filters():
@@ -89,37 +102,54 @@ def test_stripe_applies_before_filters():
         for pos, g in enumerate(full)
         if pos % 3 == 1 and max(g.degree(v) for v in range(9)) <= 3
     ]
-    got = [
-        write_graph(g, "graph6")
-        for g in free_trees(9, max_degree=3, stripe=(1, 3))
-    ]
-    assert got == expected
+    for stream in STREAMS:
+        got = [
+            write_graph(g, "graph6")
+            for g in stream(9, max_degree=3, stripe=(1, 3))
+        ]
+        assert got == expected, stream
+        # the lone tree of orders 1 and 2 sits at position 0 of the stream
+        for n in (1, 2):
+            assert len(list(stream(n, max_degree=1, stripe=(0, 2)))) == 1
+            assert list(stream(n, max_degree=1, stripe=(1, 2))) == []
 
 
 def test_stripe_validation():
-    for stripe in ((0, 0), (-1, 2), (2, 2), (5, 3)):
+    for stream in STREAMS:
+        for stripe in ((0, 0), (-1, 2), (2, 2), (5, 3)):
+            with pytest.raises(ParameterError):
+                list(stream(5, stripe=stripe))
+            with pytest.raises(ParameterError):
+                list(stream(1, stripe=stripe))
         with pytest.raises(ParameterError):
-            list(free_trees(5, stripe=stripe))
-    with pytest.raises(ParameterError):
-        list(free_trees(0))
+            list(stream(0))
 
 
 def test_degree_filters():
-    # max degree 2 leaves exactly the path; min max degree n-1 the star
-    for n in range(3, 10):
-        only = list(free_trees(n, max_degree=2))
-        assert len(only) == 1
-        assert canonical_code(only[0]) == canonical_code(build(parse_family(f"path:{n}")))
-        only = list(free_trees(n, min_max_degree=n - 1))
-        assert len(only) == 1
-        assert canonical_code(only[0]) == canonical_code(build(parse_family(f"star:{n}")))
-    full = list(free_trees(8))
-    expected = [
-        g for g in full
-        if sum(1 for v in range(8) if g.degree(v) == 3) >= 2
-    ]
-    got = list(free_trees(8, min_degree3_count=2))
-    assert [canonical_code(g) for g in got] == [canonical_code(g) for g in expected]
+    for stream in STREAMS:
+        # max degree 2 leaves exactly the path; min max degree n-1 the star
+        for n in range(3, 10):
+            only = list(stream(n, max_degree=2))
+            assert len(only) == 1
+            assert canonical_code(only[0]) == canonical_code(build(parse_family(f"path:{n}")))
+            only = list(stream(n, min_max_degree=n - 1))
+            assert len(only) == 1
+            assert canonical_code(only[0]) == canonical_code(build(parse_family(f"star:{n}")))
+        full = list(stream(8))
+        expected = [
+            g for g in full
+            if sum(1 for v in range(8) if g.degree(v) == 3) >= 2
+        ]
+        got = list(stream(8, min_degree3_count=2))
+        assert [canonical_code(g) for g in got] == [canonical_code(g) for g in expected]
+        # order 1 has degree 0 and order 2 degree 1, whatever the stripe
+        for n, top in ((1, 0), (2, 1)):
+            for stripe in (None, (0, 3)):
+                assert len(list(stream(n, max_degree=top, stripe=stripe))) == 1
+                assert list(stream(n, min_max_degree=top + 1, stripe=stripe)) == []
+                assert list(stream(n, min_degree3_count=1, stripe=stripe)) == []
+                assert len(list(stream(n, min_degree3_count=0, stripe=stripe))) == 1
+            assert list(stream(n, max_degree=top, stripe=(1, 3))) == []
 
 
 def test_canonical_code_shape():
