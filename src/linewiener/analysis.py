@@ -180,6 +180,13 @@ def ratio_rk(g: Graph, k_max: int, budget: int = DEFAULT_BUDGET) -> RatioReport:
     )
 
 
+def _w_w2(g: Graph, budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
+    """(W, W2) of a connected graph, both by direct BFS."""
+    w = wiener_index(g)
+    w2 = wiener_index(iterated_line_graph(g, 2, budget))
+    return w, w2
+
+
 def beats_path(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
     """Exact test of R2(G) < R2(P_n) at n = |V(G)|.
 
@@ -191,22 +198,22 @@ def beats_path(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
         raise ParameterError(
             f"path comparison needs order >= 3, got {g.vertex_count}"
         )
-    w = wiener_index(g)
-    l2 = iterated_line_graph(g, 2, budget)
-    if l2.vertex_count == 0:
-        return False
-    w2 = wiener_index(l2)
+    w, w2 = _w_w2(g, budget)
     n = g.vertex_count
     # W2/W < (n-2)(n-3)/(n(n+1)), cross-multiplied
     return w2 * n * (n + 1) < (n - 2) * (n - 3) * w
 
 
-def threshold_scan(case: str, a_lo: int, a_hi: int) -> ThresholdReport:
-    """Deficit gap of the near-balanced spider case over a in [a_lo, a_hi]."""
+def _check_scan_range(a_lo: int, a_hi: int) -> None:
     if a_lo < 2:
         raise ParameterError(f"scan needs a >= 2, got start {a_lo}")
     if a_hi < a_lo:
         raise ParameterError(f"empty scan range [{a_lo}, {a_hi}]")
+
+
+def threshold_scan(case: str, a_lo: int, a_hi: int) -> ThresholdReport:
+    """Deficit gap of the near-balanced spider case over a in [a_lo, a_hi]."""
+    _check_scan_range(a_lo, a_hi)
     rows = []
     smallest = None
     for a in range(a_lo, a_hi + 1):
@@ -225,10 +232,7 @@ def threshold_scan(case: str, a_lo: int, a_hi: int) -> ThresholdReport:
 def _ua_w_w2(a: int, budget: int) -> tuple[int, int, int]:
     """(n, W, W2) of the subdivided quipu U_a, all by direct BFS."""
     g = build(SubdividedQuipu(a))
-    w = wiener_index(g)
-    l2 = iterated_line_graph(g, 2, budget)
-    w2 = wiener_index(l2)
-    return g.vertex_count, w, w2
+    return (g.vertex_count, *_w_w2(g, budget))
 
 
 def subdivided_quipu_beats_path(
@@ -254,10 +258,7 @@ def subdivided_quipu_scan(
     The per-a work is a full BFS evaluation (order a^2+3a), so wide scans
     are slow; `stop_at_first_pass` cuts the scan at the first positive gap.
     """
-    if a_lo < 2:
-        raise ParameterError(f"scan needs a >= 2, got start {a_lo}")
-    if a_hi < a_lo:
-        raise ParameterError(f"empty scan range [{a_lo}, {a_hi}]")
+    _check_scan_range(a_lo, a_hi)
     rows = []
     smallest = None
     for a in range(a_lo, a_hi + 1):
@@ -381,11 +382,13 @@ def _min_ratio_scan(
     return scanned, ratio, tuple(sorted(witnesses))
 
 
-def _check_search_bounds(n: int, limit: int) -> None:
+def _check_search_bounds(n: int, limit: int, jobs: int) -> None:
     if n < 4:
         raise ParameterError(f"search needs order >= 4, got {n}")
     if n > limit:
         raise SearchLimitError(n, limit)
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
 
 
 def min_r2_search(
@@ -404,9 +407,7 @@ def min_r2_search(
     non-exhaustive minimum is worthless here. Raising the cap is the
     caller's explicit act.
     """
-    _check_search_bounds(n, limit)
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    _check_search_bounds(n, limit, jobs)
     scanned, ratio, witnesses = _min_ratio_scan(
         n, 2, max_degree, min_max_degree, min_degree3_count, jobs
     )
@@ -430,9 +431,7 @@ def star_minimizes_r1(
     (direct build and BFS) and compared with the exhaustive minimum and its
     full witness list, exactly.
     """
-    _check_search_bounds(n, limit)
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    _check_search_bounds(n, limit, jobs)
     _, ratio, witnesses = _min_ratio_scan(n, 1, None, None, None, jobs)
     star = build(Star(n))
     star_ratio = Fraction(wiener_index(line_graph(star)), wiener_index(star))
@@ -455,12 +454,6 @@ def line_wiener_tree_identity(n: int) -> bool:
 
 
 # ------------------------------------------------- verification bundles
-
-
-def _tree_w_w2(g: Graph, budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
-    w = wiener_index(g)
-    w2 = wiener_index(iterated_line_graph(g, 2, budget))
-    return w, w2
 
 
 def _check(name: str, ok: bool, detail: str) -> CheckResult:
@@ -500,7 +493,7 @@ def closed_form_oracle_checks(
         for b in range(a, max_a + 1):
             for c in range(b, max_a + 1):
                 combos += 1
-                w, w2 = _tree_w_w2(build(Spider(a, b, c)))
+                w, w2 = _w_w2(build(Spider(a, b, c)))
                 if d2_spider(a, b, c) != w - w2:
                     bad += 1
     out.append(
@@ -512,7 +505,7 @@ def closed_form_oracle_checks(
     )
     bad_w = bad_d2 = 0
     for a in range(2, max_a + 1):
-        w, w2 = _tree_w_w2(build(BalancedQuipu(a)))
+        w, w2 = _w_w2(build(BalancedQuipu(a)))
         if w_quipu(a) != w:
             bad_w += 1
         if d2_quipu(a) != w - w2:
@@ -529,7 +522,7 @@ def closed_form_oracle_checks(
         if w_path(n) != wiener_index(path):
             bad_w += 1
         if n >= 3:
-            w, w2 = _tree_w_w2(path)
+            w, w2 = _w_w2(path)
             if r2_path(n) != Fraction(w2, w):
                 bad_r2 += 1
     out.append(
@@ -586,7 +579,7 @@ def near_balanced_checks(a_lo: int = 2, a_hi: int = 30) -> list[CheckResult]:
         oracle_ok = True
         for a in range(max(2, a_lo), min(8, a_hi) + 1):
             values = balanced_spider_case(a, case)
-            w, w2 = _tree_w_w2(build(Spider(*spider_case_arms(a, case))))
+            w, w2 = _w_w2(build(Spider(*spider_case_arms(a, case))))
             if values.w != w or values.d2 != w - w2:
                 oracle_ok = False
             if values.one_minus_r2_tree != Fraction(w - w2, w):
@@ -646,7 +639,7 @@ def worked_example_checks(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
         )
     )
     spider777 = build(Spider(7, 7, 7))
-    w, w2 = _tree_w_w2(spider777, budget)
+    w, w2 = _w_w2(spider777, budget)
     out.append(
         _check(
             "W(T_{7,7,7}) = 1428",
@@ -683,7 +676,7 @@ def worked_example_checks(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
             "exact comparison at order 19",
         )
     )
-    w345, w345_2 = _tree_w_w2(build(Spider(3, 4, 5)), budget)
+    w345, w345_2 = _w_w2(build(Spider(3, 4, 5)), budget)
     out.append(
         _check(
             "W(T_{3,4,5}) = 304 and D2 = 113",
@@ -699,7 +692,7 @@ def worked_example_checks(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
             "closed form and BFS",
         )
     )
-    wq, wq2 = _tree_w_w2(build(BalancedQuipu(2)), budget)
+    wq, wq2 = _w_w2(build(BalancedQuipu(2)), budget)
     out.append(
         _check(
             "W(Q_2) = 68 and D2(Q_2) = 22",

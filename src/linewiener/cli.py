@@ -263,15 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_report(obj, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(reporting.render_json(reporting.report_json(obj)))
-    elif fmt == "csv":
-        sys.stdout.write(reporting.report_csv(obj))
-    else:
-        sys.stdout.write(reporting.report_text(obj))
-
-
 def _cmd_wiener(args) -> int:
     g = _load_graph(args)
     value = wiener_index(g)
@@ -298,7 +289,7 @@ def _cmd_line(args) -> int:
 def _cmd_ratio(args) -> int:
     g = _load_graph(args)
     report = analysis.ratio_rk(g, args.k, _budget_of(args))
-    _emit_report(report, args.format)
+    sys.stdout.write(reporting.render(report, args.format))
     return 0
 
 
@@ -326,26 +317,16 @@ def _cmd_scan(args) -> int:
     budget = _budget_of(args)
     if args.case == "ua":
         lo, hi = _parse_range(args.a_range) if args.a_range else (2, 50)
-        report = analysis.subdivided_quipu_scan(
+        scanned = analysis.subdivided_quipu_scan(
             lo, hi, budget, stop_at_first_pass=args.stop_at_first
         )
-        _emit_report(report, args.format)
-        return 0
-    if args.stop_at_first:
-        raise ParameterError("--stop-at-first only applies to --case ua")
-    lo, hi = _parse_range(args.a_range) if args.a_range else (2, 30)
-    cases = ("i", "ii", "iii") if args.case == "all" else (args.case,)
-    reports = [analysis.threshold_scan(case, lo, hi) for case in cases]
-    if args.format == "json":
-        payload = {
-            "schema": reporting.JSON_SCHEMA,
-            "kind": "scan-set",
-            "scans": [reporting.report_json(r) for r in reports],
-        }
-        sys.stdout.write(reporting.render_json(payload))
     else:
-        for r in reports:
-            _emit_report(r, args.format)
+        if args.stop_at_first:
+            raise ParameterError("--stop-at-first only applies to --case ua")
+        lo, hi = _parse_range(args.a_range) if args.a_range else (2, 30)
+        cases = ("i", "ii", "iii") if args.case == "all" else (args.case,)
+        scanned = [analysis.threshold_scan(case, lo, hi) for case in cases]
+    sys.stdout.write(reporting.render(scanned, args.format))
     return 0
 
 
@@ -362,16 +343,18 @@ def _cmd_verify(args) -> int:
         if name == "paper-numbers":
             checks += analysis.worked_example_checks(budget)
         elif name == "buckley":
-            checks += analysis.line_identity_checks(args.max_n or 14)
+            max_n = 14 if args.max_n is None else args.max_n
+            checks += analysis.line_identity_checks(max_n)
         elif name == "lemmas":
-            checks += analysis.closed_form_oracle_checks(args.max_a or 8)
+            max_a = 8 if args.max_a is None else args.max_a
+            checks += analysis.closed_form_oracle_checks(max_a)
         elif name == "thm4":
             lo, hi = _parse_range(args.a_range) if args.a_range else (2, 30)
             checks += analysis.near_balanced_checks(lo, hi)
         elif name == "limits":
             checks += analysis.limit_quotient_checks()
         elif name == "thm5":
-            a = args.a or 50
+            a = 50 if args.a is None else args.a
             result = analysis.subdivided_quipu_beats_path(a, budget)
             checks.append(
                 analysis.CheckResult(
@@ -382,7 +365,9 @@ def _cmd_verify(args) -> int:
                 )
             )
         elif name == "thm1":
-            top = args.max_n or 12
+            top = 12 if args.max_n is None else args.max_n
+            if top < 4:
+                raise ParameterError(f"thm1 needs --max-n >= 4, got {top}")
             failures = [
                 n
                 for n in range(4, top + 1)
@@ -396,14 +381,8 @@ def _cmd_verify(args) -> int:
                     + (f"; fails at {failures}" if failures else ""),
                 )
             )
-    ok = all(c.ok for c in checks)
-    if args.format == "json":
-        sys.stdout.write(reporting.render_json(reporting.checks_json(checks)))
-    elif args.format == "csv":
-        sys.stdout.write(reporting.checks_csv(checks))
-    else:
-        sys.stdout.write(reporting.checks_text(checks))
-    return 0 if ok else 1
+    sys.stdout.write(reporting.render(checks, args.format))
+    return 0 if all(c.ok for c in checks) else 1
 
 
 def _cmd_search(args) -> int:
@@ -415,7 +394,7 @@ def _cmd_search(args) -> int:
         jobs=args.jobs,
         limit=args.limit,
     )
-    _emit_report(report, args.format)
+    sys.stdout.write(reporting.render(report, args.format))
     return 0
 
 

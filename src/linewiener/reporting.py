@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import fields
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -19,8 +20,6 @@ from .analysis import (
     CheckResult,
     MinimizerReport,
     RatioReport,
-    SubdividedQuipuCheck,
-    SubdividedQuipuDeviation,
     ThresholdReport,
 )
 
@@ -70,64 +69,43 @@ def _csv_lines(kind: str, header: list[str], rows: list[list[str]],
 
 # ----------------------------------------------------------- per-kind JSON
 
+_KINDS = {
+    RatioReport: "ratio",
+    MinimizerReport: "search",
+    ThresholdReport: "scan",
+}
+
+
+def _json_value(value):
+    """A field value in JSON form: rationals exact, codes as text."""
+    if isinstance(value, Fraction):
+        return rational_json(value)
+    if isinstance(value, bytes):
+        return value.decode("ascii")
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return value
+
+
+def _fields_json(obj) -> dict:
+    return {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj)}
+
 
 def report_json(obj) -> dict:
-    """Schema-stamped dict for any report type; json.dumps-ready."""
-    if isinstance(obj, RatioReport):
-        return {
-            "schema": JSON_SCHEMA,
-            "kind": "ratio",
-            "order": obj.order,
-            "is_tree": obj.is_tree,
-            "wiener": obj.wiener,
-            "wiener_k": list(obj.wiener_k),
-            "d2": obj.d2,
-            "r_k": [rational_json(r) for r in obj.r_k],
-            "path_r2": rational_json(obj.path_r2),
-            "beats_path": obj.beats_path,
-        }
-    if isinstance(obj, MinimizerReport):
-        return {
-            "schema": JSON_SCHEMA,
-            "kind": "search",
-            "order": obj.order,
-            "class_description": obj.class_description,
-            "min_ratio": rational_json(obj.min_ratio),
-            "witnesses": [w.decode("ascii") for w in obj.witnesses],
-            "trees_scanned": obj.trees_scanned,
-        }
-    if isinstance(obj, ThresholdReport):
-        return {
-            "schema": JSON_SCHEMA,
-            "kind": "scan",
-            "family_case": obj.family_case,
-            "smallest_passing_a": obj.smallest_passing_a,
-            "per_a_gap": [
-                {"a": a, "gap": rational_json(gap)}
-                for a, gap in obj.per_a_gap
-            ],
-        }
-    if isinstance(obj, SubdividedQuipuCheck):
-        return {
-            "schema": JSON_SCHEMA,
-            "kind": "ua-check",
-            "a": obj.a,
-            "n": obj.n,
-            "r2_ua": rational_json(obj.r2_ua),
-            "r2_path": rational_json(obj.r2_path),
-            "holds": obj.holds,
-        }
-    if isinstance(obj, SubdividedQuipuDeviation):
-        return {
-            "schema": JSON_SCHEMA,
-            "kind": "ua-deviation",
-            "a": obj.a,
-            "w_ua": obj.w_ua,
-            "d2_ua": obj.d2_ua,
-            "w_dev": rational_json(obj.w_dev),
-            "d2_dev": rational_json(obj.d2_dev),
-        }
-    raise TypeError(f"no JSON form for {type(obj).__name__}")
+    """Schema-stamped dict for any report type; json.dumps-ready.
+
+    After `schema` and `kind` come the dataclass fields in order; only the
+    (a, gap) rows of a scan become {"a", "gap"} objects.
+    """
+    kind = _KINDS.get(type(obj))
+    if kind is None:
+        raise TypeError(f"no JSON form for {type(obj).__name__}")
+    payload = {"schema": JSON_SCHEMA, "kind": kind} | _fields_json(obj)
+    if kind == "scan":
+        payload["per_a_gap"] = [
+            {"a": a, "gap": rational_json(gap)} for a, gap in obj.per_a_gap
+        ]
+    return payload
 
 
 def checks_json(checks: list[CheckResult]) -> dict:
@@ -135,9 +113,7 @@ def checks_json(checks: list[CheckResult]) -> dict:
         "schema": JSON_SCHEMA,
         "kind": "verify",
         "ok": all(c.ok for c in checks),
-        "checks": [
-            {"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks
-        ],
+        "checks": [_fields_json(c) for c in checks],
     }
 
 
@@ -194,28 +170,6 @@ def report_csv(obj) -> str:
         ]
         rows = [[str(a), rational_text(gap)] for a, gap in obj.per_a_gap]
         return _csv_lines("scan", ["a", "gap"], rows, comments)
-    if isinstance(obj, SubdividedQuipuCheck):
-        rows = [[
-            str(obj.a),
-            str(obj.n),
-            rational_text(obj.r2_ua),
-            rational_text(obj.r2_path),
-            _bool_text(obj.holds),
-        ]]
-        return _csv_lines(
-            "ua-check", ["a", "n", "r2_ua", "r2_path", "holds"], rows
-        )
-    if isinstance(obj, SubdividedQuipuDeviation):
-        rows = [[
-            str(obj.a),
-            str(obj.w_ua),
-            str(obj.d2_ua),
-            rational_text(obj.w_dev),
-            rational_text(obj.d2_dev),
-        ]]
-        return _csv_lines(
-            "ua-deviation", ["a", "w_ua", "d2_ua", "w_dev", "d2_dev"], rows
-        )
     raise TypeError(f"no CSV form for {type(obj).__name__}")
 
 
@@ -275,22 +229,6 @@ def report_text(obj) -> str:
             for a, gap in obj.per_a_gap
         ]
         return "\n".join(lines) + "\n"
-    if isinstance(obj, SubdividedQuipuCheck):
-        verdict = "holds" if obj.holds else "fails"
-        return (
-            f"a = {obj.a}, order n = {obj.n}\n"
-            f"R_2(U_a)  = {rational_text(obj.r2_ua)}\n"
-            f"R_2(P_n)  = {rational_text(obj.r2_path)}\n"
-            f"R_2(U_a) < R_2(P_n) {verdict}\n"
-        )
-    if isinstance(obj, SubdividedQuipuDeviation):
-        return (
-            f"a = {obj.a}\n"
-            f"W(U_a)  = {obj.w_ua}   relative deviation from (2/3)a^5: "
-            f"{float(obj.w_dev):+.6f}\n"
-            f"D2(U_a) = {obj.d2_ua}   relative deviation from (1/6)a^4: "
-            f"{float(obj.d2_dev):+.6f}\n"
-        )
     raise TypeError(f"no text form for {type(obj).__name__}")
 
 
@@ -301,3 +239,32 @@ def checks_text(checks: list[CheckResult]) -> str:
         lines.append(f"[{mark}] {c.name} ({c.detail})")
     lines.append(f"{sum(c.ok for c in checks)}/{len(checks)} checks passed")
     return "\n".join(lines) + "\n"
+
+
+# ------------------------------------------------------------- dispatch
+
+
+def render(obj, fmt: str) -> str:
+    """`obj` as a `fmt` ("text", "json" or "csv") report: the CLI's one
+    output path.
+
+    `obj` is a report, a list of CheckResult (one verify run), or a list of
+    ThresholdReport (a scan set: one "scan-set" object in JSON, the reports
+    one after another in text and CSV).
+    """
+    if isinstance(obj, list) and obj and isinstance(obj[0], ThresholdReport):
+        if fmt == "json":
+            return render_json({
+                "schema": JSON_SCHEMA,
+                "kind": "scan-set",
+                "scans": [report_json(r) for r in obj],
+            })
+        return "".join(render(r, fmt) for r in obj)
+    checks = isinstance(obj, list)
+    if fmt == "json":
+        return render_json(checks_json(obj) if checks else report_json(obj))
+    if fmt == "csv":
+        return checks_csv(obj) if checks else report_csv(obj)
+    if fmt == "text":
+        return checks_text(obj) if checks else report_text(obj)
+    raise ValueError(f"unknown report format {fmt!r}")

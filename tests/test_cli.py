@@ -169,6 +169,25 @@ def test_verify_unknown_check(capsys):
     assert "unknown" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("thm5", "--a", "0"),
+        ("lemmas", "--max-a", "0"),
+        ("buckley", "--max-n", "0"),
+        ("thm1", "--max-n", "0"),
+        ("thm1", "--max-n", "3"),
+    ],
+)
+def test_verify_rejects_bounds_it_cannot_run(capsys, argv):
+    # a 0 is a value to validate, not a request for the default, and thm1
+    # must not pass over an empty range of orders
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     from linewiener import CheckResult
     import linewiener.cli as cli
@@ -239,6 +258,46 @@ def test_consumer_closing_early_is_not_an_error():
 # sha256 of the exact stdout bytes; a refactor of the layout stream, the
 # search or the reports must leave every one of these unchanged
 GOLDEN_STDOUT = {
+    "wiener --family spider:7,7,7":
+        "411c7d21507b483dddae33a6d5b10c98a25a9c586cde5d97ee4a2b155dd3b09f",
+    "wiener --family spider:7,7,7 --format json":
+        "b5016aa7111d8f082dfc8202ca6dd5b789c609e4966b9b62a1698e9fd4e1a8c9",
+    "wiener --family spider:7,7,7 --format csv":
+        "8e6ad39e93643b508917ceca658865b53cdb16547314d70f0136f4d8ee2adb84",
+    "ratio --family spider:7,7,7 -k 3 --format json":
+        "b9c0e88e7f8843c2ac8883b7d7726a442034e4cc6e511842fb6e2fb468747464",
+    "ratio --family path:2":
+        "992df4f1707ec076cac816114a6e4f11342ac03070d0dea4924441d16e7d7182",
+    "ratio --family path:2 --format json":
+        "460b6fd7b3bb6893bc5e260c33851230c418ffba18425a7315475eee2d26dfd1",
+    "ratio --family path:2 --format csv":
+        "637f82c66aaf722efa70ed3c4e9c8490ce65e5560a1c2449e0d3a9889ca8e22e",
+    "search min-r2 --n 6 --min-degree3 3":
+        "61d84006e99c282ceeb930c9b10047004e6ffe9b61f0531dfc5ebea0ea6a4b2f",
+    "search min-r2 --n 6 --min-degree3 3 --format json":
+        "272ec76ab45a109c2a300ce661770c1bbe23ea52afa36f4ac93e545963cd9c4c",
+    "search min-r2 --n 6 --min-degree3 3 --format csv":
+        "75e721810236455771e3c39cd20a66e1a576350a01d802049eea3b969ab322c5",
+    "search min-r2 --n 9 --format csv":
+        "f4ab4dc5c8f8161c8a8fc0e285d16acb9227a3a21a2356a74c3e53520a8be734",
+    "scan --case all --a-range 2..9":
+        "33168cc1a5fae2ed9491c452fca4027a8aadb4a731822a351be915d6c8f114ec",
+    "scan --case all --a-range 2..9 --format json":
+        "487675756cf00637be760f944422f91cad691f8a491530520289b4f067f3979f",
+    "scan --case iii --a-range 2..9 --format csv":
+        "69ab51e85619572ac825074670bc0f9e2fe23686fd05a8bfccce86427fc7f992",
+    "scan --case ua --a-range 2..5 --format json":
+        "3bc5fdbed922dff193b1b8d0bb80f9b71c3361287a02e67afa01a1e9b408c0fe",
+    "scan --case ua --a-range 2..5 --format csv":
+        "332435d81372fb779514c8dfea4c2f842149e62c393c4fab6e75d6c0cb089fc3",
+    "verify paper-numbers limits --format json":
+        "77d953b9775a06cf8dc19f05f5ca4d9408cc36a12d5cc70c93014d1343f6488b",
+    "verify paper-numbers limits --format csv":
+        "70f5554ea3706c4fb35e4da75c2c71da139f6a5894964bb9597d182b3d6e8717",
+    "verify thm5 thm1 --a 12 --max-n 7":
+        "0e7a1c1dd2041f0fdbc639c440321813909bc5438bba28296bde7b5d278ea7ff",
+    "verify thm5 thm1 --a 12 --max-n 7 --format json":
+        "877291ef43527560569eae980e47038fe5e90037c127aedc4ebf500b62ad8e07",
     "enumerate --n 9 --max-degree 3 --stripe 1/3":
         "1087b3f5cdee5c46ebe73b725fe8e0df47bd039c38adecc81c8ee4f161657304",
     "search min-r2 --n 10":

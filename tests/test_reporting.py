@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import pytest
+
 from linewiener import (
     CheckResult,
     build,
@@ -22,6 +24,7 @@ from linewiener.reporting import (
     checks_text,
     rational_json,
     rational_text,
+    render,
     render_json,
     report_csv,
     report_json,
@@ -128,3 +131,24 @@ def test_checks_renderers():
     assert json.loads(render_json(payload)) == payload
     lines = checks_csv(checks).splitlines()
     assert lines[-1] == "second,false,broke"
+
+
+def test_render_dispatches_to_the_per_kind_renderers():
+    reports = sample_reports()
+    for report in reports:
+        assert render(report, "text") == report_text(report)
+        assert render(report, "json") == render_json(report_json(report))
+        assert render(report, "csv") == report_csv(report)
+    checks = [CheckResult("only", True, "fine")]
+    assert render(checks, "text") == checks_text(checks)
+    assert render(checks, "json") == render_json(checks_json(checks))
+    assert render(checks, "csv") == checks_csv(checks)
+    scans = reports[3:]
+    assert json.loads(render(scans, "json")) == {
+        "schema": JSON_SCHEMA,
+        "kind": "scan-set",
+        "scans": [report_json(r) for r in scans],
+    }
+    assert render(scans, "csv") == "".join(map(report_csv, scans))
+    with pytest.raises(ValueError):
+        render(checks, "xml")

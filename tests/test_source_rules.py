@@ -3,7 +3,9 @@
 No `assert` statements: `python -O` strips them, so a correctness check
 written as one silently stops checking. And `analysis` may use other
 modules only through their public names, so a helper can change shape
-inside its own module without breaking the searches.
+inside its own module without breaking the searches. And `cli` writes
+every report through `reporting.render`, so the choice between text, JSON
+and CSV is made in one place.
 """
 
 from __future__ import annotations
@@ -37,4 +39,31 @@ def test_analysis_imports_only_public_names():
         for alias in node.names
         if alias.name.startswith("_")
     ]
+    assert found == []
+
+
+def names_in(tree):
+    """Every identifier a module mentions: names, attributes, imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_cli_leaves_the_report_format_to_reporting():
+    # `reporting.render` is the CLI's one output path; a renderer named in
+    # cli.py would be a second place that decides the format
+    renderers = {
+        "JSON_SCHEMA",
+        "report_json",
+        "report_csv",
+        "report_text",
+        "checks_json",
+        "checks_csv",
+        "checks_text",
+    }
+    found = sorted(set(names_in(parsed(PACKAGE / "cli.py"))) & renderers)
     assert found == []
