@@ -3,9 +3,10 @@
 A graph on n vertices is held as a list of n ints, where bit u of
 ``masks[v]`` says u and v are adjacent. BFS layers become mask operations
 and distance sums come from ``int.bit_count``, which is what lets a
-million-tree sweep finish in minutes of pure Python. Only the searches use
-this form; general-purpose code goes through graphs.Graph instead (for
-large sparse graphs, plain adjacency BFS wins).
+million-tree sweep finish in minutes of pure Python. Only the sweeps over
+the free-tree stream use this form: the searches and the `buckley` and
+`thm1` checks of `verify`. General-purpose code goes through graphs.Graph
+instead (for large sparse graphs, plain adjacency BFS wins).
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Optional
 
@@ -42,6 +43,14 @@ from .graphs import (
 )
 
 DEFAULT_SEARCH_LIMIT = 20
+
+
+@dataclass(frozen=True)
+class WienerReport:
+    """The Wiener index of one graph, with its order."""
+
+    order: int
+    wiener: int
 
 
 @dataclass(frozen=True)
@@ -149,18 +158,11 @@ def ratio_rk(g: Graph, k_max: int, budget: int = DEFAULT_BUDGET) -> RatioReport:
     r_k: list[Optional[Fraction]] = [Fraction(1)]
     h = g
     for _ in range(k_max):
-        if h.vertex_count == 0:
-            wiener_k.append(None)
-            r_k.append(None)
-            continue
+        # the line graph of an empty iterate is empty again
         h = iterated_line_graph(h, 1, budget)
-        if h.vertex_count == 0:
-            wiener_k.append(None)
-            r_k.append(None)
-            continue
-        wk = wiener_index(h)
+        wk = wiener_index(h) if h.vertex_count else None
         wiener_k.append(wk)
-        r_k.append(Fraction(wk, w))
+        r_k.append(None if wk is None else Fraction(wk, w))
     d2 = None
     if k_max >= 2 and wiener_k[2] is not None:
         d2 = w - wiener_k[2]
@@ -204,29 +206,38 @@ def beats_path(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
     return w2 * n * (n + 1) < (n - 2) * (n - 3) * w
 
 
-def _check_scan_range(a_lo: int, a_hi: int) -> None:
+def _gap_scan(
+    family_case: str, a_lo: int, a_hi: int, gap_at, stop_at_first_pass=False
+) -> ThresholdReport:
+    """The rows gap_at(a) for a in [a_lo, a_hi] and the first positive one."""
     if a_lo < 2:
         raise ParameterError(f"scan needs a >= 2, got start {a_lo}")
     if a_hi < a_lo:
         raise ParameterError(f"empty scan range [{a_lo}, {a_hi}]")
+    rows = []
+    smallest = None
+    for a in range(a_lo, a_hi + 1):
+        gap = gap_at(a)
+        rows.append((a, gap))
+        if smallest is None and gap > 0:
+            smallest = a
+            if stop_at_first_pass:
+                break
+    return ThresholdReport(
+        family_case=family_case,
+        smallest_passing_a=smallest,
+        per_a_gap=tuple(rows),
+    )
 
 
 def threshold_scan(case: str, a_lo: int, a_hi: int) -> ThresholdReport:
     """Deficit gap of the near-balanced spider case over a in [a_lo, a_hi]."""
-    _check_scan_range(a_lo, a_hi)
-    rows = []
-    smallest = None
-    for a in range(a_lo, a_hi + 1):
+
+    def gap_at(a):
         values = balanced_spider_case(a, case)
-        gap = values.one_minus_r2_tree - values.one_minus_r2_path
-        rows.append((a, gap))
-        if smallest is None and gap > 0:
-            smallest = a
-    return ThresholdReport(
-        family_case=case,
-        smallest_passing_a=smallest,
-        per_a_gap=tuple(rows),
-    )
+        return values.one_minus_r2_tree - values.one_minus_r2_path
+
+    return _gap_scan(case, a_lo, a_hi, gap_at)
 
 
 def _ua_w_w2(a: int, budget: int) -> tuple[int, int, int]:
@@ -258,22 +269,12 @@ def subdivided_quipu_scan(
     The per-a work is a full BFS evaluation (order a^2+3a), so wide scans
     are slow; `stop_at_first_pass` cuts the scan at the first positive gap.
     """
-    _check_scan_range(a_lo, a_hi)
-    rows = []
-    smallest = None
-    for a in range(a_lo, a_hi + 1):
+
+    def gap_at(a):
         check = subdivided_quipu_beats_path(a, budget)
-        gap = check.r2_path - check.r2_ua
-        rows.append((a, gap))
-        if smallest is None and gap > 0:
-            smallest = a
-            if stop_at_first_pass:
-                break
-    return ThresholdReport(
-        family_case="ua",
-        smallest_passing_a=smallest,
-        per_a_gap=tuple(rows),
-    )
+        return check.r2_path - check.r2_ua
+
+    return _gap_scan("ua", a_lo, a_hi, gap_at, stop_at_first_pass)
 
 
 def subdivided_quipu_deviation(
@@ -306,6 +307,20 @@ def _describe_class(max_degree, min_max_degree, min_degree3_count) -> str:
     return "trees with " + ", ".join(parts)
 
 
+def _keep_min(best: list, wk: int, w: int, codes) -> None:
+    """Fold the ratio wk/w into best = [best_wk, best_w, witness codes].
+
+    A smaller ratio replaces the witnesses with codes(), an equal one adds
+    codes() to them. codes is called only then, so a sweep computes the
+    canonical codes of its running argmins alone.
+    """
+    best_wk, best_w, witnesses = best
+    if best_w is None or wk * best_w < best_wk * w:
+        best[:] = wk, w, list(codes())
+    elif wk * best_w == best_wk * w:
+        witnesses.extend(codes())
+
+
 def _scan_stripe(args):
     """One stripe of a min W_k/W sweep; must stay picklable for Pool.
 
@@ -314,8 +329,7 @@ def _scan_stripe(args):
     """
     n, k, max_degree, min_max_degree, min_degree3_count, index, step = args
     scanned = 0
-    best_wk = best_w = None
-    witnesses: list[bytes] = []
+    best = [None, None, []]
     wiener_masks = _fast.wiener_masks
     wiener_tree_layout = _fast.wiener_tree_layout
     line_masks = _fast.line_masks
@@ -335,12 +349,8 @@ def _scan_stripe(args):
         wk = wiener_masks(it)
         if w <= 0 or wk < 0:
             raise ArithmeticError(f"W = {w}, W_{k} = {wk} for layout {layout}")
-        if best_w is None or wk * best_w < best_wk * w:
-            best_wk, best_w = wk, w
-            witnesses = [canonical_code(layout_graph(layout))]
-        elif wk * best_w == best_wk * w:
-            witnesses.append(canonical_code(layout_graph(layout)))
-    return scanned, best_wk, best_w, witnesses
+        _keep_min(best, wk, w, lambda: [canonical_code(layout_graph(layout))])
+    return (scanned, *best)
 
 
 def _min_ratio_scan(
@@ -367,17 +377,12 @@ def _min_ratio_scan(
         with ctx.Pool(jobs) as pool:
             results = pool.map(_scan_stripe, args)
     scanned = 0
-    best_wk = best_w = None
-    witnesses: list[bytes] = []
+    best = [None, None, []]
     for part_scanned, part_wk, part_w, part_wit in results:
         scanned += part_scanned
-        if part_w is None:
-            continue
-        if best_w is None or part_wk * best_w < best_wk * part_w:
-            best_wk, best_w = part_wk, part_w
-            witnesses = list(part_wit)
-        elif part_wk * best_w == best_wk * part_w:
-            witnesses.extend(part_wit)
+        if part_w is not None:
+            _keep_min(best, part_wk, part_w, lambda: part_wit)
+    best_wk, best_w, witnesses = best
     ratio = None if best_w is None else Fraction(best_wk, best_w)
     return scanned, ratio, tuple(sorted(witnesses))
 
@@ -472,35 +477,32 @@ def closed_form_oracle_checks(
     if max_a < 2:
         raise ParameterError(f"oracle check needs max_a >= 2, got {max_a}")
     out = []
-    bad = 0
-    combos = 0
-    for a in range(1, max_a + 1):
-        for b in range(a, max_a + 1):
-            for c in range(b, max_a + 1):
-                combos += 1
-                if w_spider(a, b, c) != wiener_index(build(Spider(a, b, c))):
-                    bad += 1
+    arm_triples = list(combinations_with_replacement(range(1, max_a + 1), 3))
+    bad_w = bad_d2 = d2_combos = 0
+    for arms in arm_triples:
+        spider = build(Spider(*arms))
+        # d2_spider needs every arm >= 2; arms[0] is the shortest
+        if arms[0] >= 2:
+            d2_combos += 1
+            w, w2 = _w_w2(spider)
+            if d2_spider(*arms) != w - w2:
+                bad_d2 += 1
+        else:
+            w = wiener_index(spider)
+        if w_spider(*arms) != w:
+            bad_w += 1
     out.append(
         _check(
             "spider W closed form = BFS",
-            bad == 0,
-            f"{combos} arm combos with 1 <= a <= b <= c <= {max_a}",
+            bad_w == 0,
+            f"{len(arm_triples)} arm combos with 1 <= a <= b <= c <= {max_a}",
         )
     )
-    bad = 0
-    combos = 0
-    for a in range(2, max_a + 1):
-        for b in range(a, max_a + 1):
-            for c in range(b, max_a + 1):
-                combos += 1
-                w, w2 = _w_w2(build(Spider(a, b, c)))
-                if d2_spider(a, b, c) != w - w2:
-                    bad += 1
     out.append(
         _check(
             "spider D2 closed form = BFS",
-            bad == 0,
-            f"{combos} arm combos with 2 <= a <= b <= c <= {max_a}",
+            bad_d2 == 0,
+            f"{d2_combos} arm combos with 2 <= a <= b <= c <= {max_a}",
         )
     )
     bad_w = bad_d2 = 0

@@ -28,6 +28,9 @@ from .graphs import DEFAULT_BUDGET, Graph, iterated_line_graph, wiener_index
 
 BUDGET_ENV = "LINEWIENER_BUDGET"
 
+_GRAPH_FORMATS = ("edge-list", "graph6")
+_REPORT_FORMATS = ("text", "json", "csv")
+
 VERIFY_CHECKS = (
     "paper-numbers",
     "buckley",
@@ -39,39 +42,24 @@ VERIFY_CHECKS = (
 )
 
 
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
+def _parse_pair(text: str, sep: str, what: str, example: str) -> tuple[int, int]:
+    """Two ints joined by `sep`, as in `example` ("2..30", "0/4")."""
+    first, found, second = text.partition(sep)
     try:
-        value = int(raw)
-        if value < 1:
+        if not found:
             raise ValueError
+        return int(first), int(second)
     except ValueError:
         raise ParameterError(
-            f"{BUDGET_ENV} must be a positive integer, got {raw!r}"
+            f"{what} must look like {example}, got {text!r}"
         ) from None
-    return value
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise ParameterError(f"range must look like 2..30, got {text!r}")
-    try:
-        return int(lo), int(hi)
-    except ValueError:
-        raise ParameterError(f"range must look like 2..30, got {text!r}") from None
-
-
-def _parse_stripe(text: str) -> tuple[int, int]:
-    idx, sep, step = text.partition("/")
-    if not sep:
-        raise ParameterError(f"stripe must look like 0/4, got {text!r}")
-    try:
-        return int(idx), int(step)
-    except ValueError:
-        raise ParameterError(f"stripe must look like 0/4, got {text!r}") from None
+def _a_range(args, default_hi: int) -> tuple[int, int]:
+    """--a-range, or 2..default_hi when it is not given."""
+    if not args.a_range:
+        return 2, default_hi
+    return _parse_pair(args.a_range, "..", "range", "2..30")
 
 
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:
@@ -88,7 +76,7 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--input-format",
-        choices=("edge-list", "graph6"),
+        choices=_GRAPH_FORMATS,
         help="force the --file format instead of sniffing the extension",
     )
 
@@ -103,13 +91,37 @@ def _add_budget(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_report_format(parser: argparse.ArgumentParser) -> None:
+def _add_format(parser: argparse.ArgumentParser, choices, what: str) -> None:
     parser.add_argument(
         "--format",
-        choices=("text", "json", "csv"),
-        default="text",
-        help="report format (default text)",
+        choices=choices,
+        default=choices[0],
+        help=f"{what} format (default {choices[0]})",
     )
+
+
+def _add_degree_filters(parser: argparse.ArgumentParser, verb: str) -> None:
+    parser.add_argument(
+        "--max-degree", type=int, help=f"{verb} trees with max degree <= D"
+    )
+    parser.add_argument(
+        "--min-max-degree", type=int, help=f"{verb} trees with max degree >= D"
+    )
+    parser.add_argument(
+        "--min-degree3",
+        type=int,
+        metavar="M",
+        help=f"{verb} trees with at least M vertices of degree exactly 3",
+    )
+
+
+def _degree_filters(args) -> dict:
+    """The degree filter flags as keyword arguments of the tree stream."""
+    return {
+        "max_degree": args.max_degree,
+        "min_max_degree": args.min_max_degree,
+        "min_degree3_count": args.min_degree3,
+    }
 
 
 def _load_graph(args) -> Graph:
@@ -126,11 +138,23 @@ def _load_graph(args) -> Graph:
 
 
 def _budget_of(args) -> int:
+    """--budget, else $LINEWIENER_BUDGET, else DEFAULT_BUDGET."""
     if getattr(args, "budget", None) is not None:
         if args.budget < 1:
             raise ParameterError(f"budget must be >= 1, got {args.budget}")
         return args.budget
-    return _default_budget()
+    raw = os.environ.get(BUDGET_ENV)
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        value = int(raw)
+        if value < 1:
+            raise ValueError
+    except ValueError:
+        raise ParameterError(
+            f"{BUDGET_ENV} must be a positive integer, got {raw!r}"
+        ) from None
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,18 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wiener", help="Wiener index of a graph")
     _add_graph_source(p)
-    _add_report_format(p)
+    _add_format(p, _REPORT_FORMATS, "report")
 
     p = sub.add_parser("line", help="emit the k-th iterated line graph")
     _add_graph_source(p)
     p.add_argument("-k", type=int, default=1, help="iterations (default 1)")
     _add_budget(p)
-    p.add_argument(
-        "--format",
-        choices=("edge-list", "graph6"),
-        default="edge-list",
-        help="graph output format (default edge-list)",
-    )
+    _add_format(p, _GRAPH_FORMATS, "graph output")
 
     p = sub.add_parser(
         "ratio", help="W, W_k, R_k report with the equal-order path benchmark"
@@ -162,31 +181,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("-k", type=int, default=2, help="max iteration (default 2)")
     _add_budget(p)
-    _add_report_format(p)
+    _add_format(p, _REPORT_FORMATS, "report")
 
     p = sub.add_parser("family", help="build a family member and emit it")
     p.add_argument("spec", help="family spec text, e.g. quipu:3;4,5,6")
-    p.add_argument(
-        "--format",
-        choices=("edge-list", "graph6"),
-        default="edge-list",
-        help="graph output format (default edge-list)",
-    )
+    _add_format(p, _GRAPH_FORMATS, "graph output")
 
     p = sub.add_parser(
         "enumerate", help="stream all free trees of an order as graph6 lines"
     )
     p.add_argument("--n", type=int, required=True, help="tree order")
-    p.add_argument("--max-degree", type=int, help="keep trees with max degree <= D")
-    p.add_argument(
-        "--min-max-degree", type=int, help="keep trees with max degree >= D"
-    )
-    p.add_argument(
-        "--min-degree3",
-        type=int,
-        metavar="M",
-        help="keep trees with at least M vertices of degree exactly 3",
-    )
+    _add_degree_filters(p, "keep")
     p.add_argument(
         "--stripe",
         metavar="I/K",
@@ -214,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="ua only: stop scanning at the first a that beats the path",
     )
     _add_budget(p)
-    _add_report_format(p)
+    _add_format(p, _REPORT_FORMATS, "report")
 
     p = sub.add_parser(
         "verify",
@@ -233,23 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--a", type=int, help="thm5 parameter (default 50)")
     _add_budget(p)
-    _add_report_format(p)
+    _add_format(p, _REPORT_FORMATS, "report")
 
     p = sub.add_parser(
         "search", help="exhaustive exact minimization over trees of an order"
     )
     p.add_argument("mode", choices=("min-r2",))
     p.add_argument("--n", type=int, required=True, help="tree order")
-    p.add_argument("--max-degree", type=int, help="only trees with max degree <= D")
-    p.add_argument(
-        "--min-max-degree", type=int, help="only trees with max degree >= D"
-    )
-    p.add_argument(
-        "--min-degree3",
-        type=int,
-        metavar="M",
-        help="only trees with at least M vertices of degree exactly 3",
-    )
+    _add_degree_filters(p, "only")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument(
         "--limit",
@@ -258,22 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="refuse orders above this exhaustiveness cap "
         f"(default {analysis.DEFAULT_SEARCH_LIMIT})",
     )
-    _add_report_format(p)
+    _add_format(p, _REPORT_FORMATS, "report")
 
     return parser
 
 
 def _cmd_wiener(args) -> int:
     g = _load_graph(args)
-    value = wiener_index(g)
-    if args.format == "json":
-        sys.stdout.write(
-            reporting.render_json(reporting.wiener_json(value, g.vertex_count))
-        )
-    elif args.format == "csv":
-        sys.stdout.write(reporting.wiener_csv(value, g.vertex_count))
-    else:
-        sys.stdout.write(f"{value}\n")
+    report = analysis.WienerReport(order=g.vertex_count, wiener=wiener_index(g))
+    sys.stdout.write(reporting.render(report, args.format))
     return 0
 
 
@@ -300,15 +289,9 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    stripe = _parse_stripe(args.stripe) if args.stripe else None
+    stripe = _parse_pair(args.stripe, "/", "stripe", "0/4") if args.stripe else None
     out = sys.stdout.buffer
-    for t in free_trees(
-        args.n,
-        max_degree=args.max_degree,
-        min_max_degree=args.min_max_degree,
-        min_degree3_count=args.min_degree3,
-        stripe=stripe,
-    ):
+    for t in free_trees(args.n, **_degree_filters(args), stripe=stripe):
         out.write(write_graph(t, "graph6"))
     return 0
 
@@ -316,83 +299,102 @@ def _cmd_enumerate(args) -> int:
 def _cmd_scan(args) -> int:
     budget = _budget_of(args)
     if args.case == "ua":
-        lo, hi = _parse_range(args.a_range) if args.a_range else (2, 50)
+        lo, hi = _a_range(args, 50)
         scanned = analysis.subdivided_quipu_scan(
             lo, hi, budget, stop_at_first_pass=args.stop_at_first
         )
     else:
         if args.stop_at_first:
             raise ParameterError("--stop-at-first only applies to --case ua")
-        lo, hi = _parse_range(args.a_range) if args.a_range else (2, 30)
+        lo, hi = _a_range(args, 30)
         cases = ("i", "ii", "iii") if args.case == "all" else (args.case,)
         scanned = [analysis.threshold_scan(case, lo, hi) for case in cases]
     sys.stdout.write(reporting.render(scanned, args.format))
     return 0
 
 
-def _cmd_verify(args) -> int:
-    selected = tuple(args.checks) if args.checks else VERIFY_CHECKS
-    for name in selected:
-        if name not in VERIFY_CHECKS:
+def _bound(value: Optional[int], default: int, low: int, what: str) -> int:
+    """A verify bound: the flag's value, or `default` when it is not given."""
+    value = default if value is None else value
+    if value < low:
+        raise ParameterError(f"{what} >= {low}, got {value}")
+    return value
+
+
+def _verify_bundle(name: str, args, budget: int):
+    """The runner of one verify bundle, once its bounds have passed, so
+    that a bad bound fails before any bundle's work is spent."""
+    if name == "paper-numbers":
+        return lambda: analysis.worked_example_checks(budget)
+    if name == "buckley":
+        max_n = _bound(args.max_n, 14, 2, "buckley needs --max-n")
+        return lambda: analysis.line_identity_checks(max_n)
+    if name == "lemmas":
+        max_a = _bound(args.max_a, 8, 2, "lemmas needs --max-a")
+        return lambda: analysis.closed_form_oracle_checks(max_a)
+    if name == "thm4":
+        lo, hi = _a_range(args, 30)
+        if lo < 2 or hi < lo:
             raise ParameterError(
-                f"unknown check {name!r}; pick from {', '.join(VERIFY_CHECKS)}"
+                f"thm4 needs --a-range 2 <= LO <= HI, got {lo}..{hi}"
             )
-    budget = _budget_of(args)
-    checks: list[analysis.CheckResult] = []
-    for name in selected:
-        if name == "paper-numbers":
-            checks += analysis.worked_example_checks(budget)
-        elif name == "buckley":
-            max_n = 14 if args.max_n is None else args.max_n
-            checks += analysis.line_identity_checks(max_n)
-        elif name == "lemmas":
-            max_a = 8 if args.max_a is None else args.max_a
-            checks += analysis.closed_form_oracle_checks(max_a)
-        elif name == "thm4":
-            lo, hi = _parse_range(args.a_range) if args.a_range else (2, 30)
-            checks += analysis.near_balanced_checks(lo, hi)
-        elif name == "limits":
-            checks += analysis.limit_quotient_checks()
-        elif name == "thm5":
-            a = 50 if args.a is None else args.a
+        return lambda: analysis.near_balanced_checks(lo, hi)
+    if name == "limits":
+        return lambda: analysis.limit_quotient_checks()
+    if name == "thm5":
+        a = _bound(args.a, 50, 2, "thm5 needs --a")
+
+        def thm5():
             result = analysis.subdivided_quipu_beats_path(a, budget)
-            checks.append(
+            return [
                 analysis.CheckResult(
                     name=f"R2(U_{a}) < R2(path of order {result.n})",
                     ok=result.holds,
                     detail=f"R2(U_a)={reporting.rational_text(result.r2_ua)} "
                     f"vs {reporting.rational_text(result.r2_path)}",
                 )
-            )
-        elif name == "thm1":
-            top = 12 if args.max_n is None else args.max_n
-            if top < 4:
-                raise ParameterError(f"thm1 needs --max-n >= 4, got {top}")
-            failures = [
-                n
-                for n in range(4, top + 1)
-                if not analysis.star_minimizes_r1(n)
             ]
-            checks.append(
+
+        return thm5
+    if name == "thm1":
+        top = _bound(args.max_n, 12, 4, "thm1 needs --max-n")
+        if top > analysis.DEFAULT_SEARCH_LIMIT:
+            raise ParameterError(
+                f"thm1 needs --max-n <= {analysis.DEFAULT_SEARCH_LIMIT} "
+                f"(the search limit), got {top}"
+            )
+
+        def thm1():
+            failures = [
+                n for n in range(4, top + 1) if not analysis.star_minimizes_r1(n)
+            ]
+            return [
                 analysis.CheckResult(
                     name="star uniquely minimizes R1 among trees",
                     ok=not failures,
                     detail=f"n = 4..{top}"
                     + (f"; fails at {failures}" if failures else ""),
                 )
-            )
+            ]
+
+        return thm1
+    raise ParameterError(
+        f"unknown check {name!r}; pick from {', '.join(VERIFY_CHECKS)}"
+    )
+
+
+def _cmd_verify(args) -> int:
+    selected = tuple(args.checks) if args.checks else VERIFY_CHECKS
+    budget = _budget_of(args)
+    runners = [_verify_bundle(name, args, budget) for name in selected]
+    checks = [check for run in runners for check in run()]
     sys.stdout.write(reporting.render(checks, args.format))
     return 0 if all(c.ok for c in checks) else 1
 
 
 def _cmd_search(args) -> int:
     report = analysis.min_r2_search(
-        args.n,
-        max_degree=args.max_degree,
-        min_max_degree=args.min_max_degree,
-        min_degree3_count=args.min_degree3,
-        jobs=args.jobs,
-        limit=args.limit,
+        args.n, **_degree_filters(args), jobs=args.jobs, limit=args.limit
     )
     sys.stdout.write(reporting.render(report, args.format))
     return 0

@@ -262,6 +262,19 @@ def _rooted_code_and_aut(adj, root: int, banned: int) -> tuple[bytes, int]:
     return code[root], aut
 
 
+def _code_and_aut(g: Graph) -> tuple[bytes, int]:
+    """Canonical code and automorphism count of a tree, from its center."""
+    centers = tree_centers(g)
+    adj = g.adjacency
+    if len(centers) == 1:
+        return _rooted_code_and_aut(adj, centers[0], -1)
+    c1, c2 = centers
+    code1, aut1 = _rooted_code_and_aut(adj, c1, c2)
+    code2, aut2 = _rooted_code_and_aut(adj, c2, c1)
+    swap = 2 if code1 == code2 else 1
+    return min(code1, code2) + max(code1, code2), aut1 * aut2 * swap
+
+
 def canonical_code(g: Graph) -> bytes:
     """Relabeling-invariant encoding of a tree; equal iff isomorphic.
 
@@ -270,14 +283,7 @@ def canonical_code(g: Graph) -> bytes:
     cannot collide with a centered tree's code, which is a single balanced
     unit.
     """
-    centers = tree_centers(g)
-    adj = g.adjacency
-    if len(centers) == 1:
-        return _rooted_code_and_aut(adj, centers[0], -1)[0]
-    c1, c2 = centers
-    h1 = _rooted_code_and_aut(adj, c1, c2)[0]
-    h2 = _rooted_code_and_aut(adj, c2, c1)[0]
-    return h1 + h2 if h1 <= h2 else h2 + h1
+    return _code_and_aut(g)[0]
 
 
 def automorphism_group_order(g: Graph) -> int:
@@ -288,14 +294,4 @@ def automorphism_group_order(g: Graph) -> int:
     child-code multiplicities, doubled for a bicentral tree whose halves
     are isomorphic (the swap).
     """
-    centers = tree_centers(g)
-    adj = g.adjacency
-    if len(centers) == 1:
-        return _rooted_code_and_aut(adj, centers[0], -1)[1]
-    c1, c2 = centers
-    code1, aut1 = _rooted_code_and_aut(adj, c1, c2)
-    code2, aut2 = _rooted_code_and_aut(adj, c2, c1)
-    total = aut1 * aut2
-    if code1 == code2:
-        total *= 2
-    return total
+    return _code_and_aut(g)[1]

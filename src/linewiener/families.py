@@ -127,53 +127,43 @@ def spec_order(spec: FamilySpec) -> int:
     raise ParameterError(f"not a family spec: {spec!r}")
 
 
+def _tree_shape(spec: FamilySpec) -> tuple[int, list[tuple[int, int]]]:
+    """A tree family as (spine order, hanging paths as (hub, length)).
+
+    The spine is labeled 0..spine-1 in path order; each hanging path is then
+    appended root to tip, in list order, at its spine hub.
+    """
+    if isinstance(spec, Path):
+        return spec.n, []
+    if isinstance(spec, Star):
+        return 1, [(0, 1)] * (spec.n - 1)
+    if isinstance(spec, Spider):
+        return 1, [(0, spec.a), (0, spec.b), (0, spec.c)]
+    if isinstance(spec, Quipu):
+        return spec.k + 2, list(enumerate(spec.heights, 1))
+    if isinstance(spec, BalancedQuipu):
+        return spec.a + 2, [(hub, spec.a) for hub in range(1, spec.a + 1)]
+    if isinstance(spec, SubdividedQuipu):
+        a = spec.a
+        return 3 * a, [(hub, a) for hub in range(a, 2 * a)]
+    raise ParameterError(f"not a family spec: {spec!r}")
+
+
 def build(spec: FamilySpec) -> Graph:
     """Construct the family member with the documented labeling."""
-    if isinstance(spec, Path):
-        n = spec.n
-        return Graph(n, ((i, i + 1) for i in range(n - 1)))
-    if isinstance(spec, Star):
-        n = spec.n
-        return Graph(n, ((0, v) for v in range(1, n)))
     if isinstance(spec, Complete):
         n = spec.n
         return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
-    if isinstance(spec, Spider):
-        edges = []
-        nxt = 1
-        for arm in (spec.a, spec.b, spec.c):
-            prev = 0
-            for _ in range(arm):
-                edges.append((prev, nxt))
-                prev = nxt
-                nxt += 1
-        return Graph(nxt, edges)
-    if isinstance(spec, Quipu):
-        k = spec.k
-        edges = [(i, i + 1) for i in range(k + 1)]
-        nxt = k + 2
-        for hub in range(1, k + 1):
-            prev = hub
-            for _ in range(spec.heights[hub - 1]):
-                edges.append((prev, nxt))
-                prev = nxt
-                nxt += 1
-        return Graph(nxt, edges)
-    if isinstance(spec, BalancedQuipu):
-        return build(Quipu([spec.a] * spec.a))
-    if isinstance(spec, SubdividedQuipu):
-        a = spec.a
-        spine = 3 * a
-        edges = [(i, i + 1) for i in range(spine - 1)]
-        nxt = spine
-        for hub in range(a, 2 * a):
-            prev = hub
-            for _ in range(a):
-                edges.append((prev, nxt))
-                prev = nxt
-                nxt += 1
-        return Graph(nxt, edges)
-    raise ParameterError(f"not a family spec: {spec!r}")
+    spine, hanging = _tree_shape(spec)
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    nxt = spine
+    for hub, length in hanging:
+        prev = hub
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+    return Graph(nxt, edges)
 
 
 # ------------------------------------------------------------- text forms
@@ -187,6 +177,7 @@ _TAGS = {
     BalancedQuipu: "qa",
     SubdividedQuipu: "ua",
 }
+_FAMILIES = {tag: family for family, tag in _TAGS.items()}
 
 
 def format_family(spec: FamilySpec) -> str:
@@ -213,15 +204,6 @@ def parse_family(text: str) -> FamilySpec:
         )
     rest = rest.strip()
     try:
-        if tag in ("path", "star", "complete", "qa", "ua"):
-            value = _int(rest)
-            return {
-                "path": Path,
-                "star": Star,
-                "complete": Complete,
-                "qa": BalancedQuipu,
-                "ua": SubdividedQuipu,
-            }[tag](value)
         if tag == "spider":
             parts = [_int(p) for p in rest.split(",")]
             if len(parts) != 3:
@@ -242,6 +224,9 @@ def parse_family(text: str) -> FamilySpec:
                     f"quipu declares k={k} but lists {len(heights)} heights"
                 )
             return Quipu(heights)
+        if tag in _FAMILIES:
+            # every other family takes one integer
+            return _FAMILIES[tag](_int(rest))
     except ParameterError:
         raise
     except ValueError as exc:

@@ -8,7 +8,8 @@ that matters.
 graph6: McKay's bit-packed format. The upper triangle of the adjacency
 matrix is serialized column by column ((0,1), (0,2), (1,2), (0,3), ...),
 packed into 6-bit groups offset by 63, after a 1-, 4-, or 8-byte vertex
-count. Output is bit-exact with the reference tools.
+count. Output is bit-exact with the reference tools. An input holds one
+record; only blank lines may follow it.
 """
 
 from __future__ import annotations
@@ -128,7 +129,13 @@ def _read_graph6(data: bytes) -> Graph:
     if data.startswith(_G6_HEADER):
         base = len(_G6_HEADER)
         data = data[base:]
-    line = data.splitlines()[0].strip() if data.strip() else b""
+    first, _, rest = data.partition(b"\n")
+    if rest.strip():
+        raise GraphFormatError(
+            "graph6 data after the first line (one graph per input)",
+            base + len(data) - len(rest.lstrip()),
+        )
+    line = first.strip()
     if not line:
         raise GraphFormatError("empty graph6 input", base)
     n, pos = _read_g6_order(line, base)

@@ -7,7 +7,7 @@ never wrap no matter how large the graph gets.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     BudgetExceededError,
@@ -120,13 +120,17 @@ def is_tree(g: Graph) -> bool:
     return g.edge_count == g.vertex_count - 1 and is_connected(g)
 
 
-def _wiener_of_adjacency(adj: Sequence[Sequence[int]]) -> int:
-    """Sum of BFS distances over unordered pairs; -1 if disconnected.
+def wiener_index(g: Graph) -> int:
+    """Exact Wiener index: sum of d(u, v) over unordered vertex pairs,
+    computed by breadth-first search from every vertex.
 
-    Shared by the public wiener_index and internal callers that already hold
-    raw adjacency lists.
+    Raises EmptyGraphError for 0 vertices and DisconnectedGraphError when any
+    distance is infinite; neither case has a defined value here.
     """
-    n = len(adj)
+    n = g.vertex_count
+    if n == 0:
+        raise EmptyGraphError("Wiener index of the empty graph is undefined")
+    adj = g.adjacency
     total = 0
     for src in range(n):
         dist = [-1] * n
@@ -143,36 +147,31 @@ def _wiener_of_adjacency(adj: Sequence[Sequence[int]]) -> int:
                     acc += d
                     push(v)
         if src == 0 and len(queue) != n:
-            return -1
+            raise DisconnectedGraphError(
+                "Wiener index is undefined for disconnected graphs"
+            )
         total += acc
     return total // 2
 
 
-def wiener_index(g: Graph) -> int:
-    """Exact Wiener index: sum of d(u, v) over unordered vertex pairs,
-    computed by breadth-first search from every vertex.
+def _graph_from_sorted_adjacency(adj: list[list[int]]) -> Graph:
+    # bypass edge normalization; adj is already symmetric, sorted, loop-free
+    g = object.__new__(Graph)
+    object.__setattr__(g, "vertex_count", len(adj))
+    object.__setattr__(g, "adjacency", tuple(tuple(nbrs) for nbrs in adj))
+    object.__setattr__(g, "edge_count", sum(len(nbrs) for nbrs in adj) // 2)
+    return g
 
-    Raises EmptyGraphError for 0 vertices and DisconnectedGraphError when any
-    distance is infinite; neither case has a defined value here.
+
+def line_graph(g: Graph) -> Graph:
+    """Line graph L(g): one vertex per edge of g, ordered lexicographically
+    by endpoint pair; vertices adjacent iff the edges share an endpoint.
+
+    The empty graph and edgeless graphs map to the empty graph. Edges
+    sharing an endpoint form cliques; every adjacent pair shares exactly one
+    endpoint in a simple graph, so each line-graph edge is generated once.
     """
-    if g.vertex_count == 0:
-        raise EmptyGraphError("Wiener index of the empty graph is undefined")
-    total = _wiener_of_adjacency(g.adjacency)
-    if total < 0:
-        raise DisconnectedGraphError(
-            "Wiener index is undefined for disconnected graphs"
-        )
-    return total
-
-
-def _line_of_adjacency(adj: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Line-graph adjacency (sorted) of a raw adjacency structure.
-
-    Result vertex i is the i-th edge of the input in lexicographic (u, v)
-    order with u < v. Edges sharing an endpoint form cliques; every adjacent
-    pair shares exactly one endpoint in a simple graph, so each line-graph
-    edge is generated once.
-    """
+    adj = g.adjacency
     n = len(adj)
     incident: list[list[int]] = [[] for _ in range(n)]
     m = 0
@@ -195,25 +194,7 @@ def _line_of_adjacency(adj: Sequence[Sequence[int]]) -> list[list[int]]:
                 ladj[b].append(a)
     for nbrs in ladj:
         nbrs.sort()
-    return ladj
-
-
-def _graph_from_sorted_adjacency(adj: list[list[int]]) -> Graph:
-    # bypass edge normalization; adj is already symmetric, sorted, loop-free
-    g = object.__new__(Graph)
-    object.__setattr__(g, "vertex_count", len(adj))
-    object.__setattr__(g, "adjacency", tuple(tuple(nbrs) for nbrs in adj))
-    object.__setattr__(g, "edge_count", sum(len(nbrs) for nbrs in adj) // 2)
-    return g
-
-
-def line_graph(g: Graph) -> Graph:
-    """Line graph L(g): one vertex per edge of g, ordered lexicographically
-    by endpoint pair; vertices adjacent iff the edges share an endpoint.
-
-    The empty graph and edgeless graphs map to the empty graph.
-    """
-    return _graph_from_sorted_adjacency(_line_of_adjacency(g.adjacency))
+    return _graph_from_sorted_adjacency(ladj)
 
 
 def predicted_line_edge_count(g: Graph) -> int:

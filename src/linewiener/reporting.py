@@ -21,6 +21,7 @@ from .analysis import (
     MinimizerReport,
     RatioReport,
     ThresholdReport,
+    WienerReport,
 )
 
 JSON_SCHEMA = "linewiener/1"
@@ -70,6 +71,7 @@ def _csv_lines(kind: str, header: list[str], rows: list[list[str]],
 # ----------------------------------------------------------- per-kind JSON
 
 _KINDS = {
+    WienerReport: "wiener",
     RatioReport: "ratio",
     MinimizerReport: "search",
     ThresholdReport: "scan",
@@ -117,15 +119,6 @@ def checks_json(checks: list[CheckResult]) -> dict:
     }
 
 
-def wiener_json(value: int, order: int) -> dict:
-    return {
-        "schema": JSON_SCHEMA,
-        "kind": "wiener",
-        "order": order,
-        "wiener": value,
-    }
-
-
 def render_json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
@@ -134,6 +127,10 @@ def render_json(payload: dict) -> str:
 
 
 def report_csv(obj) -> str:
+    if isinstance(obj, WienerReport):
+        return _csv_lines(
+            "wiener", ["order", "wiener"], [[str(obj.order), str(obj.wiener)]]
+        )
     if isinstance(obj, RatioReport):
         comments = [
             f"order={obj.order}",
@@ -178,16 +175,12 @@ def checks_csv(checks: list[CheckResult]) -> str:
     return _csv_lines("verify", ["check", "ok", "detail"], rows)
 
 
-def wiener_csv(value: int, order: int) -> str:
-    return _csv_lines(
-        "wiener", ["order", "wiener"], [[str(order), str(value)]]
-    )
-
-
 # ----------------------------------------------------------- per-kind text
 
 
 def report_text(obj) -> str:
+    if isinstance(obj, WienerReport):
+        return f"{obj.wiener}\n"
     if isinstance(obj, RatioReport):
         lines = [
             f"order {obj.order} ({'tree' if obj.is_tree else 'not a tree'})",

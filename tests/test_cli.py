@@ -188,6 +188,30 @@ def test_verify_rejects_bounds_it_cannot_run(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("buckley", "lemmas", "--max-a", "0"),
+        ("thm1", "--max-n", "21"),
+    ],
+)
+def test_verify_checks_every_bound_before_any_bundle_runs(
+    capsys, monkeypatch, argv
+):
+    import linewiener.cli as cli
+
+    calls = []
+    for name in ("line_identity_checks", "star_minimizes_r1"):
+        monkeypatch.setattr(
+            cli.analysis, name, lambda *a, name=name, **k: calls.append(name)
+        )
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert calls == []
+
+
 def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     from linewiener import CheckResult
     import linewiener.cli as cli

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -24,6 +25,7 @@ from linewiener import (
     parse_family,
     spec_order,
     wiener_index,
+    write_graph,
 )
 
 
@@ -71,6 +73,47 @@ def test_exact_small_builds():
     assert build(Spider(2, 1, 1)) == Graph(
         5, [(0, 1), (1, 2), (0, 3), (0, 4)]
     )
+
+
+# sha256 per family of "<spec> <order>\n" plus the edge list of every build
+# in the sweep below; the documented labelings must not drift
+BUILD_SHA256 = {
+    "path": "16118a1a5bc95e42bfc49033268633c19358f5ec33be36774309dc06dc020e28",
+    "star": "ffc2b671ed5e9f1976f10441aaf1251be94050958f5b903bbf486e9eae6b8dd3",
+    "complete": "070be4ac0f29a3d3d3ead94ee0d51267d206d258981166e843357b482e75c11b",
+    "spider": "2a4fdab39a68eb509c6a757147bd035f2923fb99c9d70c063a98c6b772f733cd",
+    "quipu": "303e9e6559ef7667c15e25a7eccd68d10874d5946dc8102fc705d58db09838fb",
+    "qa": "b57d4a6dbca0919ef60e443e83d2581812894aeefa8108af7d33a40c73a8c9d4",
+    "ua": "e2bdb9399f571cd7b4e551e6f7a1df7c691104c45d0a72ed9ce7fed92cc78323",
+}
+
+
+def build_sweep():
+    yield "path", [Path(n) for n in range(1, 30)]
+    yield "star", [Star(n) for n in range(2, 30)]
+    yield "complete", [Complete(n) for n in range(1, 9)]
+    yield "spider", [
+        Spider(*arms) for arms in itertools.product(range(1, 6), repeat=3)
+    ]
+    yield "quipu", [
+        Quipu(heights)
+        for k in (1, 2, 3)
+        for heights in itertools.product(range(1, 4), repeat=k)
+    ]
+    yield "qa", [BalancedQuipu(a) for a in range(2, 9)]
+    yield "ua", [SubdividedQuipu(a) for a in range(2, 12)]
+
+
+def test_builds_are_pinned():
+    found = {}
+    for tag, specs in build_sweep():
+        digest = hashlib.sha256()
+        for spec in specs:
+            g = build(spec)
+            digest.update(f"{format_family(spec)} {g.vertex_count}\n".encode())
+            digest.update(write_graph(g, "edge-list"))
+        found[tag] = digest.hexdigest()
+    assert found == BUILD_SHA256
 
 
 def test_spider_wiener_ignores_arm_order():

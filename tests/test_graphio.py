@@ -72,6 +72,16 @@ def test_graph6_rejects_malformed_input():
     ):
         with pytest.raises(GraphFormatError):
             read_graph(data, "graph6")
+    # a second record is an error at its first byte, not silently dropped
+    for data, offset in (
+        (b"Ch\nC~\n", 3),
+        (b"Ch\n\n  C~", 6),
+        (b">>graph6<<Ch\r\nC~\r\n", 14),
+    ):
+        with pytest.raises(GraphFormatError) as info:
+            read_graph(data, "graph6")
+        assert info.value.offset == offset
+    assert read_graph(b"Ch\n\n\n", "graph6") == path(4)
 
 
 def test_edge_list_round_trip():

@@ -9,6 +9,7 @@ import pytest
 
 from linewiener import (
     CheckResult,
+    WienerReport,
     build,
     min_r2_search,
     parse_family,
@@ -29,8 +30,6 @@ from linewiener.reporting import (
     report_csv,
     report_json,
     report_text,
-    wiener_csv,
-    wiener_json,
 )
 
 
@@ -104,15 +103,17 @@ def test_text_handles_undefined_slots():
 
 
 def test_wiener_renderers():
-    payload = wiener_json(1771, 22)
-    assert payload == {
-        "schema": JSON_SCHEMA,
-        "kind": "wiener",
-        "order": 22,
-        "wiener": 1771,
-    }
-    lines = wiener_csv(1771, 22).splitlines()
+    report = WienerReport(order=22, wiener=1771)
+    payload = json.loads(render(report, "json"))
+    assert list(payload.items()) == [
+        ("schema", JSON_SCHEMA),
+        ("kind", "wiener"),
+        ("order", 22),
+        ("wiener", 1771),
+    ]
+    lines = render(report, "csv").splitlines()
     assert lines[-1] == "22,1771"
+    assert render(report, "text") == "1771\n"
 
 
 def test_checks_renderers():

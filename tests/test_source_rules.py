@@ -58,6 +58,9 @@ def test_cli_leaves_the_report_format_to_reporting():
     # cli.py would be a second place that decides the format
     renderers = {
         "JSON_SCHEMA",
+        "render_json",
+        "wiener_json",
+        "wiener_csv",
         "report_json",
         "report_csv",
         "report_text",
