@@ -201,9 +201,7 @@ def beats_path(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
             f"path comparison needs order >= 3, got {g.vertex_count}"
         )
     w, w2 = _w_w2(g, budget)
-    n = g.vertex_count
-    # W2/W < (n-2)(n-3)/(n(n+1)), cross-multiplied
-    return w2 * n * (n + 1) < (n - 2) * (n - 3) * w
+    return Fraction(w2, w) < r2_path(g.vertex_count)
 
 
 def _gap_scan(
@@ -321,6 +319,23 @@ def _keep_min(best: list, wk: int, w: int, codes) -> None:
         witnesses.extend(codes())
 
 
+def _tree_w_wk(layout: list[int], k: int) -> tuple[int, int]:
+    """(W(T), W(L^k(T))) of a layout's tree, by two independent methods.
+
+    W comes from the edge-cut sum, W_k from a bitmask BFS on the k-th
+    line-graph iterate. Every sweep over the free-tree stream evaluates its
+    trees here, so this is the one place a faster evaluator plugs in.
+    """
+    w = _fast.wiener_tree_layout(layout)
+    it = _fast.layout_masks(layout)
+    for _ in range(k):
+        it = _fast.line_masks(it)
+    wk = _fast.wiener_masks(it)
+    if w <= 0 or wk < 0:
+        raise ArithmeticError(f"W = {w}, W_{k} = {wk} for layout {layout}")
+    return w, wk
+
+
 def _scan_stripe(args):
     """One stripe of a min W_k/W sweep; must stay picklable for Pool.
 
@@ -330,10 +345,6 @@ def _scan_stripe(args):
     n, k, max_degree, min_max_degree, min_degree3_count, index, step = args
     scanned = 0
     best = [None, None, []]
-    wiener_masks = _fast.wiener_masks
-    wiener_tree_layout = _fast.wiener_tree_layout
-    line_masks = _fast.line_masks
-    layout_masks = _fast.layout_masks
     for layout in free_tree_layouts(
         n,
         max_degree=max_degree,
@@ -342,13 +353,7 @@ def _scan_stripe(args):
         stripe=(index, step),
     ):
         scanned += 1
-        w = wiener_tree_layout(layout)
-        it = layout_masks(layout)
-        for _ in range(k):
-            it = line_masks(it)
-        wk = wiener_masks(it)
-        if w <= 0 or wk < 0:
-            raise ArithmeticError(f"W = {w}, W_{k} = {wk} for layout {layout}")
+        w, wk = _tree_w_wk(layout, k)
         _keep_min(best, wk, w, lambda: [canonical_code(layout_graph(layout))])
     return (scanned, *best)
 
@@ -448,14 +453,8 @@ def line_wiener_tree_identity(n: int) -> bool:
     if n < 2:
         raise ParameterError(f"identity check needs n >= 2, got {n}")
     shift = comb(n, 2)
-    wiener_masks = _fast.wiener_masks
-    line_masks = _fast.line_masks
-    layout_masks = _fast.layout_masks
-    for layout in free_tree_layouts(n):
-        masks = layout_masks(layout)
-        if wiener_masks(line_masks(masks)) != wiener_masks(masks) - shift:
-            return False
-    return True
+    trees = (_tree_w_wk(layout, 1) for layout in free_tree_layouts(n))
+    return all(wk == w - shift for w, wk in trees)
 
 
 # ------------------------------------------------- verification bundles

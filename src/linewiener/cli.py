@@ -22,7 +22,7 @@ from typing import Optional
 from . import analysis, reporting
 from .enumeration import free_trees
 from .errors import LineWienerError, ParameterError
-from .families import build, parse_family
+from .families import SubdividedQuipu, build, parse_family
 from .graphio import read_graph, sniff_format, write_graph
 from .graphs import DEFAULT_BUDGET, Graph, iterated_line_graph, wiener_index
 
@@ -300,9 +300,11 @@ def _cmd_scan(args) -> int:
     budget = _budget_of(args)
     if args.case == "ua":
         lo, hi = _a_range(args, 50)
-        scanned = analysis.subdivided_quipu_scan(
-            lo, hi, budget, stop_at_first_pass=args.stop_at_first
-        )
+        scanned = [
+            analysis.subdivided_quipu_scan(
+                lo, hi, budget, stop_at_first_pass=args.stop_at_first
+            )
+        ]
     else:
         if args.stop_at_first:
             raise ParameterError("--stop-at-first only applies to --case ua")
@@ -343,6 +345,8 @@ def _verify_bundle(name: str, args, budget: int):
         return lambda: analysis.limit_quotient_checks()
     if name == "thm5":
         a = _bound(args.a, 50, 2, "thm5 needs --a")
+        # the budget is a bound too: L^2(U_a) must fit before any bundle runs
+        iterated_line_graph(build(SubdividedQuipu(a)), 2, budget)
 
         def thm5():
             result = analysis.subdivided_quipu_beats_path(a, budget)

@@ -18,7 +18,7 @@ from math import factorial
 from typing import Iterator, Optional
 
 from .errors import NotATreeError, ParameterError
-from .graphs import Graph, _graph_from_sorted_adjacency, is_tree
+from .graphs import Graph, is_tree
 
 # A layout is a preorder level sequence: layout[i] is the depth of vertex i,
 # and each vertex's parent is the most recent earlier vertex one level up.
@@ -103,13 +103,7 @@ def layout_parents(layout: list[int]) -> list[int]:
 def layout_graph(layout: list[int]) -> Graph:
     """The tree of a layout, vertex i at preorder position i."""
     parent = layout_parents(layout)
-    adj: list[list[int]] = [[] for _ in parent]
-    # increasing i keeps every list sorted: parent first, then children
-    for i in range(1, len(parent)):
-        p = parent[i]
-        adj[p].append(i)
-        adj[i].append(p)
-    return _graph_from_sorted_adjacency(adj)
+    return Graph(len(parent), ((parent[i], i) for i in range(1, len(parent))))
 
 
 def _degree_filter(max_degree, min_max_degree, min_degree3_count):

@@ -7,6 +7,7 @@ never wrap no matter how large the graph gets.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -154,15 +155,6 @@ def wiener_index(g: Graph) -> int:
     return total // 2
 
 
-def _graph_from_sorted_adjacency(adj: list[list[int]]) -> Graph:
-    # bypass edge normalization; adj is already symmetric, sorted, loop-free
-    g = object.__new__(Graph)
-    object.__setattr__(g, "vertex_count", len(adj))
-    object.__setattr__(g, "adjacency", tuple(tuple(nbrs) for nbrs in adj))
-    object.__setattr__(g, "edge_count", sum(len(nbrs) for nbrs in adj) // 2)
-    return g
-
-
 def line_graph(g: Graph) -> Graph:
     """Line graph L(g): one vertex per edge of g, ordered lexicographically
     by endpoint pair; vertices adjacent iff the edges share an endpoint.
@@ -171,30 +163,12 @@ def line_graph(g: Graph) -> Graph:
     sharing an endpoint form cliques; every adjacent pair shares exactly one
     endpoint in a simple graph, so each line-graph edge is generated once.
     """
-    adj = g.adjacency
-    n = len(adj)
-    incident: list[list[int]] = [[] for _ in range(n)]
-    m = 0
-    for u in range(n):
-        iu = incident[u]
-        for v in adj[u]:
-            if v > u:
-                iu.append(m)
-                incident[v].append(m)
-                m += 1
-    ladj: list[list[int]] = [[] for _ in range(m)]
-    for ids in incident:
-        k = len(ids)
-        for x in range(k - 1):
-            a = ids[x]
-            la = ladj[a]
-            for y in range(x + 1, k):
-                b = ids[y]
-                la.append(b)
-                ladj[b].append(a)
-    for nbrs in ladj:
-        nbrs.sort()
-    return _graph_from_sorted_adjacency(ladj)
+    incident: list[list[int]] = [[] for _ in g.adjacency]
+    for e, (u, v) in enumerate(g.edges()):
+        incident[u].append(e)
+        incident[v].append(e)
+    pairs = (pair for ids in incident for pair in combinations(ids, 2))
+    return Graph(g.edge_count, pairs)
 
 
 def predicted_line_edge_count(g: Graph) -> int:

@@ -244,6 +244,25 @@ def test_line_wiener_tree_identity():
         assert line_wiener_tree_identity(n)
 
 
+def test_tree_kernel_rejects_an_impossible_wiener_value(monkeypatch):
+    from linewiener import _fast
+
+    monkeypatch.setattr(_fast, "wiener_masks", lambda masks: -1)
+    with pytest.raises(ArithmeticError):
+        line_wiener_tree_identity(6)
+
+
+def test_buckley_check_takes_w_from_edge_cuts(monkeypatch):
+    # W(T) and W(L(T)) come from different methods, so a fault in the
+    # edge-cut sum alone breaks the identity
+    from linewiener import _fast
+
+    cuts = _fast.wiener_tree_layout
+    monkeypatch.setattr(_fast, "wiener_tree_layout", lambda t: cuts(t) + 1)
+    [result] = line_identity_checks(max_n=8)
+    assert not result.ok
+
+
 def all_ok(results):
     assert results, "empty check bundle"
     names = [r.name for r in results]

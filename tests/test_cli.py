@@ -131,6 +131,17 @@ def test_scan_all_cases(capsys):
     assert out.count("family case") == 3
 
 
+@pytest.mark.parametrize("case", ["ua", "i"])
+def test_scan_json_is_one_scan_set_for_every_case(capsys, case):
+    code, out, _ = run(
+        capsys, "scan", "--case", case, "--a-range", "2..5", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["kind"] == "scan-set"
+    assert [scan["family_case"] for scan in payload["scans"]] == [case]
+
+
 def test_search_text_and_jobs_determinism(capsys):
     code, first, _ = run(capsys, "search", "min-r2", "--n", "10")
     assert code == 0
@@ -193,6 +204,7 @@ def test_verify_rejects_bounds_it_cannot_run(capsys, argv):
     [
         ("buckley", "lemmas", "--max-a", "0"),
         ("thm1", "--max-n", "21"),
+        ("buckley", "thm5", "--budget", "1000"),
     ],
 )
 def test_verify_checks_every_bound_before_any_bundle_runs(
@@ -311,7 +323,7 @@ GOLDEN_STDOUT = {
     "scan --case iii --a-range 2..9 --format csv":
         "69ab51e85619572ac825074670bc0f9e2fe23686fd05a8bfccce86427fc7f992",
     "scan --case ua --a-range 2..5 --format json":
-        "3bc5fdbed922dff193b1b8d0bb80f9b71c3361287a02e67afa01a1e9b408c0fe",
+        "b30c61eeb0c3175157a4be209315a58890fafe0ff56cc518750b0d58d68ad60b",
     "scan --case ua --a-range 2..5 --format csv":
         "332435d81372fb779514c8dfea4c2f842149e62c393c4fab6e75d6c0cb089fc3",
     "verify paper-numbers limits --format json":

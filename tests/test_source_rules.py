@@ -1,9 +1,9 @@
 """Source-level rules for the package, checked on its syntax trees.
 
 No `assert` statements: `python -O` strips them, so a correctness check
-written as one silently stops checking. And `analysis` may use other
-modules only through their public names, so a helper can change shape
-inside its own module without breaking the searches. And `cli` writes
+written as one silently stops checking. And every module may use the
+others only through their public names, so a helper can change shape
+inside its own module without breaking its callers. And `cli` writes
 every report through `reporting.render`, so the choice between text, JSON
 and CSV is made in one place.
 """
@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "linewiener"
 
@@ -30,11 +32,14 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def test_analysis_imports_only_public_names():
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem
+)
+def test_modules_import_only_public_names(path):
     # `from . import _fast` names a module, not a private helper
     found = [
         f"{node.module}.{alias.name}"
-        for node in ast.walk(parsed(PACKAGE / "analysis.py"))
+        for node in ast.walk(parsed(path))
         if isinstance(node, ast.ImportFrom) and node.module is not None
         for alias in node.names
         if alias.name.startswith("_")
