@@ -625,9 +625,20 @@ def limit_quotient_checks() -> list[CheckResult]:
     return out
 
 
+#: The trees whose L^2 worked_example_checks builds, in the order it builds
+#: them, so that a caller can check their line-graph budget first.
+WORKED_EXAMPLE_SPECS = (
+    Spider(7, 7, 7),
+    Spider(6, 6, 6),
+    Spider(3, 4, 5),
+    BalancedQuipu(2),
+)
+
+
 def worked_example_checks(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     """The frozen worked numbers: every headline constant recomputed from
     scratch (closed form where one exists, BFS oracle everywhere)."""
+    spider777, spider666, spider345, quipu2 = map(build, WORKED_EXAMPLE_SPECS)
     out = []
     out.append(
         _check("W(P_22) = 1771", w_path(22) == 1771 == wiener_index(build(Path(22))), "closed form and BFS")
@@ -639,7 +650,6 @@ def worked_example_checks(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
             "closed form, reduced",
         )
     )
-    spider777 = build(Spider(7, 7, 7))
     w, w2 = _w_w2(spider777, budget)
     out.append(
         _check(
@@ -673,11 +683,11 @@ def worked_example_checks(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     out.append(
         _check(
             "T_{6,6,6} does not beat P_19",
-            not beats_path(build(Spider(6, 6, 6)), budget),
+            not beats_path(spider666, budget),
             "exact comparison at order 19",
         )
     )
-    w345, w345_2 = _w_w2(build(Spider(3, 4, 5)), budget)
+    w345, w345_2 = _w_w2(spider345, budget)
     out.append(
         _check(
             "W(T_{3,4,5}) = 304 and D2 = 113",
@@ -693,7 +703,7 @@ def worked_example_checks(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
             "closed form and BFS",
         )
     )
-    wq, wq2 = _w_w2(build(BalancedQuipu(2)), budget)
+    wq, wq2 = _w_w2(quipu2, budget)
     out.append(
         _check(
             "W(Q_2) = 68 and D2(Q_2) = 22",

@@ -24,7 +24,13 @@ from .enumeration import free_trees
 from .errors import LineWienerError, ParameterError
 from .families import SubdividedQuipu, build, parse_family
 from .graphio import read_graph, sniff_format, write_graph
-from .graphs import DEFAULT_BUDGET, Graph, iterated_line_graph, wiener_index
+from .graphs import (
+    DEFAULT_BUDGET,
+    Graph,
+    check_line_budget,
+    iterated_line_graph,
+    wiener_index,
+)
 
 BUDGET_ENV = "LINEWIENER_BUDGET"
 
@@ -327,6 +333,8 @@ def _verify_bundle(name: str, args, budget: int):
     """The runner of one verify bundle, once its bounds have passed, so
     that a bad bound fails before any bundle's work is spent."""
     if name == "paper-numbers":
+        for spec in analysis.WORKED_EXAMPLE_SPECS:
+            check_line_budget(build(spec), 2, budget)
         return lambda: analysis.worked_example_checks(budget)
     if name == "buckley":
         max_n = _bound(args.max_n, 14, 2, "buckley needs --max-n")
@@ -346,7 +354,7 @@ def _verify_bundle(name: str, args, budget: int):
     if name == "thm5":
         a = _bound(args.a, 50, 2, "thm5 needs --a")
         # the budget is a bound too: L^2(U_a) must fit before any bundle runs
-        iterated_line_graph(build(SubdividedQuipu(a)), 2, budget)
+        check_line_budget(build(SubdividedQuipu(a)), 2, budget)
 
         def thm5():
             result = analysis.subdivided_quipu_beats_path(a, budget)

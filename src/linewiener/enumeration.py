@@ -3,9 +3,13 @@
 `free_trees(n)` yields one representative per isomorphism class of trees on
 n vertices, in a fixed order, using successor rules on preorder level
 sequences (the Wright-Richmond-Odlyzko-McKay scheme; rooted successors are
-Beyer-Hedetniemi). Cost per tree is amortized constant, which is what makes
-order-20-plus sweeps feasible; generating labeled trees and de-duplicating
-dies around order 12.
+Beyer-Hedetniemi). Each step does O(n) list work: the successor is a
+slice of the layout plus a repeated slice, and the free-tree test reads the
+root's first subtree with one index and two max calls. These are C-level
+list operations, so a step costs a few microseconds up to order 20. Only
+one layout per class is ever built, which is what makes order-20-plus
+sweeps feasible; generating labeled trees and de-duplicating dies around
+order 12.
 
 `canonical_code` gives a relabeling-invariant byte encoding (equal codes
 iff isomorphic), used to de-duplicate search witnesses and to cross-check
@@ -28,8 +32,9 @@ from .graphs import Graph, is_tree
 
 def _next_rooted_layout(layout: list[int], p: Optional[int] = None):
     """Successor of a rooted level sequence, or None after the last one."""
+    n = len(layout)
     if p is None:
-        p = len(layout) - 1
+        p = n - 1
         while layout[p] == 1:
             p -= 1
     if p == 0:
@@ -37,54 +42,45 @@ def _next_rooted_layout(layout: list[int], p: Optional[int] = None):
     q = p - 1
     while layout[q] != layout[p] - 1:
         q -= 1
-    result = list(layout)
-    for i in range(p, len(result)):
-        result[i] = result[i - p + q]
-    return result
+    # the new suffix from p repeats layout[q:p]
+    reps = (n - q) // (p - q)
+    return layout[:p] + (layout[q:p] * reps)[: n - p]
 
 
-def _split_layout(layout: list[int]):
-    """First subtree of the root (as its own layout) and the remainder."""
-    one_found = False
-    m = None
-    for i in range(len(layout)):
-        if layout[i] == 1:
-            if one_found:
-                m = i
-                break
-            one_found = True
-    if m is None:
-        m = len(layout)
-    left = [layout[i] - 1 for i in range(1, m)]
-    rest = [0] + [layout[i] for i in range(m, len(layout))]
-    return left, rest
+def _first_subtree_end(layout: list[int]) -> int:
+    """Index of the root's second child, or len(layout) if it has only one."""
+    try:
+        return layout.index(1, 2)
+    except ValueError:
+        return len(layout)
 
 
 def _next_free_layout(candidate: list[int]):
     """Nearest valid free-tree layout at or after `candidate`.
 
     A rooted layout represents a free tree exactly when the root's first
-    subtree is no higher than the rest, with ties broken by size and then
-    lexicographically; invalid candidates jump straight past the whole
-    invalid block.
+    subtree (candidate[1:m], one level shallower as a layout of its own)
+    is no higher than the rest (the root and candidate[m:]), with ties
+    broken by size and then lexicographically; invalid candidates jump
+    straight past the whole invalid block.
     """
-    left, rest = _split_layout(candidate)
-    left_height = max(left)
-    rest_height = max(rest)
+    n = len(candidate)
+    m = _first_subtree_end(candidate)
+    left_height = max(candidate[1:m]) - 1
+    rest_height = max(candidate[m:]) if m < n else 0
     valid = rest_height >= left_height
     if valid and rest_height == left_height:
-        if len(left) > len(rest):
+        if m - 1 > n - m + 1:
             valid = False
-        elif len(left) == len(rest) and left > rest:
-            valid = False
+        elif m - 1 == n - m + 1:
+            left = [level - 1 for level in candidate[1:m]]
+            valid = left <= [0] + candidate[m:]
     if valid:
         return candidate
-    p = len(left)
-    successor = _next_rooted_layout(candidate, p)
-    if candidate[p] > 2:
-        new_left, _ = _split_layout(successor)
-        suffix = range(1, max(new_left) + 2)
-        successor[-len(suffix):] = suffix
+    successor = _next_rooted_layout(candidate, m - 1)
+    if candidate[m - 1] > 2:
+        top = max(successor[1:_first_subtree_end(successor)])
+        successor[n - top:] = range(1, top + 1)
     return successor
 
 
@@ -112,11 +108,16 @@ def _degree_filter(max_degree, min_max_degree, min_degree3_count):
         return None
 
     def keep(layout: list[int]) -> bool:
+        # layout_parents' decode, counting each parent edge as it is found;
         # every vertex but the root has one parent edge
-        deg = [1] * len(layout)
+        n = len(layout)
+        deg = [1] * n
         deg[0] = 0
-        for p in layout_parents(layout)[1:]:
-            deg[p] += 1
+        last = [0] * n
+        for i in range(1, n):
+            level = layout[i]
+            deg[last[level - 1]] += 1
+            last[level] = i
         top = max(deg)
         if max_degree is not None and top > max_degree:
             return False

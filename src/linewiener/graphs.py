@@ -8,6 +8,7 @@ never wrap no matter how large the graph gets.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -178,6 +179,28 @@ def predicted_line_edge_count(g: Graph) -> int:
     under iteration.
     """
     return sum(d * (d - 1) // 2 for d in map(len, g.adjacency))
+
+
+def check_line_budget(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> None:
+    """Raise the BudgetExceededError that iterated_line_graph(g, k, budget)
+    would raise, without building a line graph; k is 0, 1 or 2.
+
+    Every size comes from the degrees of g. L(g) has |E| vertices and
+    sum C(deg v, 2) edges. The edge uv of g becomes a vertex of degree
+    deg u + deg v - 2 in L(g), so L^2(g) has sum over the edges of
+    C(deg u + deg v - 2, 2) edges.
+    """
+    if not 0 <= k <= 2:
+        raise ValueError("check_line_budget predicts k = 0, 1 or 2")
+    # sizes[i] is the vertex count of L^(i+1)(g), the edge count of L^i(g)
+    sizes = [g.edge_count, predicted_line_edge_count(g)]
+    if k == 2:
+        deg = [len(nbrs) for nbrs in g.adjacency]
+        sizes.append(sum(comb(deg[u] + deg[v] - 2, 2) for u, v in g.edges()))
+    for step in range(1, k + 1):
+        for predicted in sizes[step - 1 : step + 1]:
+            if predicted > budget:
+                raise BudgetExceededError(predicted, budget, step)
 
 
 def iterated_line_graph(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> Graph:

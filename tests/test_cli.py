@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -205,6 +206,7 @@ def test_verify_rejects_bounds_it_cannot_run(capsys, argv):
         ("buckley", "lemmas", "--max-a", "0"),
         ("thm1", "--max-n", "21"),
         ("buckley", "thm5", "--budget", "1000"),
+        ("buckley", "paper-numbers", "--budget", "5"),
     ],
 )
 def test_verify_checks_every_bound_before_any_bundle_runs(
@@ -354,3 +356,45 @@ def test_golden_stdout_bytes(capsysbinary, command):
     assert code == 0
     assert captured.err == b""
     assert hashlib.sha256(captured.out).hexdigest() == GOLDEN_STDOUT[command]
+
+
+# runs in a `python -O` child, which strips every assert: a correctness
+# check that lives in one would change these bytes or exit codes
+_OPTIMIZED_GOLDEN = """
+import contextlib, hashlib, io, json, sys
+from linewiener.cli import main
+out = {"optimize": sys.flags.optimize}
+for command in json.load(sys.stdin):
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(command.split())
+    stdout.flush()
+    digest = hashlib.sha256(stdout.buffer.getvalue()).hexdigest()
+    out[command] = [code, stderr.getvalue(), digest]
+sys.__stdout__.write(json.dumps(out))
+"""
+
+
+def test_golden_stdout_bytes_under_optimize():
+    import linewiener
+
+    src = os.path.dirname(os.path.dirname(linewiener.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_GOLDEN],
+        input=json.dumps(sorted(GOLDEN_STDOUT)),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got.pop("optimize") == 1
+    assert got == {
+        command: [0, "", digest] for command, digest in GOLDEN_STDOUT.items()
+    }

@@ -8,6 +8,7 @@ every Prufer sequence. Together those pin completeness and uniqueness.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from collections import deque
@@ -82,6 +83,47 @@ def test_stream_is_deterministic():
     assert first == second
 
 
+# (count, sha256 of the layouts' bytes joined by b"|") per order; the pins
+# were taken from the element-by-element successor, so a faster successor
+# must reproduce the same layouts in the same order
+PINNED_STREAMS = {
+    1: (1, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d"),
+    2: (1, "b413f47d13ee2fe6c845b2ee141af81de858df4ec549a58b7970bb96645bc8d2"),
+    3: (1, "fbb59ed10e9cd4ff45a12c5bb92cbd80df984ba1fe60f26a30febf218e2f0f5e"),
+    4: (2, "b1075e989b9b7bbef5cd18073df56262520d4b0bcbf702378498ad79398aae04"),
+    5: (3, "271ba4d78e04d44f95e84425430f82613decc236c29de4d540a6f1a2afe817df"),
+    6: (6, "9d2e8b53cc8338e83df8e54fc8f7dc6c75830cefc18dd0935dd3e39d2ed299da"),
+    7: (11, "75450930616747f72643abfbaf95a2995f9eeacce884b98467bba340a2210338"),
+    8: (23, "7d81b51e0e575e0cbac1e208dd63924e8aaefac862cfbc32565cf33a99fb1f96"),
+    9: (47, "bdbee123b3f01de1a0925e7bf8296d378168d32881f794335e42b3e194224059"),
+    10: (106, "c5f711c4f25dd3aadb14456854d2038faf6843d8473c02e1a910443f4588cdbc"),
+    11: (235, "86d46e5b563e479cb68563325ede8fadf569b2da0a743cd32ca9f1db1d25a1c7"),
+    12: (551, "88c18debdafb9245760d0c8bbca0a804054f4eeb8747f0e87772be1b27f1e88c"),
+    13: (1301, "53d46705798a007827501c386d3bf1721d98b7c696c0fc2ffcdb90a34bc07f26"),
+    14: (3159, "2ae8b5882c4eec68900bbf3660bd1cc5c2f25b437226a021480ba4ec9e2a6e70"),
+    15: (7741, "2587dcdbed462e789a5c20bc33642cc8fe735d20d1197d969f10391c9aff28c6"),
+    16: (19320, "2fdc5dd69f06673d7e1718d2aaebb10324acf461fd359e429fea7ecb9b0af7dd"),
+}
+
+
+def stream_digest(layouts):
+    chunks = [bytes(layout) for layout in layouts]
+    return len(chunks), hashlib.sha256(b"|".join(chunks)).hexdigest()
+
+
+def test_layout_stream_is_pinned():
+    for n, pinned in PINNED_STREAMS.items():
+        assert stream_digest(free_tree_layouts(n)) == pinned, n
+    assert sum(1 for _ in free_tree_layouts(18)) == 123867
+    # the filtered search workload's stripes: position mod K, then the filter
+    assert stream_digest(
+        free_tree_layouts(18, min_degree3_count=7, stripe=(0, 2))
+    ) == (140, "da29d878149a1a2970c0eab47a7f438b8afb65fdffa4b22c8183376fd890de77")
+    assert stream_digest(
+        free_tree_layouts(18, min_degree3_count=7, stripe=(1, 3))
+    ) == (102, "c311371ec204ade807eb7599c0f28b2f8288bfe38d2cad7beac87856315eccf1")
+
+
 def test_stripes_partition_the_stream():
     for stream in STREAMS:
         for n in (1, 2, 9):
@@ -135,13 +177,6 @@ def test_degree_filters():
             only = list(stream(n, min_max_degree=n - 1))
             assert len(only) == 1
             assert canonical_code(only[0]) == canonical_code(build(parse_family(f"star:{n}")))
-        full = list(stream(8))
-        expected = [
-            g for g in full
-            if sum(1 for v in range(8) if g.degree(v) == 3) >= 2
-        ]
-        got = list(stream(8, min_degree3_count=2))
-        assert [canonical_code(g) for g in got] == [canonical_code(g) for g in expected]
         # order 1 has degree 0 and order 2 degree 1, whatever the stripe
         for n, top in ((1, 0), (2, 1)):
             for stripe in (None, (0, 3)):
@@ -150,6 +185,28 @@ def test_degree_filters():
                 assert list(stream(n, min_degree3_count=1, stripe=stripe)) == []
                 assert len(list(stream(n, min_degree3_count=0, stripe=stripe))) == 1
             assert list(stream(n, max_degree=top, stripe=(1, 3))) == []
+    # every filter against the degrees of the decoded graph, one filter at
+    # a time and then all three mixed
+    filters = (
+        [{"max_degree": d} for d in (2, 3, 4)]
+        + [{"min_max_degree": d} for d in (3, 5)]
+        + [{"min_degree3_count": c} for c in (0, 1, 2, 3)]
+        + [{"max_degree": 4, "min_max_degree": 3, "min_degree3_count": 1}]
+    )
+    for n in range(1, 13):
+        full = list(decoded_layouts(n))
+        for kwargs in filters:
+            expected = []
+            for g in full:
+                deg = [g.degree(v) for v in range(n)]
+                if (
+                    max(deg) <= kwargs.get("max_degree", n)
+                    and max(deg) >= kwargs.get("min_max_degree", 0)
+                    and deg.count(3) >= kwargs.get("min_degree3_count", 0)
+                ):
+                    expected.append(g)
+            for stream in STREAMS:
+                assert list(stream(n, **kwargs)) == expected, (stream, n, kwargs)
 
 
 def test_canonical_code_shape():

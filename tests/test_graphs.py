@@ -12,11 +12,14 @@ from linewiener import (
     EmptyGraphError,
     Graph,
     GraphFormatError,
+    build,
+    check_line_budget,
     degree_sequence,
     is_connected,
     is_tree,
     iterated_line_graph,
     line_graph,
+    parse_family,
     predicted_line_edge_count,
     wiener_index,
 )
@@ -171,3 +174,50 @@ def test_budget_stops_runaway_growth():
 def test_budget_allows_exact_fit():
     g = complete(5)
     assert iterated_line_graph(g, 1, budget=30).vertex_count == 10
+
+
+def budget_error(call):
+    """(message, predicted, budget, step) of the BudgetExceededError that
+    call raises, or None."""
+    try:
+        call()
+    except BudgetExceededError as exc:
+        return str(exc), exc.predicted, exc.budget, exc.step
+    return None
+
+
+def test_check_line_budget_matches_iterated_line_graph():
+    families = {
+        "ua:30": (989, 1018, 1166),
+        "spider:7,7,7": (21, 21, 24),
+        "qa:2": (7, 8, 14),
+        "spider:3,4,5": None,
+        "quipu:3;1,2,3": None,
+        "star:9": None,
+        "path:4": None,
+    }
+    graphs = []
+    for text, sizes in families.items():
+        g = build(parse_family(text))
+        graphs.append(g)
+        if sizes is not None:
+            # |V(L)|, |V(L^2)| and |E(L^2)|: the sizes the budget is held to
+            l2 = iterated_line_graph(g, 2)
+            assert (g.edge_count, l2.vertex_count, l2.edge_count) == sizes, text
+    rng = random.Random(5150)
+    while len(graphs) < 40:
+        g = random_graph(rng, rng.randrange(2, 11), rng.choice((0.3, 0.5, 0.8)))
+        if is_connected(g):
+            graphs.append(g)
+    for g in graphs:
+        l1 = line_graph(g)
+        sizes = (g.edge_count, l1.edge_count, line_graph(l1).edge_count)
+        budgets = set(range(1, 12))
+        budgets.update(b for s in sizes for b in (s - 1, s, s + 1) if b >= 1)
+        for k in (0, 1, 2):
+            for budget in sorted(budgets):
+                expected = budget_error(lambda: iterated_line_graph(g, k, budget))
+                got = budget_error(lambda: check_line_budget(g, k, budget))
+                assert got == expected, (g, k, budget)
+    with pytest.raises(ValueError):
+        check_line_budget(path(4), 3)
