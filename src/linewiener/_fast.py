@@ -1,12 +1,15 @@
-"""Bitmask graph kernels for the enumeration-search hot loops.
+"""Tree kernels for the sweeps over the free-tree stream.
 
-A graph on n vertices is held as a list of n ints, where bit u of
-``masks[v]`` says u and v are adjacent. BFS layers become mask operations
-and distance sums come from ``int.bit_count``, which is what lets a
-million-tree sweep finish in minutes of pure Python. Only the sweeps over
-the free-tree stream use this form: the searches and the `buckley` and
-`thm1` checks of `verify`. General-purpose code goes through graphs.Graph
-instead (for large sparse graphs, plain adjacency BFS wins).
+Two kinds live here. The closed-form ones read a tree straight off its
+preorder level sequence in one backward pass: `wiener_tree_layout` gives
+W(T) and `wiener2_tree_layout` gives W(L^2(T)), each in O(n). The bitmask
+ones hold a graph on n vertices as a list of n ints, where bit u of
+``masks[v]`` says u and v are adjacent, so BFS layers become mask
+operations and distance sums come from ``int.bit_count``. The searches
+score every tree with the closed forms and run the mask BFS only to
+confirm each running argmin; the `buckley` and `thm1` checks of `verify`
+(k = 1) run the mask BFS on every tree. General-purpose code goes through
+graphs.Graph instead (for large sparse graphs, plain adjacency BFS wins).
 """
 
 from __future__ import annotations
@@ -40,6 +43,40 @@ def wiener_tree_layout(layout: list[int]) -> int:
         s = size[i]
         size[parent[i]] += s
         total += s * (n - s)
+    return total
+
+
+def wiener2_tree_layout(layout: list[int]) -> int:
+    """W(L^2(T)) of a tree given as a preorder level sequence, in O(n).
+
+    A vertex of L^2(T) is a wedge: a vertex v of T with two of its d_v
+    edges, so v carries w_v = C(d_v, 2) wedges and S = sum w_v in all.
+    Two wedges at v are at distance 1 if they share an edge, else 2, which
+    sums to w_v(w_v - 1) - d_v(d_v - 1)(d_v - 2)/2 at v. Wedges at u != v
+    are at distance d(u, v) + 2, minus 1 for each that holds its edge
+    toward the other vertex; over all such pairs that sums to
+    sum_{u<v} w_u w_v d(u, v) + (S^2 - sum w_v^2) - (n - 2)S
+    + sum (d_v - 1) w_v. The terms of each single vertex cancel, since
+    (d_v - 2) w_v = d_v(d_v - 1)(d_v - 2)/2, which leaves
+
+        W(L^2(T)) = sum over edges e of A_e * (S - A_e) + S * (S - n + 2),
+
+    with A_e the sum of w below e: the edge-cut sum of wiener_tree_layout
+    with vertex weights w_v in place of 1.
+    """
+    parent = layout_parents(layout)
+    n = len(parent)
+    deg = [1] * n
+    deg[0] = 0
+    for i in range(1, n):
+        deg[parent[i]] += 1
+    below = [d * (d - 1) >> 1 for d in deg]
+    s = sum(below)
+    total = s * (s - n + 2)
+    for i in range(n - 1, 0, -1):
+        a = below[i]
+        below[parent[i]] += a
+        total += a * (s - a)
     return total
 
 

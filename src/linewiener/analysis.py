@@ -319,21 +319,43 @@ def _keep_min(best: list, wk: int, w: int, codes) -> None:
         witnesses.extend(codes())
 
 
-def _tree_w_wk(layout: list[int], k: int) -> tuple[int, int]:
-    """(W(T), W(L^k(T))) of a layout's tree, by two independent methods.
-
-    W comes from the edge-cut sum, W_k from a bitmask BFS on the k-th
-    line-graph iterate. Every sweep over the free-tree stream evaluates its
-    trees here, so this is the one place a faster evaluator plugs in.
-    """
-    w = _fast.wiener_tree_layout(layout)
+def _masks_wk(layout: list[int], k: int) -> int:
+    """W(L^k(T)) of a layout's tree by bitmask BFS on the k-th iterate."""
     it = _fast.layout_masks(layout)
     for _ in range(k):
         it = _fast.line_masks(it)
-    wk = _fast.wiener_masks(it)
+    return _fast.wiener_masks(it)
+
+
+def _tree_w_wk(layout: list[int], k: int) -> tuple[int, int]:
+    """(W(T), W(L^k(T))) of a layout's tree.
+
+    W comes from the edge-cut sum. W_2 comes from the O(n) wedge formula
+    of _fast.wiener2_tree_layout, which _scan_stripe confirms by BFS on
+    each tree it keeps; any other W_k comes from a bitmask BFS on the k-th
+    line-graph iterate. Every sweep over the free-tree stream evaluates
+    its trees here, so this is the one place a faster evaluator plugs in.
+    """
+    w = _fast.wiener_tree_layout(layout)
+    wk = _fast.wiener2_tree_layout(layout) if k == 2 else _masks_wk(layout, k)
     if w <= 0 or wk < 0:
         raise ArithmeticError(f"W = {w}, W_{k} = {wk} for layout {layout}")
     return w, wk
+
+
+def _witness_codes(layout: list[int], k: int, wk: int) -> list[bytes]:
+    """The canonical code of a tree a sweep keeps as an argmin.
+
+    At k = 2 its W_2 came from the formula, so the mask BFS recomputes it
+    first: every reported witness is confirmed by two methods.
+    """
+    if k == 2:
+        bfs = _masks_wk(layout, 2)
+        if bfs != wk:
+            raise ArithmeticError(
+                f"W_2 = {wk} by formula, {bfs} by BFS for layout {layout}"
+            )
+    return [canonical_code(layout_graph(layout))]
 
 
 def _scan_stripe(args):
@@ -354,7 +376,7 @@ def _scan_stripe(args):
     ):
         scanned += 1
         w, wk = _tree_w_wk(layout, k)
-        _keep_min(best, wk, w, lambda: [canonical_code(layout_graph(layout))])
+        _keep_min(best, wk, w, lambda: _witness_codes(layout, k, wk))
     return (scanned, *best)
 
 

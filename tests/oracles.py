@@ -101,6 +101,23 @@ def random_tree(rng, n: int) -> Graph:
     return prufer_tree(seq, n)
 
 
+def level_sequence(g: Graph, root: int = 0) -> list[int]:
+    """Depth of each vertex of a tree, in the order a depth-first walk
+    from `root` first reaches it: a preorder level sequence, the layout
+    format the package's tree kernels read."""
+    depth = {root: 0}
+    out = []
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        out.append(depth[u])
+        for v in g.neighbors(u):
+            if v not in depth:
+                depth[v] = depth[u] + 1
+                stack.append(v)
+    return out
+
+
 def random_graph(rng, n: int, p: float) -> Graph:
     """Erdos-Renyi graph, possibly disconnected."""
     edges = [

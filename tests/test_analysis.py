@@ -2,19 +2,27 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from linewiener import (
+    DEFAULT_BUDGET,
+    BalancedQuipu,
     BudgetExceededError,
     Graph,
     ParameterError,
     SearchLimitError,
+    Spider,
+    SubdividedQuipu,
     beats_path,
     build,
     canonical_code,
     closed_form_oracle_checks,
+    d2_quipu,
+    d2_spider,
     free_trees,
     limit_quotient_checks,
     line_identity_checks,
@@ -29,10 +37,12 @@ from linewiener import (
     subdivided_quipu_deviation,
     subdivided_quipu_scan,
     threshold_scan,
+    w_quipu,
+    w_spider,
     worked_example_checks,
 )
 
-from oracles import naive_line_graph, naive_wiener
+from oracles import level_sequence, naive_line_graph, naive_wiener, random_tree
 
 
 def tree(text):
@@ -144,7 +154,8 @@ def test_subdivided_quipu_deviations_shrink():
 
 
 def test_layout_wiener_against_oracle():
-    # the searches evaluate trees straight off the level sequence with the
+    # the sweeps read trees straight off the level sequence: W by edge
+    # cuts, W(L) and the search's argmin confirmations of W(L^2) by the
     # bitmask kernels, so pin each kernel to graphs and the naive oracle
     from linewiener._fast import (
         layout_masks,
@@ -172,6 +183,86 @@ def test_layout_wiener_against_oracle():
                 masks = line_masks(masks)
     assert wiener_masks([0, 0]) == -1
     assert wiener_masks([0b010, 0b001, 0]) == -1
+
+
+def test_wiener2_formula_against_mask_bfs():
+    from linewiener._fast import (
+        layout_masks,
+        line_masks,
+        wiener2_tree_layout,
+        wiener_masks,
+    )
+    from linewiener.enumeration import free_tree_layouts
+
+    for n in range(1, 15):
+        for layout in free_tree_layouts(n):
+            masks = line_masks(line_masks(layout_masks(layout)))
+            assert wiener2_tree_layout(layout) == wiener_masks(masks), layout
+
+
+def test_wiener2_formula_against_graph_bfs_on_random_trees():
+    from linewiener._fast import wiener2_tree_layout
+    from linewiener.graphs import iterated_line_graph, wiener_index
+
+    rng = random.Random(20)
+    orders = list(range(3, 41)) + [60, 100, 150, 200, 250, 300]
+    for n in orders:
+        g = random_tree(rng, n)
+        layout = level_sequence(g, rng.randrange(n))
+        expected = wiener_index(iterated_line_graph(g, 2))
+        assert wiener2_tree_layout(layout) == expected, n
+
+
+def test_wiener2_formula_against_closed_forms():
+    # the spider and quipu sweeps of closed_form_oracle_checks
+    from linewiener._fast import wiener2_tree_layout
+
+    def formula(spec):
+        return wiener2_tree_layout(level_sequence(build(spec)))
+
+    for arms in combinations_with_replacement(range(2, 9), 3):
+        expected = w_spider(*arms) - d2_spider(*arms)
+        assert formula(Spider(*arms)) == expected, arms
+    for a in range(2, 9):
+        assert formula(BalancedQuipu(a)) == w_quipu(a) - d2_quipu(a), a
+
+
+def test_wiener2_formula_against_subdivided_quipu_bfs():
+    from linewiener._fast import wiener2_tree_layout
+    from linewiener.analysis import _ua_w_w2
+
+    for a in range(2, 13):
+        layout = level_sequence(build(SubdividedQuipu(a)))
+        assert wiener2_tree_layout(layout) == _ua_w_w2(a, DEFAULT_BUDGET)[2], a
+
+
+def test_search_runs_the_bfs_only_on_running_argmins(monkeypatch):
+    # the path comes first in the stream and is the unique minimizer at
+    # these orders, so its confirmation is the only BFS of the search
+    from linewiener import _fast
+
+    calls = []
+    bfs = _fast.wiener_masks
+    monkeypatch.setattr(
+        _fast, "wiener_masks", lambda masks: calls.append(1) or bfs(masks)
+    )
+    for n in (8, 12, 15):
+        del calls[:]
+        report = min_r2_search(n)
+        assert report.witnesses == (canonical_code(tree(f"path:{n}")),)
+        assert len(calls) == 1, n
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_search_confirms_each_argmin_by_bfs(monkeypatch, jobs):
+    from linewiener import _fast
+
+    formula = _fast.wiener2_tree_layout
+    monkeypatch.setattr(
+        _fast, "wiener2_tree_layout", lambda layout: formula(layout) + 1
+    )
+    with pytest.raises(ArithmeticError):
+        min_r2_search(8, jobs=jobs)
 
 
 def brute_force_min_r2(n, keep=lambda g: True):
