@@ -9,7 +9,6 @@ a verdict.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -331,9 +330,9 @@ def _tree_w_wk(layout: list[int], k: int) -> tuple[int, int]:
     """(W(T), W(L^k(T))) of a layout's tree.
 
     W comes from the edge-cut sum. W_2 comes from the O(n) wedge formula
-    of _fast.wiener2_tree_layout, which _scan_stripe confirms by BFS on
-    each tree it keeps; any other W_k comes from a bitmask BFS on the k-th
-    line-graph iterate. Every sweep over the free-tree stream evaluates
+    of _fast.wiener2_tree_layout, which _witness_codes confirms by BFS on
+    each tree a sweep keeps; any other W_k comes from a bitmask BFS on the
+    k-th line-graph iterate. Every sweep over the free-tree stream evaluates
     its trees here, so this is the one place a faster evaluator plugs in.
     """
     w = _fast.wiener_tree_layout(layout)
@@ -358,13 +357,14 @@ def _witness_codes(layout: list[int], k: int, wk: int) -> list[bytes]:
     return [canonical_code(layout_graph(layout))]
 
 
-def _scan_stripe(args):
-    """One stripe of a min W_k/W sweep; must stay picklable for Pool.
+def _scan_block(args):
+    """One job's blocks of a min W_k/W sweep; must stay picklable for Pool.
 
     Returns (scanned, best_wk, best_w, witness_codes); best values are None
-    for an empty stripe. Witnesses are the codes of this stripe's argmins.
+    when no tree of the blocks passes the filters. Witnesses are the codes
+    of these blocks' argmins.
     """
-    n, k, max_degree, min_max_degree, min_degree3_count, index, step = args
+    n, k, max_degree, min_max_degree, min_degree3_count, index, jobs = args
     scanned = 0
     best = [None, None, []]
     for layout in free_tree_layouts(
@@ -372,7 +372,7 @@ def _scan_stripe(args):
         max_degree=max_degree,
         min_max_degree=min_max_degree,
         min_degree3_count=min_degree3_count,
-        stripe=(index, step),
+        block=(index, jobs),
     ):
         scanned += 1
         w, wk = _tree_w_wk(layout, k)
@@ -390,19 +390,25 @@ def _min_ratio_scan(
 ):
     """Exhaustive min of W(L^k)/W over filtered trees of order n.
 
-    Stripes partition the enumeration stream by position; merging their
-    exact minima is associative, so any job count gives identical results.
+    Job i walks the blocks of the enumeration stream (runs of layouts that
+    share the root's first subtree) numbered i mod jobs, so the jobs
+    partition the stream and each walks only its own part. Merging their
+    exact minima is associative and the witnesses are sorted, so any job
+    count gives identical results.
     """
     args = [
         (n, k, max_degree, min_max_degree, min_degree3_count, i, jobs)
         for i in range(jobs)
     ]
     if jobs == 1:
-        results = [_scan_stripe(args[0])]
+        results = [_scan_block(args[0])]
     else:
+        # imported here: every other command would pay for its import
+        import multiprocessing
+
         ctx = multiprocessing.get_context()
         with ctx.Pool(jobs) as pool:
-            results = pool.map(_scan_stripe, args)
+            results = pool.map(_scan_block, args)
     scanned = 0
     best = [None, None, []]
     for part_scanned, part_wk, part_w, part_wit in results:

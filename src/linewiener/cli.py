@@ -437,6 +437,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (LineWienerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # leaving the with-block of a Pool has already terminated its workers
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

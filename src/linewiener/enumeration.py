@@ -18,6 +18,7 @@ the enumerator against independent generators.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import factorial
 from typing import Iterator, Optional
 
@@ -128,6 +129,74 @@ def _degree_filter(max_degree, min_max_degree, min_degree3_count):
     return keep
 
 
+def _path_layout(n: int) -> list[int]:
+    """The path rooted near its center: the stream's first layout."""
+    return list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+
+
+def _stream(n: int) -> Iterator[list[int]]:
+    """The unfiltered free-tree stream, in decreasing lexicographic order."""
+    if n == 1:
+        yield [0]
+        return
+    layout = _path_layout(n)
+    while layout is not None:
+        layout = _next_free_layout(layout)
+        yield layout
+        layout = _next_rooted_layout(layout)
+
+
+def _block_walk(n: int, index: int, count: int) -> Iterator[list[int]]:
+    """The stream's blocks numbered index mod count, in stream order.
+
+    A block is a maximal run of consecutive layouts that share the root's
+    first subtree layout[:m]. Inside an own block this takes the stream's
+    step and stops when the step leaves the first subtree: the rooted
+    successor's pivot falls below m, or the free step jumps, which it does
+    with pivot m - 1. Another block is skipped without walking it, from
+    the rooted successor of its smallest layout, layout[:m] + [1, ...].
+    """
+    if n == 1:
+        if index == 0:
+            yield [0]
+        return
+    candidate = _path_layout(n)
+    block = 0
+    while candidate is not None:
+        # off the stream one free step may land on an invalid layout, so
+        # step until the layout is its own successor
+        layout = _next_free_layout(candidate)
+        while layout is not candidate:
+            candidate, layout = layout, _next_free_layout(layout)
+        m = _first_subtree_end(layout)
+        if block % count == index:
+            while True:
+                yield layout
+                p = n - 1
+                while layout[p] == 1:
+                    p -= 1
+                candidate = _next_rooted_layout(layout, p)
+                if p < m:
+                    break
+                layout = _next_free_layout(candidate)
+                if layout is not candidate:
+                    candidate = layout
+                    break
+        else:
+            candidate = _next_rooted_layout(layout[:m] + [1] * (n - m))
+        block += 1
+
+
+def _check_part(name: str, size: str, part) -> tuple[int, int]:
+    """(index, size) of a stripe or block argument; None is (0, 1)."""
+    index, count = (0, 1) if part is None else part
+    if count < 1 or not 0 <= index < count:
+        raise ParameterError(
+            f"{name} must be (index, {size}) with 0 <= index < {size}, got {part}"
+        )
+    return index, count
+
+
 def free_tree_layouts(
     n: int,
     *,
@@ -135,6 +204,7 @@ def free_tree_layouts(
     min_max_degree: Optional[int] = None,
     min_degree3_count: Optional[int] = None,
     stripe: Optional[tuple[int, int]] = None,
+    block: Optional[tuple[int, int]] = None,
 ) -> Iterator[list[int]]:
     """Level sequences of all free trees on n vertices, one per class.
 
@@ -151,27 +221,27 @@ def free_tree_layouts(
     unfiltered stream is congruent to index mod step. Stripes are disjoint,
     cover everything, and apply before filtering, so parallel consumers can
     run one stripe each and merge by position.
+
+    `block=(index, count)` splits the stream into blocks instead: maximal
+    runs of consecutive layouts whose root has the same first subtree. It
+    yields the blocks whose number in the stream is congruent to index mod
+    count, in stream order, and walks only those; the others are skipped
+    in a few steps each. Blocks are disjoint, cover everything, and apply
+    before filtering. `block` and `stripe` cannot be combined.
+
+    Arguments are checked at the call, before the first layout.
     """
-    index, step = (0, 1) if stripe is None else stripe
-    if step < 1 or not 0 <= index < step:
-        raise ParameterError(
-            f"stripe must be (index, step) with 0 <= index < step, got {stripe}"
-        )
+    if stripe is not None and block is not None:
+        raise ParameterError("give stripe or block, not both")
+    s_index, step = _check_part("stripe", "step", stripe)
+    b_index, count = _check_part("block", "count", block)
     if n < 1:
         raise ParameterError(f"free_tree_layouts needs n >= 1, got {n}")
     keep = _degree_filter(max_degree, min_max_degree, min_degree3_count)
-    if n == 1:
-        if index == 0 and (keep is None or keep([0])):
-            yield [0]
-        return
-    layout = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    pos = 0
-    while layout is not None:
-        layout = _next_free_layout(layout)
-        if pos % step == index and (keep is None or keep(layout)):
-            yield layout
-        pos += 1
-        layout = _next_rooted_layout(layout)
+    layouts = _stream(n) if count == 1 else _block_walk(n, b_index, count)
+    if step > 1:
+        layouts = islice(layouts, s_index, None, step)
+    return layouts if keep is None else filter(keep, layouts)
 
 
 def free_trees(

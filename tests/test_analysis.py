@@ -312,6 +312,10 @@ def test_search_jobs_do_not_change_the_report():
     lone = min_r2_search(10)
     multi = min_r2_search(10, jobs=3)
     assert lone == multi
+    # each job walks its own stream blocks; the merged reports must agree
+    for n, kwargs in ((14, {"min_degree3_count": 2}), (13, {})):
+        reports = [min_r2_search(n, jobs=jobs, **kwargs) for jobs in (1, 2, 3)]
+        assert reports[0] == reports[1] == reports[2], n
 
 
 def test_search_bounds():

@@ -271,6 +271,19 @@ def test_bad_inputs_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+def test_ctrl_c_exits_130_with_one_line(capsys, monkeypatch):
+    from linewiener import analysis
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(analysis, "min_r2_search", interrupted)
+    code, out, err = run(capsys, "search", "min-r2", "--n", "10")
+    assert code == 130
+    assert out == ""
+    assert err == "interrupted\n"
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as info:
         main(["--help"])
@@ -376,7 +389,8 @@ sys.__stdout__.write(json.dumps(out))
 """
 
 
-def test_golden_stdout_bytes_under_optimize():
+def child_env():
+    """This environment with the package under test first on PYTHONPATH."""
     import linewiener
 
     src = os.path.dirname(os.path.dirname(linewiener.__file__))
@@ -384,6 +398,11 @@ def test_golden_stdout_bytes_under_optimize():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_golden_stdout_bytes_under_optimize():
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _OPTIMIZED_GOLDEN],
         input=json.dumps(sorted(GOLDEN_STDOUT)),
@@ -398,3 +417,20 @@ def test_golden_stdout_bytes_under_optimize():
     assert got == {
         command: [0, "", digest] for command, digest in GOLDEN_STDOUT.items()
     }
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # only --jobs > 1 needs a Pool; every other command skips the import
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, linewiener.cli; print('multiprocessing' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -9,9 +9,12 @@ every Prufer sequence. Together those pin completeness and uniqueness.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
+import os
 import random
 from collections import deque
+from itertools import groupby
 
 import pytest
 
@@ -165,6 +168,91 @@ def test_stripe_validation():
                 list(stream(1, stripe=stripe))
         with pytest.raises(ParameterError):
             list(stream(0))
+
+
+def merged_blocks(n, count, **kwargs):
+    # the stream is in decreasing lexicographic order, so merging the block
+    # streams by that order puts every layout back at its stream position
+    parts = [free_tree_layouts(n, block=(i, count), **kwargs) for i in range(count)]
+    return heapq.merge(*parts, reverse=True)
+
+
+def test_blocks_partition_the_stream():
+    for n, pinned in PINNED_STREAMS.items():
+        for count in (1, 2, 3, 5):
+            assert stream_digest(merged_blocks(n, count)) == pinned, (n, count)
+    for n in (17, 18):
+        assert stream_digest(merged_blocks(n, 2)) == stream_digest(
+            free_tree_layouts(n)
+        ), n
+
+
+def test_block_one_of_one_is_the_plain_stream():
+    for n in (1, 2, 3, 9, 12):
+        assert list(free_tree_layouts(n, block=(0, 1))) == list(
+            free_tree_layouts(n)
+        ), n
+
+
+def first_subtree(layout):
+    # the root's first child and its descendants, up to the second child
+    rest = layout[2:]
+    return tuple(layout[: 2 + rest.index(1)] if 1 in rest else layout)
+
+
+def test_blocks_are_the_runs_of_one_first_subtree():
+    for n in (3, 8, 12):
+        runs = [
+            list(run)
+            for _, run in groupby(free_tree_layouts(n), key=first_subtree)
+        ]
+        # one block per consumer: each consumer gets exactly its run
+        count = len(runs)
+        for index, run in enumerate(runs):
+            assert list(free_tree_layouts(n, block=(index, count))) == run
+        # one consumer more than there are runs gets nothing
+        assert list(free_tree_layouts(n, block=(count, count + 1))) == []
+
+
+def test_block_applies_before_filters():
+    kwargs = {"max_degree": 4, "min_degree3_count": 2}
+    for n in (9, 12):
+        kept = {tuple(layout) for layout in free_tree_layouts(n, **kwargs)}
+        for count in (2, 3):
+            for index in range(count):
+                got = list(free_tree_layouts(n, block=(index, count), **kwargs))
+                expected = [
+                    layout
+                    for layout in free_tree_layouts(n, block=(index, count))
+                    if tuple(layout) in kept
+                ]
+                assert got == expected, (n, count, index)
+    # the lone tree of orders 1 and 2 is in block 0
+    for n in (1, 2):
+        assert len(list(free_tree_layouts(n, max_degree=1, block=(0, 2)))) == 1
+        assert list(free_tree_layouts(n, max_degree=1, block=(1, 2))) == []
+
+
+def test_block_validation():
+    for block in ((0, 0), (-1, 2), (2, 2), (5, 3)):
+        for n in (1, 5):
+            with pytest.raises(ParameterError):
+                list(free_tree_layouts(n, block=block))
+    for n in (1, 5):
+        for part in ((0, 1), (0, 2)):
+            with pytest.raises(ParameterError):
+                list(free_tree_layouts(n, block=part, stripe=part))
+
+
+@pytest.mark.skipif(
+    os.environ.get("LINEWIENER_STRETCH") != "1",
+    reason="set LINEWIENER_STRETCH=1 to walk all 823,065 trees of order 20",
+)
+def test_blocks_partition_the_stream_at_20():
+    plain = stream_digest(free_tree_layouts(20))
+    assert plain[0] == 823065
+    for count in (2, 3):
+        assert stream_digest(merged_blocks(20, count)) == plain, count
 
 
 def test_degree_filters():
