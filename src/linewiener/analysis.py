@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import _fast
 from .enumeration import canonical_code, free_tree_layouts, layout_graph
-from .errors import ParameterError, SearchLimitError
+from .errors import CrossCheckError, ParameterError, SearchLimitError
 from .families import BalancedQuipu, Path, Spider, Star, SubdividedQuipu, build
 from .formulas import (
     CASES,
@@ -338,7 +338,7 @@ def _tree_w_wk(layout: list[int], k: int) -> tuple[int, int]:
     w = _fast.wiener_tree_layout(layout)
     wk = _fast.wiener2_tree_layout(layout) if k == 2 else _masks_wk(layout, k)
     if w <= 0 or wk < 0:
-        raise ArithmeticError(f"W = {w}, W_{k} = {wk} for layout {layout}")
+        raise CrossCheckError(f"W = {w}, W_{k} = {wk} for layout {layout}")
     return w, wk
 
 
@@ -351,7 +351,7 @@ def _witness_codes(layout: list[int], k: int, wk: int) -> list[bytes]:
     if k == 2:
         bfs = _masks_wk(layout, 2)
         if bfs != wk:
-            raise ArithmeticError(
+            raise CrossCheckError(
                 f"W_2 = {wk} by formula, {bfs} by BFS for layout {layout}"
             )
     return [canonical_code(layout_graph(layout))]

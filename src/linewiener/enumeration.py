@@ -11,6 +11,12 @@ one layout per class is ever built, which is what makes order-20-plus
 sweeps feasible; generating labeled trees and de-duplicating dies around
 order 12.
 
+A block of the stream is a run of layouts that share the root's first
+subtree. Its non-root vertices have the same degrees in every tree of the
+block, so a degree-filtered stream tests that first subtree once and skips
+every block it rules out without walking it. Striped streams count
+positions in the unfiltered stream and do not skip.
+
 `canonical_code` gives a relabeling-invariant byte encoding (equal codes
 iff isomorphic), used to de-duplicate search witnesses and to cross-check
 the enumerator against independent generators.
@@ -103,22 +109,35 @@ def layout_graph(layout: list[int]) -> Graph:
     return Graph(len(parent), ((parent[i], i) for i in range(1, len(parent))))
 
 
-def _degree_filter(max_degree, min_max_degree, min_degree3_count):
-    """Layout predicate for the degree filters, or None when none is set."""
+def _degrees(layout: list[int]) -> list[int]:
+    """Degree of each vertex of a layout's tree.
+
+    layout_parents' decode, counting each parent edge as it is found; every
+    vertex but the root has one parent edge.
+    """
+    n = len(layout)
+    deg = [1] * n
+    deg[0] = 0
+    last = [0] * n
+    for i in range(1, n):
+        level = layout[i]
+        deg[last[level - 1]] += 1
+        last[level] = i
+    return deg
+
+
+def _degree_filter(n: int, max_degree, min_max_degree, min_degree3_count):
+    """(keep, fits) for the degree filters on trees of order n.
+
+    keep(layout) decides a layout. fits(first) is a necessary condition on
+    a block's first subtree layout[:m]: a block it fails holds no tree that
+    keep passes. Either is None when no filter it can use is set.
+    """
     if max_degree is None and min_max_degree is None and min_degree3_count is None:
-        return None
+        return None, None
 
     def keep(layout: list[int]) -> bool:
-        # layout_parents' decode, counting each parent edge as it is found;
-        # every vertex but the root has one parent edge
-        n = len(layout)
-        deg = [1] * n
-        deg[0] = 0
-        last = [0] * n
-        for i in range(1, n):
-            level = layout[i]
-            deg[last[level - 1]] += 1
-            last[level] = i
+        deg = _degrees(layout)
         top = max(deg)
         if max_degree is not None and top > max_degree:
             return False
@@ -126,7 +145,24 @@ def _degree_filter(max_degree, min_max_degree, min_degree3_count):
             return False
         return min_degree3_count is None or deg.count(3) >= min_degree3_count
 
-    return keep
+    if max_degree is None and min_degree3_count is None:
+        return keep, None
+
+    def fits(first: list[int]) -> bool:
+        # vertices 1..m-1 have all their children inside the first subtree,
+        # so they have these degrees in every tree of the block
+        inner = _degrees(first)[1:]
+        if max_degree is not None and max(inner) > max_degree:
+            return False
+        if min_degree3_count is None:
+            return True
+        # n = 2 + 2 n_3 + n_2 + sum over degrees d >= 4 of (d - 1), so
+        # n_3 >= t leaves the whole tree, and so these vertices, at most
+        # n - 2 - 2t of that waste: d - 1 for each degree d other than 3
+        waste = sum(d - 1 for d in inner if d != 3)
+        return waste <= n - 2 - 2 * min_degree3_count
+
+    return keep, fits
 
 
 def _path_layout(n: int) -> list[int]:
@@ -146,15 +182,16 @@ def _stream(n: int) -> Iterator[list[int]]:
         layout = _next_rooted_layout(layout)
 
 
-def _block_walk(n: int, index: int, count: int) -> Iterator[list[int]]:
+def _block_walk(n: int, index: int, count: int, fits) -> Iterator[list[int]]:
     """The stream's blocks numbered index mod count, in stream order.
 
     A block is a maximal run of consecutive layouts that share the root's
     first subtree layout[:m]. Inside an own block this takes the stream's
     step and stops when the step leaves the first subtree: the rooted
     successor's pivot falls below m, or the free step jumps, which it does
-    with pivot m - 1. Another block is skipped without walking it, from
-    the rooted successor of its smallest layout, layout[:m] + [1, ...].
+    with pivot m - 1. Another block, or an own block whose first subtree
+    fails `fits`, is skipped without walking it, from the rooted successor
+    of its smallest layout, layout[:m] + [1, ...].
     """
     if n == 1:
         if index == 0:
@@ -169,7 +206,7 @@ def _block_walk(n: int, index: int, count: int) -> Iterator[list[int]]:
         while layout is not candidate:
             candidate, layout = layout, _next_free_layout(layout)
         m = _first_subtree_end(layout)
-        if block % count == index:
+        if block % count == index and (fits is None or fits(layout[:m])):
             while True:
                 yield layout
                 p = n - 1
@@ -229,6 +266,13 @@ def free_tree_layouts(
     in a few steps each. Blocks are disjoint, cover everything, and apply
     before filtering. `block` and `stripe` cannot be combined.
 
+    Without a stripe, `max_degree` and `min_degree3_count` also skip, in
+    the same few steps, every block whose first subtree already rules the
+    filter out: a vertex there above `max_degree`, or too many vertices of
+    degree other than 3 to leave room for `min_degree3_count` of them. The
+    layouts yielded are the same; only fewer are walked. A striped stream
+    walks every layout.
+
     Arguments are checked at the call, before the first layout.
     """
     if stripe is not None and block is not None:
@@ -237,8 +281,11 @@ def free_tree_layouts(
     b_index, count = _check_part("block", "count", block)
     if n < 1:
         raise ParameterError(f"free_tree_layouts needs n >= 1, got {n}")
-    keep = _degree_filter(max_degree, min_max_degree, min_degree3_count)
-    layouts = _stream(n) if count == 1 else _block_walk(n, b_index, count)
+    keep, fits = _degree_filter(n, max_degree, min_max_degree, min_degree3_count)
+    if count == 1 and (fits is None or stripe is not None):
+        layouts = _stream(n)
+    else:
+        layouts = _block_walk(n, b_index, count, fits)
     if step > 1:
         layouts = islice(layouts, s_index, None, step)
     return layouts if keep is None else filter(keep, layouts)

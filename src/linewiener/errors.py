@@ -53,6 +53,15 @@ class BudgetExceededError(LineWienerError, RuntimeError):
         self.step = step
 
 
+class CrossCheckError(LineWienerError, ArithmeticError):
+    """Two independent computations of one exact value disagree.
+
+    Raised by the package's internal cross-checks, never by bad input: it
+    means a fault in the code. It keeps the default one-message
+    constructor, so a worker process can send it back to its pool.
+    """
+
+
 class SearchLimitError(LineWienerError, ValueError):
     """An exhaustive search was requested above the configured order limit."""
 

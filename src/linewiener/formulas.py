@@ -3,7 +3,7 @@
 Everything here is integer or `fractions.Fraction` arithmetic; no floats.
 Half-integer intermediates (the spider and quipu polynomials have them) are
 evaluated over rationals and then checked integral rather than rearranged
-by hand, so a transcription slip raises ArithmeticError instead of rounding.
+by hand, so a transcription slip raises CrossCheckError instead of rounding.
 
 Families covered:
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParameterError
+from .errors import CrossCheckError, ParameterError
 
 CASES = ("i", "ii", "iii")
 
@@ -30,7 +30,7 @@ def _integral(value: Fraction, name: str, *args: int) -> int:
     """`value` as an int; a fraction here means a wrong closed form."""
     if value.denominator != 1:
         shown = ", ".join(map(str, args))
-        raise ArithmeticError(f"{name}({shown}) = {value} is not integral")
+        raise CrossCheckError(f"{name}({shown}) = {value} is not integral")
     return int(value)
 
 

@@ -312,10 +312,24 @@ def test_search_jobs_do_not_change_the_report():
     lone = min_r2_search(10)
     multi = min_r2_search(10, jobs=3)
     assert lone == multi
-    # each job walks its own stream blocks; the merged reports must agree
-    for n, kwargs in ((14, {"min_degree3_count": 2}), (13, {})):
+    # each job walks its own stream blocks, and a filter that rules out a
+    # block's first subtree skips the block; the merged reports must agree
+    cases = (
+        (14, {"min_degree3_count": 2}),
+        (13, {}),
+        (16, {"min_degree3_count": 6}),
+        (15, {"max_degree": 3, "min_degree3_count": 5}),
+    )
+    for n, kwargs in cases:
         reports = [min_r2_search(n, jobs=jobs, **kwargs) for jobs in (1, 2, 3)]
         assert reports[0] == reports[1] == reports[2], n
+        # counted from the degrees of every decoded tree of the order
+        degrees = ([g.degree(v) for v in range(n)] for g in free_trees(n))
+        assert reports[0].trees_scanned == sum(
+            max(deg) <= kwargs.get("max_degree", n)
+            and deg.count(3) >= kwargs.get("min_degree3_count", 0)
+            for deg in degrees
+        ), n
 
 
 def test_search_bounds():

@@ -168,6 +168,23 @@ def test_search_respects_limit(capsys):
     assert "exceeds the limit" in err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_search_cross_check_failure_exits_two(capfd, monkeypatch, jobs):
+    # a wrong W_2 formula disagrees with the BFS on the first argmin; the
+    # fault ends the command with a message, also when a worker raised it
+    from linewiener import _fast
+
+    formula = _fast.wiener2_tree_layout
+    monkeypatch.setattr(
+        _fast, "wiener2_tree_layout", lambda layout: formula(layout) + 1
+    )
+    code = main(["search", "min-r2", "--n", "8", "--jobs", jobs])
+    out, err = capfd.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: W_2 = ") and err.count("\n") == 1, err
+
+
 def test_verify_passing_bundles(capsys):
     code, out, _ = run(capsys, "verify", "paper-numbers", "limits")
     assert code == 0

@@ -31,6 +31,7 @@ from linewiener import (
     write_graph,
 )
 
+from linewiener import enumeration
 from linewiener.enumeration import free_tree_layouts, layout_graph
 
 from oracles import all_labeled_trees, isomorphism_count, random_tree
@@ -170,6 +171,27 @@ def test_stripe_validation():
             list(stream(0))
 
 
+# filter sets of the stream contract: one filter at a time, then all three
+DEGREE_FILTERS = (
+    [{"max_degree": d} for d in (2, 3, 4)]
+    + [{"min_max_degree": d} for d in (3, 5)]
+    + [{"min_degree3_count": c} for c in (0, 1, 2, 3)]
+    + [{"max_degree": 4, "min_max_degree": 3, "min_degree3_count": 1}]
+)
+
+
+def graph_degrees(g):
+    return [g.degree(v) for v in range(g.vertex_count)]
+
+
+def passes(deg, kwargs):
+    return (
+        max(deg) <= kwargs.get("max_degree", len(deg))
+        and max(deg) >= kwargs.get("min_max_degree", 0)
+        and deg.count(3) >= kwargs.get("min_degree3_count", 0)
+    )
+
+
 def merged_blocks(n, count, **kwargs):
     # the stream is in decreasing lexicographic order, so merging the block
     # streams by that order puts every layout back at its stream position
@@ -275,26 +297,70 @@ def test_degree_filters():
             assert list(stream(n, max_degree=top, stripe=(1, 3))) == []
     # every filter against the degrees of the decoded graph, one filter at
     # a time and then all three mixed
-    filters = (
-        [{"max_degree": d} for d in (2, 3, 4)]
-        + [{"min_max_degree": d} for d in (3, 5)]
-        + [{"min_degree3_count": c} for c in (0, 1, 2, 3)]
-        + [{"max_degree": 4, "min_max_degree": 3, "min_degree3_count": 1}]
-    )
     for n in range(1, 13):
         full = list(decoded_layouts(n))
-        for kwargs in filters:
-            expected = []
-            for g in full:
-                deg = [g.degree(v) for v in range(n)]
-                if (
-                    max(deg) <= kwargs.get("max_degree", n)
-                    and max(deg) >= kwargs.get("min_max_degree", 0)
-                    and deg.count(3) >= kwargs.get("min_degree3_count", 0)
-                ):
-                    expected.append(g)
+        for kwargs in DEGREE_FILTERS:
+            expected = [g for g in full if passes(graph_degrees(g), kwargs)]
             for stream in STREAMS:
                 assert list(stream(n, **kwargs)) == expected, (stream, n, kwargs)
+
+
+def pruning_filters(n):
+    # sets whose first-subtree bound skips blocks: n_3 <= (n - 2) / 2 in
+    # every tree of order n, so these counts sit at or near the extreme
+    t = max(0, (n - 2) // 2)
+    u = max(0, (n - 4) // 2)
+    return [
+        {"min_degree3_count": t},
+        {"min_degree3_count": u},
+        {"max_degree": 3, "min_degree3_count": t},
+        {"max_degree": 3, "min_degree3_count": u},
+    ]
+
+
+def test_filtered_blocks_are_the_blocks_filtered_by_graph_degrees():
+    # the pruned block walk against the unpruned one, decided tree by tree
+    # from the degrees of the decoded graph
+    for n in range(1, 17):
+        degrees = {
+            tuple(layout): graph_degrees(layout_graph(layout))
+            for layout in free_tree_layouts(n)
+        }
+        for count in (1, 2, 3):
+            for index in range(count):
+                plain = [
+                    (layout, degrees[tuple(layout)])
+                    for layout in free_tree_layouts(n, block=(index, count))
+                ]
+                for kwargs in DEGREE_FILTERS + pruning_filters(n):
+                    expected = [
+                        layout for layout, deg in plain if passes(deg, kwargs)
+                    ]
+                    got = list(free_tree_layouts(n, block=(index, count), **kwargs))
+                    assert got == expected, (n, count, index, kwargs)
+
+
+def test_filtered_stream_is_pinned():
+    # the search-filtered workload's stream, whole and as two merged blocks
+    pinned = (294, "2c0497ba20a8c9ca2067e0380e0b58b21526e79479d96f737319467cdea25fdf")
+    assert stream_digest(free_tree_layouts(18, min_degree3_count=7)) == pinned
+    assert stream_digest(merged_blocks(18, 2, min_degree3_count=7)) == pinned
+
+
+def test_filtered_stream_skips_blocks(monkeypatch):
+    # every layout that reaches the exact degree test is decoded in full;
+    # without the first-subtree bound all 123,867 of order 18 would be
+    full = []
+    degrees = enumeration._degrees
+
+    def counting(layout):
+        if len(layout) == 18:
+            full.append(1)
+        return degrees(layout)
+
+    monkeypatch.setattr(enumeration, "_degrees", counting)
+    assert sum(1 for _ in free_tree_layouts(18, min_degree3_count=7)) == 294
+    assert len(full) < 30000
 
 
 def test_canonical_code_shape():

@@ -1,7 +1,9 @@
 """Source-level rules for the package, checked on its syntax trees.
 
 No `assert` statements: `python -O` strips them, so a correctness check
-written as one silently stops checking. And every module may use the
+written as one silently stops checking. No bare `ArithmeticError` either:
+every internal cross-check raises `CrossCheckError`, which the CLI reports
+with exit code 2. And every module may use the
 others only through their public names, so a helper can change shape
 inside its own module without breaking its callers. And `cli` writes
 every report through `reporting.render`, so the choice between text, JSON
@@ -56,6 +58,24 @@ def names_in(tree):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name
+
+
+def test_cross_checks_raise_cross_check_error():
+    # the CLI maps LineWienerError to exit 2; a bare ArithmeticError from a
+    # failed cross-check would end in a traceback instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(parsed(path))
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and "ArithmeticError"
+        in (
+            getattr(node.exc, "id", None),
+            getattr(getattr(node.exc, "func", None), "id", None),
+        )
+    ]
+    assert found == []
 
 
 def test_cli_leaves_the_report_format_to_reporting():
