@@ -9,7 +9,8 @@ operations and distance sums come from ``int.bit_count``. The searches
 score every tree with the closed forms and run the mask BFS only to
 confirm each running argmin; the `buckley` and `thm1` checks of `verify`
 (k = 1) run the mask BFS on every tree. General-purpose code goes through
-graphs.Graph instead (for large sparse graphs, plain adjacency BFS wins).
+graphs.Graph instead, whose wiener_index runs bitset sweeps from up to
+4096 sources at once over the adjacency lists.
 """
 
 from __future__ import annotations

@@ -548,10 +548,11 @@ def closed_form_oracle_checks(
     bad_w = bad_r2 = 0
     for n in range(1, max_path_n + 1):
         path = build(Path(n))
-        if w_path(n) != wiener_index(path):
+        w = wiener_index(path)
+        if w_path(n) != w:
             bad_w += 1
         if n >= 3:
-            w, w2 = _w_w2(path)
+            w2 = wiener_index(iterated_line_graph(path, 2))
             if r2_path(n) != Fraction(w2, w):
                 bad_r2 += 1
     out.append(

@@ -21,8 +21,8 @@ from typing import Optional
 
 from . import analysis, reporting
 from .enumeration import free_trees
-from .errors import LineWienerError, ParameterError
-from .families import SubdividedQuipu, build, parse_family
+from .errors import BudgetExceededError, LineWienerError, ParameterError
+from .families import SubdividedQuipu, build, parse_family, spec_order
 from .graphio import read_graph, sniff_format, write_graph
 from .graphs import (
     DEFAULT_BUDGET,
@@ -302,10 +302,25 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _check_ua_budget(a: int, budget: int) -> None:
+    """Raise the BudgetExceededError that L^2(U_a) would raise, before any
+    work is spent. U_a is a tree, so L(U_a) has one vertex fewer than U_a:
+    an order past the budget fails without building U_a."""
+    spec = SubdividedQuipu(a)
+    line_order = spec_order(spec) - 1
+    if line_order > budget:
+        raise BudgetExceededError(line_order, budget, 1)
+    check_line_budget(build(spec), 2, budget)
+
+
 def _cmd_scan(args) -> int:
     budget = _budget_of(args)
     if args.case == "ua":
         lo, hi = _a_range(args, 50)
+        # the largest a must fit before any a is scanned; a bad range is
+        # left to the scan's own error
+        if 2 <= lo <= hi:
+            _check_ua_budget(hi, budget)
         scanned = [
             analysis.subdivided_quipu_scan(
                 lo, hi, budget, stop_at_first_pass=args.stop_at_first
@@ -354,7 +369,7 @@ def _verify_bundle(name: str, args, budget: int):
     if name == "thm5":
         a = _bound(args.a, 50, 2, "thm5 needs --a")
         # the budget is a bound too: L^2(U_a) must fit before any bundle runs
-        check_line_budget(build(SubdividedQuipu(a)), 2, budget)
+        _check_ua_budget(a, budget)
 
         def thm5():
             result = analysis.subdivided_quipu_beats_path(a, budget)

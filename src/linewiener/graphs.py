@@ -23,6 +23,11 @@ from .errors import (
 #: so unbounded iteration can exhaust memory before any useful output.
 DEFAULT_BUDGET = 10**6
 
+# Sources per sweep of wiener_index. A sweep holds two lists of n ints of
+# this many bits, so memory grows as n rather than n^2; graphs of up to this
+# order, L^2(U_a) for a <= 62 among them, take a single sweep.
+_SWEEP_SOURCES = 4096
+
 
 class Graph:
     """Immutable simple undirected graph.
@@ -124,7 +129,16 @@ def is_tree(g: Graph) -> bool:
 
 def wiener_index(g: Graph) -> int:
     """Exact Wiener index: sum of d(u, v) over unordered vertex pairs,
-    computed by breadth-first search from every vertex.
+    computed by level-synchronous sweeps that serve many sources at once.
+
+    A sweep takes a block S of up to 4096 sources. ``reach[v]`` is a bitset
+    of the sources in S within distance d of v. Round d adds |S| - |reach[v]|,
+    the sources still farther than d from v, for each v, and then grows every
+    reach by the reaches of v's neighbors. Summed over all rounds, each pair
+    (s, v) is counted d(s, v) times. A round costs at most n + 2m ORs of
+    |S|-bit ints, so a graph of diameter D costs about D * (n + 2m) of them
+    per block: far below one BFS per vertex when D << n, and worst on paths.
+    Memory stays at two lists of n such ints.
 
     Raises EmptyGraphError for 0 vertices and DisconnectedGraphError when any
     distance is infinite; neither case has a defined value here.
@@ -132,27 +146,32 @@ def wiener_index(g: Graph) -> int:
     n = g.vertex_count
     if n == 0:
         raise EmptyGraphError("Wiener index of the empty graph is undefined")
+    if not is_connected(g):
+        raise DisconnectedGraphError(
+            "Wiener index is undefined for disconnected graphs"
+        )
     adj = g.adjacency
     total = 0
-    for src in range(n):
-        dist = [-1] * n
-        dist[src] = 0
-        queue = [src]
-        push = queue.append
-        acc = 0
-        # queue grows while being iterated; Python list iterators follow it
-        for u in queue:
-            d = dist[u] + 1
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = d
-                    acc += d
-                    push(v)
-        if src == 0 and len(queue) != n:
-            raise DisconnectedGraphError(
-                "Wiener index is undefined for disconnected graphs"
-            )
-        total += acc
+    for first in range(0, n, _SWEEP_SOURCES):
+        width = min(_SWEEP_SOURCES, n - first)
+        full = (1 << width) - 1
+        reach = [0] * n
+        for i in range(width):
+            reach[first + i] = 1 << i
+        # connected, so every reach fills within D rounds
+        todo = range(n)
+        while todo:
+            total += sum(width - reach[v].bit_count() for v in todo)
+            # every reach of round d is read before any of round d + 1 is stored
+            grown = []
+            for v in todo:
+                b = reach[v]
+                for u in adj[v]:
+                    b |= reach[u]
+                grown.append(b)
+            for v, b in zip(todo, grown):
+                reach[v] = b
+            todo = [v for v in todo if reach[v] != full]
     return total // 2
 
 

@@ -231,7 +231,7 @@ def test_wiener2_formula_against_subdivided_quipu_bfs():
     from linewiener._fast import wiener2_tree_layout
     from linewiener.analysis import _ua_w_w2
 
-    for a in range(2, 13):
+    for a in range(2, 21):
         layout = level_sequence(build(SubdividedQuipu(a)))
         assert wiener2_tree_layout(layout) == _ua_w_w2(a, DEFAULT_BUDGET)[2], a
 

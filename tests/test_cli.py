@@ -126,6 +126,54 @@ def test_scan_reports_thresholds(capsys):
     assert "smallest passing a: 10" in out
 
 
+def test_scan_checks_the_budget_before_any_a(capsys, monkeypatch):
+    # L^2(U_40) outgrows the budget; the scan must refuse before it
+    # evaluates a = 2, where it used to get as far as a = 29
+    import linewiener.analysis as analysis
+
+    calls = []
+
+    def evaluate(a, budget):
+        calls.append(a)
+        raise AssertionError(f"scan evaluated a = {a} before the budget check")
+
+    monkeypatch.setattr(analysis, "subdivided_quipu_beats_path", evaluate)
+    code, out, err = run(
+        capsys, "scan", "--case", "ua", "--a-range", "2..40", "--budget", "1000"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line graph iteration")
+    assert "budget is 1000\n" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--case", "ua", "--a-range", "2..100000"),
+        ("verify", "thm5", "--a", "100000"),
+    ],
+)
+def test_ua_past_the_budget_fails_without_being_built(capsys, monkeypatch, argv):
+    # U_100000 has about 10^10 vertices: its order alone must refuse it,
+    # before it is built or any a is evaluated
+    import linewiener.cli as cli
+
+    def refuse(*args):
+        raise AssertionError(f"worked on {args} before the budget check")
+
+    monkeypatch.setattr(cli, "build", refuse)
+    monkeypatch.setattr(cli.analysis, "subdivided_quipu_beats_path", refuse)
+    code, out, err = run(capsys, *argv, "--budget", "1000000")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: line graph iteration 1 would need 10000299999 vertices, "
+        "budget is 1000000\n"
+    )
+
+
 def test_scan_all_cases(capsys):
     code, out, _ = run(capsys, "scan", "--case", "all", "--a-range", "2..8")
     assert code == 0

@@ -103,6 +103,8 @@ def test_wiener_undefined_cases():
     with pytest.raises(EmptyGraphError):
         wiener_index(Graph(0))
     with pytest.raises(DisconnectedGraphError):
+        wiener_index(Graph(2))
+    with pytest.raises(DisconnectedGraphError):
         wiener_index(Graph(4, [(0, 1), (2, 3)]))
 
 
@@ -112,13 +114,99 @@ def test_wiener_matches_oracle_on_random_inputs():
         t = random_tree(rng, rng.randrange(2, 24))
         assert wiener_index(t) == naive_wiener(t)
     for _ in range(60):
-        g = random_graph(rng, rng.randrange(2, 14), rng.uniform(0.2, 0.9))
-        expected = naive_wiener(g)
-        if expected < 0:
+        _assert_wiener_matches_oracle(
+            random_graph(rng, rng.randrange(2, 14), rng.uniform(0.2, 0.9))
+        )
+
+
+def _assert_wiener_matches_oracle(g):
+    expected = naive_wiener(g)
+    if expected < 0:
+        with pytest.raises(DisconnectedGraphError):
+            wiener_index(g)
+    else:
+        assert wiener_index(g) == expected, g
+
+
+def _wiener_sweep_cases():
+    """Seeded graphs of order up to 60 for the bitset sweep: sparse
+    near-trees, dense graphs, forests, and graphs whose last vertex (the
+    highest bit) is isolated."""
+    rng = random.Random(1010)
+    cases = []
+    for _ in range(30):
+        n = rng.randrange(2, 61)
+        t = random_tree(rng, n)
+        extra = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(4))]
+        cases.append(Graph(n, [*t.edges(), *extra]))
+        cut = list(t.edges())
+        del cut[rng.randrange(len(cut))]
+        cases.append(Graph(n, cut))
+    for _ in range(30):
+        n = rng.randrange(2, 61)
+        cases.append(random_graph(rng, n, rng.uniform(0.1, 0.9)))
+        g = random_graph(rng, n - 1, rng.uniform(0.3, 0.9))
+        cases.append(Graph(n, g.edges()))
+    return cases
+
+
+def test_wiener_sweep_matches_oracle_on_seeded_graphs():
+    cases = _wiener_sweep_cases()
+    assert any(naive_wiener(g) < 0 for g in cases)
+    assert any(naive_wiener(g) > 0 and g.edge_count > g.vertex_count for g in cases)
+    for g in cases:
+        _assert_wiener_matches_oracle(g)
+
+
+def test_wiener_sweep_on_long_diameters_and_complete_graphs():
+    # paths and cycles run the most rounds: P_200 takes 199, C_200 takes 100
+    for n in [*range(1, 41), 63, 64, 65, 99, 100, 101, 128, 199, 200]:
+        _assert_wiener_matches_oracle(path(n))
+        if n >= 3:
+            _assert_wiener_matches_oracle(cycle(n))
+    for n in range(1, 31):
+        k = complete(n)
+        assert wiener_index(k) == n * (n - 1) // 2 == naive_wiener(k)
+
+
+@pytest.mark.parametrize("width", [1, 3, 7])
+def test_wiener_sweep_blocks_of_sources(monkeypatch, width):
+    # narrow blocks put every order here past one block, with a short last
+    from linewiener import graphs
+
+    monkeypatch.setattr(graphs, "_SWEEP_SOURCES", width)
+    for g in _wiener_sweep_cases()[:40] + [path(23), cycle(30), complete(9)]:
+        _assert_wiener_matches_oracle(g)
+
+
+def test_wiener_sweep_past_one_block_of_sources():
+    # 4096 sources per block: orders 4097 and 4225 take two blocks
+    n = 4097
+    assert wiener_index(star(n)) == (n - 1) ** 2
+    a = b = 65
+    grid = Graph(
+        a * b,
+        [(i * b + j, i * b + j + 1) for i in range(a) for j in range(b - 1)]
+        + [(i * b + j, (i + 1) * b + j) for i in range(a - 1) for j in range(b)],
+    )
+    # W(G x H) = |H|^2 W(G) + |G|^2 W(H), and W(P_k) = C(k + 1, 3)
+    w_path = (a + 1) * a * (a - 1) // 6
+    assert wiener_index(grid) == 2 * b * b * w_path
+
+
+def test_wiener_sweep_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    cases = _wiener_sweep_cases() + [path(200), cycle(200), complete(12)]
+    for g in cases:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.vertex_count))
+        h.add_edges_from(g.edges())
+        expected = nx.wiener_index(h)
+        if expected == float("inf"):
             with pytest.raises(DisconnectedGraphError):
                 wiener_index(g)
         else:
-            assert wiener_index(g) == expected
+            assert wiener_index(g) == expected, g
 
 
 def test_line_graph_small_cases():
