@@ -16,7 +16,12 @@ from math import comb
 from typing import Optional
 
 from . import _fast
-from .enumeration import canonical_code, free_tree_layouts, layout_graph
+from .enumeration import (
+    canonical_code,
+    free_tree_count,
+    free_tree_layouts,
+    layout_graph,
+)
 from .errors import CrossCheckError, ParameterError, SearchLimitError
 from .families import BalancedQuipu, Path, Spider, Star, SubdividedQuipu, build
 from .formulas import (
@@ -380,6 +385,15 @@ def _scan_block(args):
     return (scanned, *best)
 
 
+def _check_tree_count(n: int, scanned: int) -> None:
+    """An unfiltered sweep must see every free tree of order n exactly once."""
+    expected = free_tree_count(n)
+    if scanned != expected:
+        raise CrossCheckError(
+            f"{scanned} trees scanned at order {n}, but there are {expected}"
+        )
+
+
 def _min_ratio_scan(
     n: int,
     k: int,
@@ -394,7 +408,8 @@ def _min_ratio_scan(
     share the root's first subtree) numbered i mod jobs, so the jobs
     partition the stream and each walks only its own part. Merging their
     exact minima is associative and the witnesses are sorted, so any job
-    count gives identical results.
+    count gives identical results. An unfiltered sweep must have scanned
+    exactly free_tree_count(n) trees, or it raises CrossCheckError.
     """
     args = [
         (n, k, max_degree, min_max_degree, min_degree3_count, i, jobs)
@@ -415,6 +430,8 @@ def _min_ratio_scan(
         scanned += part_scanned
         if part_w is not None:
             _keep_min(best, part_wk, part_w, lambda: part_wit)
+    if (max_degree, min_max_degree, min_degree3_count) == (None, None, None):
+        _check_tree_count(n, scanned)
     best_wk, best_w, witnesses = best
     ratio = None if best_w is None else Fraction(best_wk, best_w)
     return scanned, ratio, tuple(sorted(witnesses))
@@ -477,12 +494,21 @@ def star_minimizes_r1(
 
 
 def line_wiener_tree_identity(n: int) -> bool:
-    """W(L(T)) = W(T) - C(n,2) for every tree of order n."""
+    """W(L(T)) = W(T) - C(n,2) for every tree of order n.
+
+    Raises CrossCheckError unless the sweep saw free_tree_count(n) trees.
+    """
     if n < 2:
         raise ParameterError(f"identity check needs n >= 2, got {n}")
     shift = comb(n, 2)
-    trees = (_tree_w_wk(layout, 1) for layout in free_tree_layouts(n))
-    return all(wk == w - shift for w, wk in trees)
+    scanned = 0
+    holds = True
+    for layout in free_tree_layouts(n):
+        scanned += 1
+        w, wk = _tree_w_wk(layout, 1)
+        holds = holds and wk == w - shift
+    _check_tree_count(n, scanned)
+    return holds
 
 
 # ------------------------------------------------- verification bundles

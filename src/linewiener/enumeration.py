@@ -12,10 +12,13 @@ sweeps feasible; generating labeled trees and de-duplicating dies around
 order 12.
 
 A block of the stream is a run of layouts that share the root's first
-subtree. Its non-root vertices have the same degrees in every tree of the
-block, so a degree-filtered stream tests that first subtree once and skips
-every block it rules out without walking it. Striped streams count
-positions in the unfiltered stream and do not skip.
+subtree; the stream splits into blocks for parallel consumers. Layouts
+that share any prefix form a run of the stream too, and a degree filter
+decides them by one rule: once a prefix fixes a vertex's degree above a
+bound, or fixes too much degree waste to leave room for the required
+degree-3 vertices, the walk skips the whole run of that prefix in one
+step. Striped streams count positions in the unfiltered stream and do not
+skip.
 
 `canonical_code` gives a relabeling-invariant byte encoding (equal codes
 iff isomorphic), used to de-duplicate search witnesses and to cross-check
@@ -24,7 +27,7 @@ the enumerator against independent generators.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import filterfalse, islice
 from math import factorial
 from typing import Iterator, Optional
 
@@ -109,60 +112,63 @@ def layout_graph(layout: list[int]) -> Graph:
     return Graph(len(parent), ((parent[i], i) for i in range(1, len(parent))))
 
 
-def _degrees(layout: list[int]) -> list[int]:
-    """Degree of each vertex of a layout's tree.
+def _degree_filter(
+    n: int,
+    max_degree: Optional[int] = None,
+    min_max_degree: Optional[int] = None,
+    min_degree3_count: Optional[int] = None,
+):
+    """cut(layout) for the degree filters on trees of order n, or None.
 
-    layout_parents' decode, counting each parent edge as it is found; every
-    vertex but the root has one parent edge.
-    """
-    n = len(layout)
-    deg = [1] * n
-    deg[0] = 0
-    last = [0] * n
-    for i in range(1, n):
-        level = layout[i]
-        deg[last[level - 1]] += 1
-        last[level] = i
-    return deg
+    cut returns 0 when the layout's tree passes. Otherwise it returns a
+    prefix length j such that every layout sharing layout[:j] fails; j = n
+    condemns this layout alone. It is None when no filter is set.
 
-
-def _degree_filter(n: int, max_degree, min_max_degree, min_degree3_count):
-    """(keep, fits) for the degree filters on trees of order n.
-
-    keep(layout) decides a layout. fits(first) is a necessary condition on
-    a block's first subtree layout[:m]: a block it fails holds no tree that
-    keep passes. Either is None when no filter it can use is set.
+    A vertex is closed once a later vertex sits at its level or shallower:
+    from then on it has the same degree in every layout sharing the prefix.
+    An open vertex's degree can only grow. So a prefix fails as soon as a
+    degree exceeds `max_degree`, or as soon as the degree-3 budget is spent:
+    n = 2 + 2 n_3 + waste, where waste sums d - 1 over every degree d other
+    than 3, so n_3 >= t leaves at most n - 2 - 2t of waste. A prefix commits
+    to the waste of its closed vertices and of its open vertices of degree
+    4 or more; an open vertex of degree 1 or 2 may still reach 3.
     """
     if max_degree is None and min_max_degree is None and min_degree3_count is None:
-        return None, None
+        return None
+    most = n if max_degree is None else max_degree
+    least = 0 if min_max_degree is None else min_max_degree
+    need3 = 0 if min_degree3_count is None else min_degree3_count
+    budget = n - 2 - 2 * need3
 
-    def keep(layout: list[int]) -> bool:
-        deg = _degrees(layout)
+    def cut(layout: list[int]) -> int:
+        # layout_parents' decode, counting each parent edge as it is found;
+        # last[0..depth] are the open vertices, one per level
+        deg = [1] * n
+        deg[0] = 0
+        last = [0] * n
+        depth = 0
+        waste = 0
+        for i in range(1, n):
+            level = layout[i]
+            if level <= depth:
+                for v in last[level : depth + 1]:
+                    if deg[v] == 2:
+                        waste += 1
+            parent = last[level - 1]
+            d = deg[parent] + 1
+            deg[parent] = d
+            if d > 3:
+                waste += 1 if d > 4 else 3
+            if d > most or waste > budget:
+                return i + 1
+            last[level] = i
+            depth = level
         top = max(deg)
-        if max_degree is not None and top > max_degree:
-            return False
-        if min_max_degree is not None and top < min_max_degree:
-            return False
-        return min_degree3_count is None or deg.count(3) >= min_degree3_count
+        if top > most or top < least or deg.count(3) < need3:
+            return n
+        return 0
 
-    if max_degree is None and min_degree3_count is None:
-        return keep, None
-
-    def fits(first: list[int]) -> bool:
-        # vertices 1..m-1 have all their children inside the first subtree,
-        # so they have these degrees in every tree of the block
-        inner = _degrees(first)[1:]
-        if max_degree is not None and max(inner) > max_degree:
-            return False
-        if min_degree3_count is None:
-            return True
-        # n = 2 + 2 n_3 + n_2 + sum over degrees d >= 4 of (d - 1), so
-        # n_3 >= t leaves the whole tree, and so these vertices, at most
-        # n - 2 - 2t of that waste: d - 1 for each degree d other than 3
-        waste = sum(d - 1 for d in inner if d != 3)
-        return waste <= n - 2 - 2 * min_degree3_count
-
-    return keep, fits
+    return cut
 
 
 def _path_layout(n: int) -> list[int]:
@@ -182,16 +188,20 @@ def _stream(n: int) -> Iterator[list[int]]:
         layout = _next_rooted_layout(layout)
 
 
-def _block_walk(n: int, index: int, count: int, fits) -> Iterator[list[int]]:
+def _block_walk(n: int, index: int, count: int, cut) -> Iterator[list[int]]:
     """The stream's blocks numbered index mod count, in stream order.
 
     A block is a maximal run of consecutive layouts that share the root's
     first subtree layout[:m]. Inside an own block this takes the stream's
     step and stops when the step leaves the first subtree: the rooted
     successor's pivot falls below m, or the free step jumps, which it does
-    with pivot m - 1. Another block, or an own block whose first subtree
-    fails `fits`, is skipped without walking it, from the rooted successor
-    of its smallest layout, layout[:m] + [1, ...].
+    with pivot m - 1. A layout that `cut` rules out at prefix length j is
+    not yielded, and the walk goes on from the rooted successor of the
+    smallest layout sharing its first J = max(j, m) levels,
+    layout[:J] + [1, ...]: every layout in between fails too. So an own
+    block whose first subtree already fails `cut` ends at its first layout,
+    and another block is skipped the same way with J = m, without walking
+    it.
     """
     if n == 1:
         if index == 0:
@@ -206,9 +216,14 @@ def _block_walk(n: int, index: int, count: int, fits) -> Iterator[list[int]]:
         while layout is not candidate:
             candidate, layout = layout, _next_free_layout(layout)
         m = _first_subtree_end(layout)
-        if block % count == index and (fits is None or fits(layout[:m])):
+        if block % count == index:
             while True:
-                yield layout
+                j = 0 if cut is None else cut(layout)
+                if j:
+                    j = max(j, m)
+                    layout = layout[:j] + [1] * (n - j)
+                else:
+                    yield layout
                 p = n - 1
                 while layout[p] == 1:
                     p -= 1
@@ -267,11 +282,11 @@ def free_tree_layouts(
     before filtering. `block` and `stripe` cannot be combined.
 
     Without a stripe, `max_degree` and `min_degree3_count` also skip, in
-    the same few steps, every block whose first subtree already rules the
-    filter out: a vertex there above `max_degree`, or too many vertices of
-    degree other than 3 to leave room for `min_degree3_count` of them. The
-    layouts yielded are the same; only fewer are walked. A striped stream
-    walks every layout.
+    one step each, every run of layouts that share a prefix which already
+    rules the filter out: a vertex there above `max_degree`, or too many
+    vertices of degree other than 3 to leave room for `min_degree3_count`
+    of them. The layouts yielded are the same; only fewer are walked. A
+    striped stream walks every layout.
 
     Arguments are checked at the call, before the first layout.
     """
@@ -281,14 +296,37 @@ def free_tree_layouts(
     b_index, count = _check_part("block", "count", block)
     if n < 1:
         raise ParameterError(f"free_tree_layouts needs n >= 1, got {n}")
-    keep, fits = _degree_filter(n, max_degree, min_max_degree, min_degree3_count)
-    if count == 1 and (fits is None or stripe is not None):
-        layouts = _stream(n)
-    else:
-        layouts = _block_walk(n, b_index, count, fits)
+    cut = _degree_filter(n, max_degree, min_max_degree, min_degree3_count)
+    # min_max_degree alone rules nothing out before the last vertex, and
+    # order 1 has no prefix to cut: these filter the plain walk instead
+    if stripe is None and n > 1 and (max_degree, min_degree3_count) != (None, None):
+        return _block_walk(n, b_index, count, cut)
+    layouts = _stream(n) if count == 1 else _block_walk(n, b_index, count, None)
     if step > 1:
         layouts = islice(layouts, s_index, None, step)
-    return layouts if keep is None else filter(keep, layouts)
+    return layouts if cut is None else filterfalse(cut, layouts)
+
+
+def free_tree_count(n: int) -> int:
+    """Number of free trees on n vertices (OEIS A000055), exactly.
+
+    Otter's formula over the rooted counts r(k) (A000081):
+    t(n) = r(n) - (sum of r(i) r(n - i) over 0 < i < n, less r(n/2) for
+    even n) / 2.
+    """
+    if n < 1:
+        raise ParameterError(f"free_tree_count needs n >= 1, got {n}")
+    # r(k + 1) = (sum over j <= k of s(j) r(k - j + 1)) / k, where s(j)
+    # sums d r(d) over the divisors d of j
+    r = [0, 1]
+    s = [0]
+    for k in range(1, n):
+        s.append(sum(d * r[d] for d in range(1, k + 1) if k % d == 0))
+        r.append(sum(s[j] * r[k - j + 1] for j in range(1, k + 1)) // k)
+    pairs = sum(r[i] * r[n - i] for i in range(1, n))
+    if n % 2 == 0:
+        pairs -= r[n // 2]
+    return r[n] - pairs // 2
 
 
 def free_trees(

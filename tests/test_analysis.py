@@ -12,6 +12,7 @@ from linewiener import (
     DEFAULT_BUDGET,
     BalancedQuipu,
     BudgetExceededError,
+    CrossCheckError,
     Graph,
     ParameterError,
     SearchLimitError,
@@ -351,6 +352,30 @@ def test_star_minimizes_r1_at_small_orders():
 def test_line_wiener_tree_identity():
     for n in range(2, 11):
         assert line_wiener_tree_identity(n)
+
+
+@pytest.mark.parametrize("fault", ["drop", "repeat"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unfiltered_sweeps_check_the_tree_count(monkeypatch, fault, jobs):
+    # a walk that drops or repeats a tree has the wrong free-tree count,
+    # whichever tree it is, and also when only a worker's share is wrong
+    from linewiener import analysis
+
+    layouts = analysis.free_tree_layouts
+
+    def faulty(n, **kwargs):
+        stream = layouts(n, **kwargs)
+        first = next(stream)
+        yield from [first, first] if fault == "repeat" else []
+        yield from stream
+
+    monkeypatch.setattr(analysis, "free_tree_layouts", faulty)
+    with pytest.raises(CrossCheckError, match="trees scanned at order 8"):
+        min_r2_search(8, jobs=jobs)
+    with pytest.raises(CrossCheckError, match="trees scanned at order 7"):
+        star_minimizes_r1(7, jobs=jobs)
+    with pytest.raises(CrossCheckError, match="trees scanned at order 6"):
+        line_wiener_tree_identity(6)
 
 
 def test_tree_kernel_rejects_an_impossible_wiener_value(monkeypatch):

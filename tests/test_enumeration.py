@@ -341,26 +341,73 @@ def test_filtered_blocks_are_the_blocks_filtered_by_graph_degrees():
 
 
 def test_filtered_stream_is_pinned():
-    # the search-filtered workload's stream, whole and as two merged blocks
-    pinned = (294, "2c0497ba20a8c9ca2067e0380e0b58b21526e79479d96f737319467cdea25fdf")
-    assert stream_digest(free_tree_layouts(18, min_degree3_count=7)) == pinned
-    assert stream_digest(merged_blocks(18, 2, min_degree3_count=7)) == pinned
+    # the search-filtered workload's stream, and two more taken before the
+    # walk skipped prefix runs, each whole and as two merged blocks
+    pins = [
+        (18, {"min_degree3_count": 7}, 294,
+         "2c0497ba20a8c9ca2067e0380e0b58b21526e79479d96f737319467cdea25fdf"),
+        (17, {"max_degree": 3}, 5098,
+         "e294a0970bfcc85840c51f6b6ef4956761384d90f953d5706d7301b77a7db98a"),
+        (20, {"min_degree3_count": 8}, 693,
+         "1aeb304570618cfe25286b27324ec9c48c46fa7130ae23390353754b71b2de90"),
+    ]
+    for n, kwargs, size, digest in pins:
+        pinned = (size, digest)
+        assert stream_digest(free_tree_layouts(n, **kwargs)) == pinned, n
+        assert stream_digest(merged_blocks(n, 2, **kwargs)) == pinned, n
 
 
 def test_filtered_stream_skips_blocks(monkeypatch):
-    # every layout that reaches the exact degree test is decoded in full;
-    # without the first-subtree bound all 123,867 of order 18 would be
-    full = []
-    degrees = enumeration._degrees
+    # every layout the walk visits is decoded by the degree cut; without
+    # the prefix skips all 123,867 of order 18 would be
+    calls = []
+    degree_filter = enumeration._degree_filter
 
-    def counting(layout):
-        if len(layout) == 18:
-            full.append(1)
-        return degrees(layout)
+    def counting_filter(*args):
+        cut = degree_filter(*args)
 
-    monkeypatch.setattr(enumeration, "_degrees", counting)
+        def counting(layout):
+            calls.append(1)
+            return cut(layout)
+
+        return counting
+
+    monkeypatch.setattr(enumeration, "_degree_filter", counting_filter)
     assert sum(1 for _ in free_tree_layouts(18, min_degree3_count=7)) == 294
-    assert len(full) < 30000
+    assert 0 < len(calls) < 10000
+
+
+def test_degree_cut_is_sound():
+    # cut(layout) is 0 exactly when the tree passes, and a prefix length
+    # j < n it returns is shared by no passing layout of the stream
+    for n in range(1, 14):
+        layouts = list(free_tree_layouts(n))
+        degrees = [graph_degrees(layout_graph(layout)) for layout in layouts]
+        for kwargs in DEGREE_FILTERS + pruning_filters(n):
+            cut = enumeration._degree_filter(n, **kwargs)
+            kept = [
+                layout for layout, deg in zip(layouts, degrees) if passes(deg, kwargs)
+            ]
+            live = {tuple(layout[:j]) for layout in kept for j in range(1, n + 1)}
+            for layout, deg in zip(layouts, degrees):
+                j = cut(layout)
+                assert (j == 0) == passes(deg, kwargs), (layout, kwargs)
+                assert 0 <= j <= n, (layout, kwargs, j)
+                assert j == 0 or tuple(layout[:j]) not in live, (layout, kwargs, j)
+
+
+def test_free_tree_count_is_the_stream_size():
+    for n in range(1, 19):
+        assert enumeration.free_tree_count(n) == sum(
+            1 for _ in free_tree_layouts(n)
+        ), n
+    counts = [enumeration.free_tree_count(n) for n in range(1, 15)]
+    assert counts == FREE_TREE_COUNTS
+    assert enumeration.free_tree_count(22) == 5623756
+    assert enumeration.free_tree_count(23) == 14828074
+    assert enumeration.free_tree_count(24) == 39299897
+    with pytest.raises(ParameterError):
+        enumeration.free_tree_count(0)
 
 
 def test_canonical_code_shape():
