@@ -405,8 +405,9 @@ def _min_ratio_scan(
     """Exhaustive min of W(L^k)/W over filtered trees of order n.
 
     Job i walks the blocks of the enumeration stream (runs of layouts that
-    share the root's first subtree) numbered i mod jobs, so the jobs
-    partition the stream and each walks only its own part. Merging their
+    share the root's first subtree) numbered i mod jobs, counting only the
+    blocks the degree filters leave alive, so the jobs partition the
+    filtered stream and each walks only its own part. Merging their
     exact minima is associative and the witnesses are sorted, so any job
     count gives identical results. An unfiltered sweep must have scanned
     exactly free_tree_count(n) trees, or it raises CrossCheckError.

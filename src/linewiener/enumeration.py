@@ -17,8 +17,10 @@ that share any prefix form a run of the stream too, and a degree filter
 decides them by one rule: once a prefix fixes a vertex's degree above a
 bound, or fixes too much degree waste to leave room for the required
 degree-3 vertices, the walk skips the whole run of that prefix in one
-step. Striped streams count positions in the unfiltered stream and do not
-skip.
+step. A prefix within a block's first subtree condemns whole blocks;
+every consumer skips them unnumbered and splits only the live blocks
+among themselves. Striped streams count positions in the unfiltered
+stream and do not skip.
 
 `canonical_code` gives a relabeling-invariant byte encoding (equal codes
 iff isomorphic), used to de-duplicate search witnesses and to cross-check
@@ -189,19 +191,22 @@ def _stream(n: int) -> Iterator[list[int]]:
 
 
 def _block_walk(n: int, index: int, count: int, cut) -> Iterator[list[int]]:
-    """The stream's blocks numbered index mod count, in stream order.
+    """The live stream blocks numbered index mod count, in stream order.
 
     A block is a maximal run of consecutive layouts that share the root's
-    first subtree layout[:m]. Inside an own block this takes the stream's
-    step and stops when the step leaves the first subtree: the rooted
-    successor's pivot falls below m, or the free step jumps, which it does
-    with pivot m - 1. A layout that `cut` rules out at prefix length j is
-    not yielded, and the walk goes on from the rooted successor of the
-    smallest layout sharing its first J = max(j, m) levels,
-    layout[:J] + [1, ...]: every layout in between fails too. So an own
-    block whose first subtree already fails `cut` ends at its first layout,
-    and another block is skipped the same way with J = m, without walking
-    it.
+    first subtree layout[:m]. A block is dead when `cut` rules out its
+    first layout at a prefix length 0 < j <= m: every layout sharing
+    layout[:j] fails, and those layouts are whole blocks, a run of the
+    stream. Every consumer skips that run unnumbered in one step, from the
+    rooted successor of layout[:j] + [1, ...], and numbers only the live
+    blocks; without `cut` every block is live.
+
+    Inside an own block this takes the stream's step and stops when the
+    step leaves the first subtree: the rooted successor's pivot falls below
+    m, or the free step jumps, which it does with pivot m - 1. Inside a
+    live block `cut` can only rule out prefixes longer than m; the walk
+    skips such a run of layout[:j] the same way. Another consumer's block
+    is skipped with j = m, without walking it.
     """
     if n == 1:
         if index == 0:
@@ -216,11 +221,13 @@ def _block_walk(n: int, index: int, count: int, cut) -> Iterator[list[int]]:
         while layout is not candidate:
             candidate, layout = layout, _next_free_layout(layout)
         m = _first_subtree_end(layout)
+        j = 0 if cut is None else cut(layout)
+        if 0 < j <= m:
+            candidate = _next_rooted_layout(layout[:j] + [1] * (n - j))
+            continue
         if block % count == index:
             while True:
-                j = 0 if cut is None else cut(layout)
                 if j:
-                    j = max(j, m)
                     layout = layout[:j] + [1] * (n - j)
                 else:
                     yield layout
@@ -234,6 +241,7 @@ def _block_walk(n: int, index: int, count: int, cut) -> Iterator[list[int]]:
                 if layout is not candidate:
                     candidate = layout
                     break
+                j = 0 if cut is None else cut(layout)
         else:
             candidate = _next_rooted_layout(layout[:m] + [1] * (n - m))
         block += 1
@@ -276,17 +284,22 @@ def free_tree_layouts(
 
     `block=(index, count)` splits the stream into blocks instead: maximal
     runs of consecutive layouts whose root has the same first subtree. It
-    yields the blocks whose number in the stream is congruent to index mod
-    count, in stream order, and walks only those; the others are skipped
-    in a few steps each. Blocks are disjoint, cover everything, and apply
-    before filtering. `block` and `stripe` cannot be combined.
+    yields the blocks whose number is congruent to index mod count, in
+    stream order, and walks only those; the others are skipped in a few
+    steps each. `block` and `stripe` cannot be combined.
 
     Without a stripe, `max_degree` and `min_degree3_count` also skip, in
     one step each, every run of layouts that share a prefix which already
     rules the filter out: a vertex there above `max_degree`, or too many
     vertices of degree other than 3 to leave room for `min_degree3_count`
     of them. The layouts yielded are the same; only fewer are walked. A
-    striped stream walks every layout.
+    striped stream walks every layout. When such a prefix lies within a
+    block's first subtree, its run is whole blocks, and these get no
+    number: only the live blocks are numbered, so with these filters the
+    partition depends on them. Unfiltered, or filtered by
+    `min_max_degree` alone, blocks are numbered in the unfiltered stream
+    and apply before filtering. Either way the blocks for one count are
+    disjoint and together yield exactly the filtered stream.
 
     Arguments are checked at the call, before the first layout.
     """

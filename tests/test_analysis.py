@@ -313,17 +313,26 @@ def test_search_jobs_do_not_change_the_report():
     lone = min_r2_search(10)
     multi = min_r2_search(10, jobs=3)
     assert lone == multi
-    # each job walks its own stream blocks, and a filter that rules out a
-    # block's first subtree skips the block; the merged reports must agree
+    # each job walks its own live stream blocks, and a filter that rules
+    # out a block's first subtree skips it unnumbered; the merged reports
+    # must agree
     cases = (
         (14, {"min_degree3_count": 2}),
         (13, {}),
         (16, {"min_degree3_count": 6}),
         (15, {"max_degree": 3, "min_degree3_count": 5}),
+        # the search-filtered workload, and one like it two orders up
+        (18, {"min_degree3_count": 7}),
+        (20, {"min_degree3_count": 8}),
     )
+    # the sizes of the two large streams, pinned in test_enumeration
+    pinned_sizes = {18: 294, 20: 693}
     for n, kwargs in cases:
         reports = [min_r2_search(n, jobs=jobs, **kwargs) for jobs in (1, 2, 3)]
         assert reports[0] == reports[1] == reports[2], n
+        if n in pinned_sizes:
+            assert reports[0].trees_scanned == pinned_sizes[n], n
+            continue
         # counted from the degrees of every decoded tree of the order
         degrees = ([g.degree(v) for v in range(n)] for g in free_trees(n))
         assert reports[0].trees_scanned == sum(

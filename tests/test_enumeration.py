@@ -236,23 +236,21 @@ def test_blocks_are_the_runs_of_one_first_subtree():
         assert list(free_tree_layouts(n, block=(count, count + 1))) == []
 
 
-def test_block_applies_before_filters():
-    kwargs = {"max_degree": 4, "min_degree3_count": 2}
-    for n in (9, 12):
-        kept = {tuple(layout) for layout in free_tree_layouts(n, **kwargs)}
-        for count in (2, 3):
-            for index in range(count):
-                got = list(free_tree_layouts(n, block=(index, count), **kwargs))
-                expected = [
-                    layout
-                    for layout in free_tree_layouts(n, block=(index, count))
-                    if tuple(layout) in kept
-                ]
-                assert got == expected, (n, count, index)
-    # the lone tree of orders 1 and 2 is in block 0
-    for n in (1, 2):
-        assert len(list(free_tree_layouts(n, max_degree=1, block=(0, 2)))) == 1
-        assert list(free_tree_layouts(n, max_degree=1, block=(1, 2))) == []
+def test_block_applies_before_a_filter_that_cannot_prune():
+    # min_max_degree alone rules nothing out before the last vertex, so its
+    # blocks are the unfiltered blocks, filtered
+    for kwargs in ({"min_max_degree": 3}, {"min_max_degree": 5}):
+        for n in (9, 12):
+            kept = {tuple(layout) for layout in free_tree_layouts(n, **kwargs)}
+            for count in (2, 3):
+                for index in range(count):
+                    got = list(free_tree_layouts(n, block=(index, count), **kwargs))
+                    expected = [
+                        layout
+                        for layout in free_tree_layouts(n, block=(index, count))
+                        if tuple(layout) in kept
+                    ]
+                    assert got == expected, (kwargs, n, count, index)
 
 
 def test_block_validation():
@@ -318,31 +316,51 @@ def pruning_filters(n):
     ]
 
 
-def test_filtered_blocks_are_the_blocks_filtered_by_graph_degrees():
-    # the pruned block walk against the unpruned one, decided tree by tree
-    # from the degrees of the decoded graph
+def test_filtered_blocks_are_the_live_runs_filtered_by_graph_degrees():
+    # the reference partition, built from the unpruned stream: its
+    # first-subtree runs, less each run whose first layout the cut rules
+    # out within its first subtree, numbered in stream order, each layout
+    # then decided from the degrees of its decoded graph
     for n in range(1, 17):
-        degrees = {
-            tuple(layout): graph_degrees(layout_graph(layout))
-            for layout in free_tree_layouts(n)
-        }
-        for count in (1, 2, 3):
-            for index in range(count):
-                plain = [
-                    (layout, degrees[tuple(layout)])
-                    for layout in free_tree_layouts(n, block=(index, count))
-                ]
-                for kwargs in DEGREE_FILTERS + pruning_filters(n):
+        full = list(free_tree_layouts(n))
+        degrees = [graph_degrees(layout_graph(layout)) for layout in full]
+        runs = [
+            list(run)
+            for _, run in groupby(
+                zip(full, degrees), key=lambda pair: first_subtree(pair[0])
+            )
+        ]
+        for kwargs in DEGREE_FILTERS + pruning_filters(n):
+            got = list(free_tree_layouts(n, **kwargs))
+            assert got == [
+                layout for layout, deg in zip(full, degrees) if passes(deg, kwargs)
+            ], (n, kwargs)
+            cut = enumeration._degree_filter(n, **kwargs)
+            live = [
+                run
+                for run in runs
+                if not 0 < cut(run[0][0]) <= len(first_subtree(run[0][0]))
+            ]
+            for count in (1, 2, 3):
+                for index in range(count):
                     expected = [
-                        layout for layout, deg in plain if passes(deg, kwargs)
+                        layout
+                        for run in live[index::count]
+                        for layout, deg in run
+                        if passes(deg, kwargs)
                     ]
                     got = list(free_tree_layouts(n, block=(index, count), **kwargs))
                     assert got == expected, (n, count, index, kwargs)
+    # the lone tree of orders 1 and 2 is in block 0
+    for n in (1, 2):
+        assert len(list(free_tree_layouts(n, max_degree=1, block=(0, 2)))) == 1
+        assert list(free_tree_layouts(n, max_degree=1, block=(1, 2))) == []
 
 
 def test_filtered_stream_is_pinned():
-    # the search-filtered workload's stream, and two more taken before the
-    # walk skipped prefix runs, each whole and as two merged blocks
+    # the search-filtered workload's stream, two more taken before the walk
+    # skipped prefix runs, and one of order 22 taken before it skipped dead
+    # blocks unnumbered, each whole and as two and three merged blocks
     pins = [
         (18, {"min_degree3_count": 7}, 294,
          "2c0497ba20a8c9ca2067e0380e0b58b21526e79479d96f737319467cdea25fdf"),
@@ -350,31 +368,54 @@ def test_filtered_stream_is_pinned():
          "e294a0970bfcc85840c51f6b6ef4956761384d90f953d5706d7301b77a7db98a"),
         (20, {"min_degree3_count": 8}, 693,
          "1aeb304570618cfe25286b27324ec9c48c46fa7130ae23390353754b71b2de90"),
+        (22, {"min_degree3_count": 9}, 1620,
+         "35ddf4ceacf0f84e308d1739dc0588d4ae97a247dc1150cf3fd507b5f652a872"),
     ]
     for n, kwargs, size, digest in pins:
         pinned = (size, digest)
         assert stream_digest(free_tree_layouts(n, **kwargs)) == pinned, n
-        assert stream_digest(merged_blocks(n, 2, **kwargs)) == pinned, n
+        for count in (2, 3):
+            merged = merged_blocks(n, count, **kwargs)
+            assert stream_digest(merged) == pinned, (n, count)
 
 
 def test_filtered_stream_skips_blocks(monkeypatch):
     # every layout the walk visits is decoded by the degree cut; without
-    # the prefix skips all 123,867 of order 18 would be
+    # the prefix skips all 123,867 of order 18 would be, and a run of dead
+    # blocks costs one call, not one a block
     calls = []
     degree_filter = enumeration._degree_filter
 
     def counting_filter(*args):
         cut = degree_filter(*args)
 
-        def counting(layout):
+        def counting_cut(layout):
             calls.append(1)
             return cut(layout)
 
-        return counting
+        return counting_cut
 
     monkeypatch.setattr(enumeration, "_degree_filter", counting_filter)
     assert sum(1 for _ in free_tree_layouts(18, min_degree3_count=7)) == 294
-    assert 0 < len(calls) < 10000
+    assert 0 < len(calls) < 4000
+    # each of two workers jumps the dead blocks too, rather than stepping
+    # over every block it does not own
+    steps = []
+    next_rooted_layout = enumeration._next_rooted_layout
+
+    def counting_step(*args):
+        steps.append(1)
+        return next_rooted_layout(*args)
+
+    monkeypatch.setattr(enumeration, "_next_rooted_layout", counting_step)
+    kept = 0
+    for index in (0, 1):
+        steps.clear()
+        kept += sum(
+            1 for _ in free_tree_layouts(18, min_degree3_count=7, block=(index, 2))
+        )
+        assert 0 < len(steps) < 4000, index
+    assert kept == 294
 
 
 def test_degree_cut_is_sound():
