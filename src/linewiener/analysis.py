@@ -9,13 +9,13 @@ a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Optional
 
 from . import _fast
+from ._record import Record
 from .enumeration import (
     canonical_code,
     free_tree_count,
@@ -49,16 +49,14 @@ from .graphs import (
 DEFAULT_SEARCH_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class WienerReport:
+class WienerReport(Record):
     """The Wiener index of one graph, with its order."""
 
     order: int
     wiener: int
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(Record):
     """Exact Wiener data of a graph and its line-graph iterates.
 
     `wiener_k[k]` and `r_k[k]` are indexed by iteration count, with slot 0
@@ -78,8 +76,7 @@ class RatioReport:
     beats_path: Optional[bool]
 
 
-@dataclass(frozen=True)
-class MinimizerReport:
+class MinimizerReport(Record):
     """Result of an exhaustive ratio minimization over trees of one order.
 
     `witnesses` holds the canonical codes of every argmin tree, sorted;
@@ -94,8 +91,7 @@ class MinimizerReport:
     trees_scanned: int
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(Record):
     """Per-parameter deficit gaps for a one-parameter tree family.
 
     Each row of `per_a_gap` is (a, (1 - R2(T_a)) - (1 - R2(P_n))) with n
@@ -109,8 +105,7 @@ class ThresholdReport:
     per_a_gap: tuple[tuple[int, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class SubdividedQuipuCheck:
+class SubdividedQuipuCheck(Record):
     """R2 of the subdivided quipu U_a against the equal-order path."""
 
     a: int
@@ -120,8 +115,7 @@ class SubdividedQuipuCheck:
     holds: bool
 
 
-@dataclass(frozen=True)
-class SubdividedQuipuDeviation:
+class SubdividedQuipuDeviation(Record):
     """How far W(U_a) and D2(U_a) sit from their leading terms.
 
     w_dev = W/((2/3)a^5) - 1 and d2_dev = D2/((1/6)a^4) - 1, exactly; both
@@ -135,8 +129,7 @@ class SubdividedQuipuDeviation:
     d2_dev: Fraction
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """One named pass/fail line of a verification bundle."""
 
     name: str
@@ -334,10 +327,10 @@ def _masks_wk(layout: list[int], k: int) -> int:
 def _tree_w_wk(layout: list[int], k: int) -> tuple[int, int]:
     """(W(T), W(L^k(T))) of a layout's tree.
 
-    W comes from the edge-cut sum. W_2 comes from the O(n) wedge formula
-    of _fast.wiener2_tree_layout, which _witness_codes confirms by BFS on
-    each tree a sweep keeps; any other W_k comes from a bitmask BFS on the
-    k-th line-graph iterate. Every sweep over the free-tree stream evaluates
+    W comes from the edge-cut sum and W_2 from the O(n) wedge formula of
+    _fast.wiener2_tree_layout; _witness_codes confirms both by BFS on each
+    tree a sweep keeps. Any other W_k comes from a bitmask BFS on the k-th
+    line-graph iterate. Every sweep over the free-tree stream evaluates
     its trees here, so this is the one place a faster evaluator plugs in.
     """
     w = _fast.wiener_tree_layout(layout)
@@ -347,23 +340,31 @@ def _tree_w_wk(layout: list[int], k: int) -> tuple[int, int]:
     return w, wk
 
 
-def _witness_codes(layout: list[int], k: int, wk: int) -> list[bytes]:
+def _witness_codes(layout: list[int], k: int, w: int, wk: int) -> list[bytes]:
     """The canonical code of a tree a sweep keeps as an argmin.
 
-    At k = 2 its W_2 came from the formula, so the mask BFS recomputes it
-    first: every reported witness is confirmed by two methods.
+    Its W came from the edge-cut sum, so a BFS on the tree's graph
+    recomputes it first; at k = 2 its W_2 came from the formula, so the
+    mask BFS recomputes that too. Every reported witness is confirmed by
+    two methods.
     """
+    g = layout_graph(layout)
+    bfs = wiener_index(g)
+    if bfs != w:
+        raise CrossCheckError(
+            f"W = {w} by edge cuts, {bfs} by BFS for layout {layout}"
+        )
     if k == 2:
         bfs = _masks_wk(layout, 2)
         if bfs != wk:
             raise CrossCheckError(
                 f"W_2 = {wk} by formula, {bfs} by BFS for layout {layout}"
             )
-    return [canonical_code(layout_graph(layout))]
+    return [canonical_code(g)]
 
 
 def _scan_block(args):
-    """One job's blocks of a min W_k/W sweep; must stay picklable for Pool.
+    """One job's blocks of a min W_k/W sweep.
 
     Returns (scanned, best_wk, best_w, witness_codes); best values are None
     when no tree of the blocks passes the filters. Witnesses are the codes
@@ -381,8 +382,79 @@ def _scan_block(args):
     ):
         scanned += 1
         w, wk = _tree_w_wk(layout, k)
-        _keep_min(best, wk, w, lambda: _witness_codes(layout, k, wk))
+        _keep_min(best, wk, w, lambda: _witness_codes(layout, k, w, wk))
     return (scanned, *best)
+
+
+def _scan_worker(conn, args) -> None:
+    """Run _scan_block(args) in a worker process and send back its result,
+    ("ok", result), or the exception it raised, ("error", exc)."""
+    import signal
+
+    # Ctrl-C reaches the whole process group; the parent alone handles it
+    # and terminates its workers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        reply = ("ok", _scan_block(args))
+    except Exception as exc:
+        reply = ("error", exc)
+    conn.send(reply)
+    conn.close()
+
+
+def _scan_in_workers(args: list) -> list:
+    """_scan_block of every args entry, each in its own worker process.
+
+    A worker's exception is raised again here. A worker that dies before
+    it replies (killed, say) raises CrossCheckError at once, without
+    waiting for the others. Every worker still alive on the way out, by
+    return, error or Ctrl-C, is terminated and joined.
+    """
+    # imported here: every other command would pay for its import
+    import multiprocessing.connection
+
+    # the platform's default start method: on Linux a fork, which is safe
+    # because nothing here starts a thread, and which spares every worker
+    # the package import that spawn would repeat
+    ctx = multiprocessing.get_context()
+    workers = []
+    try:
+        for job in args:
+            receiver, sender = ctx.Pipe(duplex=False)
+            # daemon: one that a Ctrl-C during start-up leaves out of
+            # `workers` is terminated at exit instead of waited for
+            proc = ctx.Process(
+                target=_scan_worker, args=(sender, job), daemon=True
+            )
+            proc.start()
+            # the worker now holds the only send end, so its death reads as
+            # EOF here
+            sender.close()
+            workers.append((proc, receiver))
+        results = [None] * len(args)
+        pending = {receiver: i for i, (_, receiver) in enumerate(workers)}
+        while pending:
+            for receiver in multiprocessing.connection.wait(list(pending)):
+                i = pending.pop(receiver)
+                try:
+                    status, value = receiver.recv()
+                except EOFError:
+                    proc = workers[i][0]
+                    proc.join()
+                    raise CrossCheckError(
+                        f"search worker {i} of {len(args)} exited with code "
+                        f"{proc.exitcode} before sending its result"
+                    ) from None
+                if status == "error":
+                    raise value
+                results[i] = value
+        return results
+    finally:
+        for proc, receiver in workers:
+            receiver.close()
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
 
 
 def _check_tree_count(n: int, scanned: int) -> None:
@@ -416,15 +488,7 @@ def _min_ratio_scan(
         (n, k, max_degree, min_max_degree, min_degree3_count, i, jobs)
         for i in range(jobs)
     ]
-    if jobs == 1:
-        results = [_scan_block(args[0])]
-    else:
-        # imported here: every other command would pay for its import
-        import multiprocessing
-
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(jobs) as pool:
-            results = pool.map(_scan_block, args)
+    results = [_scan_block(args[0])] if jobs == 1 else _scan_in_workers(args)
     scanned = 0
     best = [None, None, []]
     for part_scanned, part_wk, part_w, part_wit in results:

@@ -453,7 +453,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
-        # leaving the with-block of a Pool has already terminated its workers
+        # the search has already terminated and joined its --jobs workers
         print("interrupted", file=sys.stderr)
         return 130
 

@@ -57,8 +57,10 @@ class CrossCheckError(LineWienerError, ArithmeticError):
     """Two independent computations of one exact value disagree.
 
     Raised by the package's internal cross-checks, never by bad input: it
-    means a fault in the code. It keeps the default one-message
-    constructor, so a worker process can send it back to its pool.
+    means a fault in the code. A search also raises it when one of its
+    worker processes dies before it reports, since that worker's trees
+    went unchecked. It keeps the default one-message constructor, so a
+    worker process can send it back to the parent.
     """
 
 

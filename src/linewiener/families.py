@@ -23,15 +23,14 @@ serialized outputs are reproducible:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
+from ._record import Record
 from .errors import ParameterError
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     n: int
 
     def __post_init__(self):
@@ -39,8 +38,7 @@ class Path:
             raise ParameterError(f"path needs n >= 1, got {self.n}")
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(Record):
     n: int
 
     def __post_init__(self):
@@ -48,8 +46,7 @@ class Star:
             raise ParameterError(f"star needs order n >= 2, got {self.n}")
 
 
-@dataclass(frozen=True)
-class Complete:
+class Complete(Record):
     n: int
 
     def __post_init__(self):
@@ -57,8 +54,7 @@ class Complete:
             raise ParameterError(f"complete graph needs n >= 1, got {self.n}")
 
 
-@dataclass(frozen=True)
-class Spider:
+class Spider(Record):
     """Three paths of a, b, c edges glued at a common center vertex."""
 
     a: int
@@ -72,8 +68,7 @@ class Spider:
             )
 
 
-@dataclass(frozen=True)
-class Quipu:
+class Quipu(Record):
     """Spine path with a pendant path of heights[i] vertices at each internal
     spine vertex."""
 
@@ -91,8 +86,7 @@ class Quipu:
         return len(self.heights)
 
 
-@dataclass(frozen=True)
-class BalancedQuipu:
+class BalancedQuipu(Record):
     a: int
 
     def __post_init__(self):
@@ -100,8 +94,7 @@ class BalancedQuipu:
             raise ParameterError(f"balanced quipu needs a >= 2, got {self.a}")
 
 
-@dataclass(frozen=True)
-class SubdividedQuipu:
+class SubdividedQuipu(Record):
     a: int
 
     def __post_init__(self):

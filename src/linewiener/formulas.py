@@ -18,9 +18,9 @@ path at its order exactly when its deficit exceeds the path's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import CrossCheckError, ParameterError
 
 CASES = ("i", "ii", "iii")
@@ -119,8 +119,7 @@ def d2_quipu(a: int) -> int:
     return _integral(value, "d2_quipu", a)
 
 
-@dataclass(frozen=True)
-class SpiderCaseValues:
+class SpiderCaseValues(Record):
     """Exact data for the near-balanced spider of a given residue case.
 
     Case "i" is T_{a,a,a} at order n = 3a+1, case "ii" is T_{a,a,a+1} at

@@ -9,10 +9,7 @@ versioned: JSON objects carry schema "linewiener/1", CSV starts with a
 
 from __future__ import annotations
 
-import csv
 import io
-import json
-from dataclasses import fields
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -58,6 +55,8 @@ def _bool_text(b: Optional[bool]) -> str:
 
 def _csv_lines(kind: str, header: list[str], rows: list[list[str]],
                comments: list[str] = ()) -> str:
+    import csv  # only CSV reports pay for the import
+
     buf = io.StringIO()
     buf.write(f"# {CSV_SCHEMA} {kind}\n")
     for line in comments:
@@ -90,13 +89,13 @@ def _json_value(value):
 
 
 def _fields_json(obj) -> dict:
-    return {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj)}
+    return {name: _json_value(getattr(obj, name)) for name in obj.__match_args__}
 
 
 def report_json(obj) -> dict:
     """Schema-stamped dict for any report type; json.dumps-ready.
 
-    After `schema` and `kind` come the dataclass fields in order; only the
+    After `schema` and `kind` come the report's fields in order; only the
     (a, gap) rows of a scan become {"a", "gap"} objects.
     """
     kind = _KINDS.get(type(obj))
@@ -120,6 +119,8 @@ def checks_json(checks: list[CheckResult]) -> dict:
 
 
 def render_json(payload: dict) -> str:
+    import json  # only JSON reports pay for the import
+
     return json.dumps(payload, indent=2) + "\n"
 
 

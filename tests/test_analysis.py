@@ -266,6 +266,20 @@ def test_search_confirms_each_argmin_by_bfs(monkeypatch, jobs):
         min_r2_search(8, jobs=jobs)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_search_confirms_the_w_of_each_argmin_by_bfs(monkeypatch, jobs):
+    # a wrong edge-cut W shifts every ratio alike, so only the BFS on the
+    # kept trees can see it
+    from linewiener import _fast
+
+    cuts = _fast.wiener_tree_layout
+    monkeypatch.setattr(
+        _fast, "wiener_tree_layout", lambda layout: cuts(layout) + 1
+    )
+    with pytest.raises(CrossCheckError, match=r"^W = \d+ by edge cuts"):
+        min_r2_search(8, jobs=jobs)
+
+
 def brute_force_min_r2(n, keep=lambda g: True):
     best = None
     witnesses = []

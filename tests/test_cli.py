@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -349,6 +350,70 @@ def test_ctrl_c_exits_130_with_one_line(capsys, monkeypatch):
     assert err == "interrupted\n"
 
 
+def test_ctrl_c_with_workers_running_exits_130_and_leaves_no_child(
+    capsys, monkeypatch
+):
+    import multiprocessing
+    import multiprocessing.connection
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    # the parent is waiting for its workers' replies when Ctrl-C lands
+    monkeypatch.setattr(multiprocessing.connection, "wait", interrupted)
+    code, out, err = run(capsys, "search", "min-r2", "--n", "16", "--jobs", "2")
+    assert code == 130
+    assert out == ""
+    assert err == "interrupted\n"
+    assert multiprocessing.active_children() == []
+
+
+# the job-1 worker kills itself before it can reply
+_KILLED_WORKER = """
+import os, signal, sys
+from linewiener import analysis
+from linewiener.cli import main
+
+scan = analysis._scan_block
+
+def dying(args):
+    index = args[-2]
+    if index == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return scan(args)
+
+analysis._scan_block = dying
+sys.exit(main(["search", "min-r2", "--n", "9", "--jobs", "2"]))
+"""
+
+
+def test_killed_worker_exits_two_without_hanging():
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_WORKER],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env(),
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        survivors = True
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            survivors = False
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 2, err
+    assert out == ""
+    assert err.startswith("error: search worker 1 of 2 exited with code -9")
+    assert err.count("\n") == 1, err
+    # the command's session is empty: no worker outlived it
+    assert not survivors
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as info:
         main(["--help"])
@@ -485,12 +550,16 @@ def test_golden_stdout_bytes_under_optimize():
 
 
 def test_cli_import_leaves_multiprocessing_out():
-    # only --jobs > 1 needs a Pool; every other command skips the import
+    # only --jobs > 1 needs worker processes, only JSON and CSV reports
+    # need json and csv, and the records need no dataclasses: every
+    # command skips what it does not use
+    heavy = ["multiprocessing", "dataclasses", "json", "csv"]
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import sys, linewiener.cli; print('multiprocessing' in sys.modules)",
+            "import sys, linewiener.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])",
         ],
         capture_output=True,
         text=True,
@@ -498,4 +567,4 @@ def test_cli_import_leaves_multiprocessing_out():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
