@@ -386,75 +386,126 @@ def _scan_block(args):
     return (scanned, *best)
 
 
-def _scan_worker(conn, args) -> None:
-    """Run _scan_block(args) in a worker process and send back its result,
-    ("ok", result), or the exception it raised, ("error", exc)."""
+def _relayed_error(exc: Exception, index: int, jobs: int) -> bytes:
+    """The pickled exception a worker sends back in place of its result.
+
+    An exception that does not survive a pickle round trip (one holding a
+    lambda, say) is replaced by a CrossCheckError naming the worker and
+    the exception's repr, so its cause still reaches the parent.
+    """
+    import pickle
+
+    try:
+        payload = pickle.dumps(exc)
+        pickle.loads(payload)
+    except Exception:
+        payload = pickle.dumps(
+            CrossCheckError(
+                f"search worker {index} of {jobs} raised {exc!r}, "
+                f"which cannot be sent back"
+            )
+        )
+    return payload
+
+
+def _scan_child(fd: int, args) -> None:
+    """Body of a forked search worker; it never returns.
+
+    Writes _scan_block(args) to fd, marshalled behind b"R", or the
+    exception it raised, pickled behind b"E", then leaves by os._exit, so
+    no caller's cleanup, exit handler or stdio flush runs in the child.
+    The exit code is 0 only once the whole reply is written.
+    """
+    import marshal
+    import os
     import signal
 
-    # Ctrl-C reaches the whole process group; the parent alone handles it
-    # and terminates its workers
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    code = 1
     try:
-        reply = ("ok", _scan_block(args))
-    except Exception as exc:
-        reply = ("error", exc)
-    conn.send(reply)
-    conn.close()
+        # Ctrl-C reaches the whole process group; the parent alone handles
+        # it and kills its workers
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            reply = b"R" + marshal.dumps(_scan_block(args))
+        except Exception as exc:
+            reply = b"E" + _relayed_error(exc, args[-2], args[-1])
+        view = memoryview(reply)
+        while view:
+            view = view[os.write(fd, view) :]
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _scan_in_workers(args: list) -> list:
-    """_scan_block of every args entry, each in its own worker process.
+    """_scan_block of every args entry: entry 0 in this process, each
+    other one in a worker forked from it.
 
-    A worker's exception is raised again here. A worker that dies before
-    it replies (killed, say) raises CrossCheckError at once, without
-    waiting for the others. Every worker still alive on the way out, by
-    return, error or Ctrl-C, is terminated and joined.
+    Each worker writes its reply to its own pipe and exits; this process
+    scans its own share first, then reads each pipe to EOF and reaps its
+    worker. A worker's exception is raised again here. A worker that
+    exits without a complete reply (killed, say) raises CrossCheckError,
+    noticed once this process has finished its own share. Every worker
+    still alive on the way out, by return, error, Ctrl-C or a failed
+    fork, is killed and reaped. Needs os.fork, so POSIX only.
     """
-    # imported here: every other command would pay for its import
-    import multiprocessing.connection
+    import marshal
+    import os
+    import signal
 
-    # the platform's default start method: on Linux a fork, which is safe
-    # because nothing here starts a thread, and which spares every worker
-    # the package import that spawn would repeat
-    ctx = multiprocessing.get_context()
-    workers = []
+    jobs = len(args)
+    if not hasattr(os, "fork"):
+        raise ParameterError(
+            f"jobs = {jobs} needs os.fork, which this platform lacks"
+        )
+    # a bare fork is safe because nothing here starts a thread, and it
+    # spares each worker the package import a fresh interpreter would repeat
+    workers = []  # [pid, read end], each None once reaped or closed
     try:
-        for job in args:
-            receiver, sender = ctx.Pipe(duplex=False)
-            # daemon: one that a Ctrl-C during start-up leaves out of
-            # `workers` is terminated at exit instead of waited for
-            proc = ctx.Process(
-                target=_scan_worker, args=(sender, job), daemon=True
-            )
-            proc.start()
-            # the worker now holds the only send end, so its death reads as
-            # EOF here
-            sender.close()
-            workers.append((proc, receiver))
-        results = [None] * len(args)
-        pending = {receiver: i for i, (_, receiver) in enumerate(workers)}
-        while pending:
-            for receiver in multiprocessing.connection.wait(list(pending)):
-                i = pending.pop(receiver)
+        # a Ctrl-C held off until each worker's pid is recorded can neither
+        # leak a worker nor unwind a child's copy of this stack
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for job in args[1:]:
+                receiver, sender = os.pipe()
+                worker = [None, receiver]
+                workers.append(worker)
                 try:
-                    status, value = receiver.recv()
-                except EOFError:
-                    proc = workers[i][0]
-                    proc.join()
-                    raise CrossCheckError(
-                        f"search worker {i} of {len(args)} exited with code "
-                        f"{proc.exitcode} before sending its result"
-                    ) from None
-                if status == "error":
-                    raise value
-                results[i] = value
+                    worker[0] = os.fork()
+                    if worker[0] == 0:
+                        _scan_child(sender, job)
+                finally:
+                    # the worker now holds the only write end, so its exit
+                    # reads as EOF here
+                    os.close(sender)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        results = [_scan_block(args[0])]
+        for index, worker in enumerate(workers, 1):
+            with open(worker[1], "rb") as pipe:
+                worker[1] = None
+                reply = pipe.read()
+            _, status = os.waitpid(worker[0], 0)
+            worker[0] = None
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise CrossCheckError(
+                    f"search worker {index} of {jobs} exited with code "
+                    f"{code} before sending its result"
+                )
+            if reply[:1] == b"E":
+                import pickle
+
+                raise pickle.loads(reply[1:])
+            results.append(marshal.loads(reply[1:]))
         return results
     finally:
-        for proc, receiver in workers:
-            receiver.close()
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
+        for pid, receiver in workers:
+            if receiver is not None:
+                os.close(receiver)
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _check_tree_count(n: int, scanned: int) -> None:
@@ -479,7 +530,8 @@ def _min_ratio_scan(
     Job i walks the blocks of the enumeration stream (runs of layouts that
     share the root's first subtree) numbered i mod jobs, counting only the
     blocks the degree filters leave alive, so the jobs partition the
-    filtered stream and each walks only its own part. Merging their
+    filtered stream and each walks only its own part. Job 0 runs in this
+    process, the others in forked workers (_scan_in_workers). Merging their
     exact minima is associative and the witnesses are sorted, so any job
     count gives identical results. An unfiltered sweep must have scanned
     exactly free_tree_count(n) trees, or it raises CrossCheckError.

@@ -453,7 +453,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
-        # the search has already terminated and joined its --jobs workers
+        # the search has already killed and reaped its --jobs workers
         print("interrupted", file=sys.stderr)
         return 130
 

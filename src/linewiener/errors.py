@@ -59,8 +59,9 @@ class CrossCheckError(LineWienerError, ArithmeticError):
     Raised by the package's internal cross-checks, never by bad input: it
     means a fault in the code. A search also raises it when one of its
     worker processes dies before it reports, since that worker's trees
-    went unchecked. It keeps the default one-message constructor, so a
-    worker process can send it back to the parent.
+    went unchecked, and in place of a worker's exception that cannot be
+    pickled. It keeps the default one-message constructor, so a worker
+    process can send it back to the parent.
     """
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from linewiener.cli import main
+from linewiener.errors import CrossCheckError, SearchLimitError
 
 
 def run(capsys, *argv):
@@ -350,22 +351,103 @@ def test_ctrl_c_exits_130_with_one_line(capsys, monkeypatch):
     assert err == "interrupted\n"
 
 
+def assert_no_child_left():
+    # this process has no child at all, live or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def failing_share(monkeypatch, index, exc):
+    """Make the search share `index` raise exc, in whichever process
+    scans it; the other shares run as usual."""
+    from linewiener import analysis
+
+    scan = analysis._scan_block
+
+    def faulty(args):
+        if args[-2] == index:
+            raise exc
+        return scan(args)
+
+    monkeypatch.setattr(analysis, "_scan_block", faulty)
+
+
 def test_ctrl_c_with_workers_running_exits_130_and_leaves_no_child(
     capsys, monkeypatch
 ):
-    import multiprocessing
-    import multiprocessing.connection
-
-    def interrupted(*args, **kwargs):
-        raise KeyboardInterrupt
-
-    # the parent is waiting for its workers' replies when Ctrl-C lands
-    monkeypatch.setattr(multiprocessing.connection, "wait", interrupted)
+    # Ctrl-C lands while the parent scans its own share and the worker runs
+    failing_share(monkeypatch, 0, KeyboardInterrupt)
     code, out, err = run(capsys, "search", "min-r2", "--n", "16", "--jobs", "2")
     assert code == 130
     assert out == ""
     assert err == "interrupted\n"
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def test_worker_error_is_raised_in_the_parent(capfd, monkeypatch):
+    failing_share(monkeypatch, 1, CrossCheckError("share 1 is wrong"))
+    code = main(["search", "min-r2", "--n", "9", "--jobs", "2"])
+    out, err = capfd.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: share 1 is wrong\n"
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "exc, shown",
+    [
+        # pickling fails: the exception holds a lambda
+        (ValueError("bad share", lambda: None), "ValueError('bad share', "),
+        # unpickling fails: the constructor wants two arguments, args has one
+        (SearchLimitError(30, 20), "SearchLimitError('exhaustive search at"),
+    ],
+    ids=["dumps", "loads"],
+)
+def test_worker_error_that_cannot_be_pickled_keeps_its_cause(
+    capfd, monkeypatch, exc, shown
+):
+    failing_share(monkeypatch, 1, exc)
+    code = main(["search", "min-r2", "--n", "9", "--jobs", "2"])
+    out, err = capfd.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: search worker 1 of 2 raised {shown}"), err
+    assert err.count("\n") == 1, err
+    assert_no_child_left()
+
+
+def test_failed_fork_exits_two_and_leaves_no_child(capfd, monkeypatch):
+    # the second of two forks fails: the first worker, the only one
+    # started, is killed and reaped
+    import errno
+
+    fork = os.fork
+    calls = []
+
+    def flaky_fork():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", flaky_fork)
+    code = main(["search", "min-r2", "--n", "12", "--jobs", "3"])
+    out, err = capfd.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert len(calls) == 2
+    assert_no_child_left()
+
+
+def test_jobs_without_fork_is_refused_before_any_work(capsys, monkeypatch):
+    failing_share(monkeypatch, 0, AssertionError("a share was scanned"))
+    monkeypatch.delattr(os, "fork")
+    code, out, err = run(capsys, "search", "min-r2", "--n", "9", "--jobs", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: jobs = 2 needs os.fork") and err.count("\n") == 1
 
 
 # the job-1 worker kills itself before it can reply
@@ -568,3 +650,22 @@ def test_cli_import_leaves_multiprocessing_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # nor does a --jobs search: its workers are bare forks over pipes, and
+    # pickle is imported only to send back a worker's exception
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from linewiener.cli import main; "
+            "code = main(['search', 'min-r2', '--n', '9', '--jobs', '2']); "
+            "print([m for m in ('multiprocessing', 'pickle') if m in sys.modules]); "
+            "sys.exit(code)",
+        ],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "trees scanned: 47" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -7,7 +7,8 @@ with exit code 2. And every module may use the
 others only through their public names, so a helper can change shape
 inside its own module without breaking its callers. And `cli` writes
 every report through `reporting.render`, so the choice between text, JSON
-and CSV is made in one place.
+and CSV is made in one place. And no module imports `multiprocessing`:
+`--jobs` workers are bare forks over pipes.
 """
 
 from __future__ import annotations
@@ -94,4 +95,26 @@ def test_cli_leaves_the_report_format_to_reporting():
         "checks_text",
     }
     found = sorted(set(names_in(parsed(PACKAGE / "cli.py"))) & renderers)
+    assert found == []
+
+
+def imported_modules(tree):
+    """(line, module) of every module an import statement names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module is not None:
+            yield node.lineno, node.module
+
+
+def test_no_module_imports_multiprocessing():
+    # importing it costs more than the forks, pipes and exits it would
+    # manage for a `--jobs` search
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, module in imported_modules(parsed(path))
+        if module.partition(".")[0] == "multiprocessing"
+    ]
     assert found == []
