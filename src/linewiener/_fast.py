@@ -1,16 +1,18 @@
 """Tree kernels for the sweeps over the free-tree stream.
 
 Two kinds live here. The closed-form ones read a tree straight off its
-preorder level sequence in one backward pass: `wiener_tree_layout` gives
-W(T) and `wiener2_tree_layout` gives W(L^2(T)), each in O(n). The bitmask
-ones hold a graph on n vertices as a list of n ints, where bit u of
-``masks[v]`` says u and v are adjacent, so BFS layers become mask
-operations and distance sums come from ``int.bit_count``. The searches
-score every tree with the closed forms and run the mask BFS only to
-confirm each running argmin; the `buckley` and `thm1` checks of `verify`
-(k = 1) run the mask BFS on every tree. General-purpose code goes through
-graphs.Graph instead, whose wiener_index runs bitset sweeps from up to
-4096 sources at once over the adjacency lists.
+preorder level sequence: `wiener_tree_layout` gives W(T) and
+`wiener2_tree_layout` gives W(L^2(T)), each in one reversed pass over the
+levels that keeps one running sum per level for the vertex still open
+there, so neither decodes a parent array. The bitmask ones hold a graph
+on n vertices as a list of n ints, where bit u of ``masks[v]`` says u and
+v are adjacent, so BFS layers become mask operations and distance sums
+come from ``int.bit_count``. The searches score every tree with the
+closed forms and run the mask BFS only to confirm each running argmin;
+the `buckley` and `thm1` checks of `verify` (k = 1) run the mask BFS on
+every tree. General-purpose code goes through graphs.Graph instead, whose
+wiener_index runs bitset sweeps from up to 4096 sources at once over the
+adjacency lists.
 """
 
 from __future__ import annotations
@@ -30,21 +32,24 @@ def layout_masks(layout: list[int]) -> list[int]:
 
 
 def wiener_tree_layout(layout: list[int]) -> int:
-    """Wiener index of a tree given as a preorder level sequence.
+    """Wiener index of a tree given as a preorder level sequence, in O(n).
 
-    Each edge contributes size * (n - size) with size the vertex count of
-    the subtree below it, so no BFS is needed; a backward pass over the
-    preorder suffices.
+    Each edge contributes s * (n - s), with s the vertex count of the
+    subtree below it, so W = n * sum(s) - sum(s^2) over the non-root
+    vertices; and sum(s) = sum(layout), since each vertex lies below as
+    many edges as its depth. size[lv] gathers the subtree size of the
+    vertex still open at level lv, the next one there in reverse preorder,
+    whose children all come before it.
     """
-    parent = layout_parents(layout)
-    n = len(parent)
+    n = len(layout)
     size = [1] * n
-    total = 0
-    for i in range(n - 1, 0, -1):
-        s = size[i]
-        size[parent[i]] += s
-        total += s * (n - s)
-    return total
+    squares = 0
+    for lv in layout[:0:-1]:
+        s = size[lv]
+        size[lv] = 1
+        size[lv - 1] += s
+        squares += s * s
+    return n * sum(layout) - squares
 
 
 def wiener2_tree_layout(layout: list[int]) -> int:
@@ -60,25 +65,32 @@ def wiener2_tree_layout(layout: list[int]) -> int:
     + sum (d_v - 1) w_v. The terms of each single vertex cancel, since
     (d_v - 2) w_v = d_v(d_v - 1)(d_v - 2)/2, which leaves
 
-        W(L^2(T)) = sum over edges e of A_e * (S - A_e) + S * (S - n + 2),
+        W(L^2(T)) = sum over edges e of A_e * (S - A_e) + S * (S - n + 2)
+                  = S * sum A_e - sum A_e^2 + S * (S - n + 2),
 
-    with A_e the sum of w below e: the edge-cut sum of wiener_tree_layout
-    with vertex weights w_v in place of 1.
+    with A_e the sum of w below e: the edge-cut sum of W with vertex
+    weights w_v in place of 1. The second form needs S only at the end,
+    so one reversed pass suffices, as in wiener_tree_layout. weight[lv]
+    gathers A for the vertex still open at level lv, and count[lv] its
+    children so far. A non-root vertex with c children has d = c + 1, so
+    w = 1 + 2 + ... + c: the j-th child to arrive adds j. The root has
+    d = c and so carries c fewer.
     """
-    parent = layout_parents(layout)
-    n = len(parent)
-    deg = [1] * n
-    deg[0] = 0
-    for i in range(1, n):
-        deg[parent[i]] += 1
-    below = [d * (d - 1) >> 1 for d in deg]
-    s = sum(below)
-    total = s * (s - n + 2)
-    for i in range(n - 1, 0, -1):
-        a = below[i]
-        below[parent[i]] += a
-        total += a * (s - a)
-    return total
+    n = len(layout)
+    count = [0] * n
+    weight = [0] * n
+    sum_a = sum_a2 = 0
+    for lv in layout[:0:-1]:
+        a = weight[lv]
+        weight[lv] = count[lv] = 0
+        up = lv - 1
+        j = count[up] + 1
+        count[up] = j
+        weight[up] += a + j
+        sum_a += a
+        sum_a2 += a * a
+    s = weight[0] - count[0]
+    return s * sum_a - sum_a2 + s * (s - n + 2)
 
 
 def wiener_masks(masks: list[int]) -> int:

@@ -10,6 +10,7 @@ a verdict.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Optional
@@ -324,20 +325,25 @@ def _masks_wk(layout: list[int], k: int) -> int:
     return _fast.wiener_masks(it)
 
 
-def _tree_w_wk(layout: list[int], k: int) -> tuple[int, int]:
-    """(W(T), W(L^k(T))) of a layout's tree.
+def _tree_scores(n: int, k: int, **stream):
+    """(layout, W(T), W(L^k(T))) of each tree of the free-tree stream.
 
-    W comes from the edge-cut sum and W_2 from the O(n) wedge formula of
-    _fast.wiener2_tree_layout; _witness_codes confirms both by BFS on each
-    tree a sweep keeps. Any other W_k comes from a bitmask BFS on the k-th
-    line-graph iterate. Every sweep over the free-tree stream evaluates
-    its trees here, so this is the one place a faster evaluator plugs in.
+    `stream` holds the filters and block of free_tree_layouts. W comes
+    from _fast.wiener_tree_layout and W_2 from _fast.wiener2_tree_layout,
+    each one reversed pass over the layout; any other W_k comes from a
+    bitmask BFS on the k-th line-graph iterate. The kernels are looked up
+    in _fast once, when the sweep starts. Every sweep over the free-tree
+    stream scores its trees here, and _witness_codes confirms both values
+    by BFS on each tree a sweep keeps.
     """
-    w = _fast.wiener_tree_layout(layout)
-    wk = _fast.wiener2_tree_layout(layout) if k == 2 else _masks_wk(layout, k)
-    if w <= 0 or wk < 0:
-        raise CrossCheckError(f"W = {w}, W_{k} = {wk} for layout {layout}")
-    return w, wk
+    tree_w = _fast.wiener_tree_layout
+    tree_wk = _fast.wiener2_tree_layout if k == 2 else partial(_masks_wk, k=k)
+    for layout in free_tree_layouts(n, **stream):
+        w = tree_w(layout)
+        wk = tree_wk(layout)
+        if w <= 0 or wk < 0:
+            raise CrossCheckError(f"W = {w}, W_{k} = {wk} for layout {layout}")
+        yield layout, w, wk
 
 
 def _witness_codes(layout: list[int], k: int, w: int, wk: int) -> list[bytes]:
@@ -373,16 +379,20 @@ def _scan_block(args):
     n, k, max_degree, min_max_degree, min_degree3_count, index, jobs = args
     scanned = 0
     best = [None, None, []]
-    for layout in free_tree_layouts(
+    # the running minimum best_wk / best_w; 1/0 lies above every ratio
+    best_wk, best_w = 1, 0
+    for layout, w, wk in _tree_scores(
         n,
+        k,
         max_degree=max_degree,
         min_max_degree=min_max_degree,
         min_degree3_count=min_degree3_count,
         block=(index, jobs),
     ):
         scanned += 1
-        w, wk = _tree_w_wk(layout, k)
-        _keep_min(best, wk, w, lambda: _witness_codes(layout, k, w, wk))
+        if wk * best_w <= best_wk * w:
+            _keep_min(best, wk, w, lambda: _witness_codes(layout, k, w, wk))
+            best_wk, best_w = best[0], best[1]
     return (scanned, *best)
 
 
@@ -620,9 +630,8 @@ def line_wiener_tree_identity(n: int) -> bool:
     shift = comb(n, 2)
     scanned = 0
     holds = True
-    for layout in free_tree_layouts(n):
+    for _, w, wk in _tree_scores(n, 1):
         scanned += 1
-        w, wk = _tree_w_wk(layout, 1)
         holds = holds and wk == w - shift
     _check_tree_count(n, scanned)
     return holds

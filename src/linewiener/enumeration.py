@@ -38,8 +38,9 @@ from .graphs import Graph, is_tree
 
 # A layout is a preorder level sequence: layout[i] is the depth of vertex i,
 # and each vertex's parent is the most recent earlier vertex one level up.
-# This module is the only reader of the format: other code decodes a layout
-# through layout_parents or layout_graph.
+# Outside this module a layout is decoded through layout_parents or
+# layout_graph, except by the two O(n) kernels of _fast, which read the
+# levels directly.
 
 
 def _next_rooted_layout(layout: list[int], p: Optional[int] = None):

@@ -13,6 +13,7 @@ from collections import deque
 from typing import Iterator
 
 from linewiener import Graph
+from linewiener.enumeration import layout_parents
 
 
 def naive_wiener(g: Graph) -> int:
@@ -116,6 +117,41 @@ def level_sequence(g: Graph, root: int = 0) -> list[int]:
                 depth[v] = depth[u] + 1
                 stack.append(v)
     return out
+
+
+def parent_array_wiener(layout: list[int]) -> int:
+    """W of a layout's tree from its decoded parent array: each edge
+    contributes size * (n - size), with size the vertex count below it."""
+    parent = layout_parents(layout)
+    n = len(parent)
+    size = [1] * n
+    total = 0
+    for i in range(n - 1, 0, -1):
+        s = size[i]
+        size[parent[i]] += s
+        total += s * (n - s)
+    return total
+
+
+def parent_array_wiener2(layout: list[int]) -> int:
+    """W(L^2) of a layout's tree from its decoded parent array, by the
+    wedge formula sum over edges e of A_e * (S - A_e) + S * (S - n + 2):
+    vertex v carries w_v = C(deg v, 2) wedges, S is their sum and A_e the
+    sum of w below edge e."""
+    parent = layout_parents(layout)
+    n = len(parent)
+    deg = [1] * n
+    deg[0] = 0
+    for i in range(1, n):
+        deg[parent[i]] += 1
+    below = [d * (d - 1) >> 1 for d in deg]
+    s = sum(below)
+    total = s * (s - n + 2)
+    for i in range(n - 1, 0, -1):
+        a = below[i]
+        below[parent[i]] += a
+        total += a * (s - a)
+    return total
 
 
 def random_graph(rng, n: int, p: float) -> Graph:

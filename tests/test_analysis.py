@@ -43,7 +43,14 @@ from linewiener import (
     worked_example_checks,
 )
 
-from oracles import level_sequence, naive_line_graph, naive_wiener, random_tree
+from oracles import (
+    level_sequence,
+    naive_line_graph,
+    naive_wiener,
+    parent_array_wiener,
+    parent_array_wiener2,
+    random_tree,
+)
 
 
 def tree(text):
@@ -201,16 +208,55 @@ def test_wiener2_formula_against_mask_bfs():
             assert wiener2_tree_layout(layout) == wiener_masks(masks), layout
 
 
-def test_wiener2_formula_against_graph_bfs_on_random_trees():
-    from linewiener._fast import wiener2_tree_layout
-    from linewiener.graphs import iterated_line_graph, wiener_index
+def test_tree_kernels_against_parent_array_oracles():
+    from linewiener._fast import wiener2_tree_layout, wiener_tree_layout
+    from linewiener.enumeration import free_tree_layouts
 
+    for n in range(1, 16):
+        for layout in free_tree_layouts(n):
+            assert wiener_tree_layout(layout) == parent_array_wiener(layout)
+            assert wiener2_tree_layout(layout) == parent_array_wiener2(layout)
+
+
+def seeded_random_trees():
+    """(tree, its layout from a random root) at orders 3..40 and up to 300,
+    deep enough that the kernels' levels run far."""
     rng = random.Random(20)
     orders = list(range(3, 41)) + [60, 100, 150, 200, 250, 300]
     for n in orders:
         g = random_tree(rng, n)
-        layout = level_sequence(g, rng.randrange(n))
+        yield g, level_sequence(g, rng.randrange(n))
+
+
+def test_wiener2_formula_against_graph_bfs_on_random_trees():
+    from linewiener._fast import wiener2_tree_layout
+    from linewiener.graphs import iterated_line_graph, wiener_index
+
+    for g, layout in seeded_random_trees():
         expected = wiener_index(iterated_line_graph(g, 2))
+        assert wiener2_tree_layout(layout) == expected, g.vertex_count
+
+
+def test_wiener_tree_layout_against_graph_bfs_on_random_trees():
+    from linewiener._fast import wiener_tree_layout
+    from linewiener.graphs import wiener_index
+
+    for g, layout in seeded_random_trees():
+        assert wiener_tree_layout(layout) == wiener_index(g), g.vertex_count
+
+
+def test_tree_kernels_on_tiny_trees_and_a_path_rooted_at_one_end():
+    # L^2 of a tree on 1 or 2 vertices has no vertex, and its W reads 0;
+    # a path rooted at one end puts its last vertex at level n - 1
+    from linewiener._fast import wiener2_tree_layout, wiener_tree_layout
+    from linewiener.graphs import iterated_line_graph, wiener_index
+
+    for n in (1, 2, 3, 4, 50, 300):
+        layout = list(range(n))
+        path = tree(f"path:{n}")
+        assert wiener_tree_layout(layout) == wiener_index(path), n
+        l2 = iterated_line_graph(path, 2)
+        expected = wiener_index(l2) if l2.vertex_count else 0
         assert wiener2_tree_layout(layout) == expected, n
 
 
@@ -278,6 +324,24 @@ def test_search_confirms_the_w_of_each_argmin_by_bfs(monkeypatch, jobs):
     )
     with pytest.raises(CrossCheckError, match=r"^W = \d+ by edge cuts"):
         min_r2_search(8, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_search_keeps_every_tied_tree(monkeypatch, jobs):
+    # with W_2 = W every ratio is 1, so each tree ties the running minimum
+    # and must reach _keep_min; the layout's bytes stand in for its code
+    from linewiener import _fast, analysis
+    from linewiener.enumeration import free_tree_layouts
+
+    monkeypatch.setattr(_fast, "wiener2_tree_layout", _fast.wiener_tree_layout)
+    monkeypatch.setattr(
+        analysis, "_witness_codes", lambda layout, k, w, wk: [bytes(layout)]
+    )
+    report = min_r2_search(8, jobs=jobs)
+    everything = sorted(bytes(layout) for layout in free_tree_layouts(8))
+    assert report.min_ratio == 1
+    assert report.trees_scanned == 23
+    assert report.witnesses == tuple(everything)
 
 
 def brute_force_min_r2(n, keep=lambda g: True):

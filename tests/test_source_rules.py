@@ -8,7 +8,10 @@ others only through their public names, so a helper can change shape
 inside its own module without breaking its callers. And `cli` writes
 every report through `reporting.render`, so the choice between text, JSON
 and CSV is made in one place. And no module imports `multiprocessing`:
-`--jobs` workers are bare forks over pipes.
+`--jobs` workers are bare forks over pipes. And the two O(n) kernels of
+`_fast`, `wiener_tree_layout` and `wiener2_tree_layout`, never call
+`layout_parents`: the searches run both on every tree, and each reads
+the level sequence in one reversed pass with no parent decode.
 """
 
 from __future__ import annotations
@@ -118,3 +121,18 @@ def test_no_module_imports_multiprocessing():
         if module.partition(".")[0] == "multiprocessing"
     ]
     assert found == []
+
+
+def test_tree_kernels_decode_no_parent_array():
+    # layout_graph and layout_masks decode one too, through layout_parents
+    decoders = {"layout_parents", "layout_graph", "layout_masks"}
+    functions = {
+        node.name: node
+        for node in parsed(PACKAGE / "_fast.py").body
+        if isinstance(node, ast.FunctionDef)
+    }
+    found = {
+        kernel: sorted(set(names_in(functions[kernel])) & decoders)
+        for kernel in ("wiener_tree_layout", "wiener2_tree_layout")
+    }
+    assert found == {"wiener_tree_layout": [], "wiener2_tree_layout": []}
