@@ -330,11 +330,11 @@ def _tree_scores(n: int, k: int, **stream):
 
     `stream` holds the filters and block of free_tree_layouts. W comes
     from _fast.wiener_tree_layout and W_2 from _fast.wiener2_tree_layout,
-    each one reversed pass over the layout; any other W_k comes from a
-    bitmask BFS on the k-th line-graph iterate. The kernels are looked up
-    in _fast once, when the sweep starts. Every sweep over the free-tree
-    stream scores its trees here, and _witness_codes confirms both values
-    by BFS on each tree a sweep keeps.
+    each one reversed pass over the layout; W_1, the only other k a sweep
+    asks for, comes from a bitmask BFS on the line graph. The kernels are
+    looked up in _fast once, when the sweep starts. Every sweep over the
+    free-tree stream scores its trees here, and _witness_codes confirms
+    both values by BFS on each tree a sweep keeps.
     """
     tree_w = _fast.wiener_tree_layout
     tree_wk = _fast.wiener2_tree_layout if k == 2 else partial(_masks_wk, k=k)

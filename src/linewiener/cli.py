@@ -344,6 +344,18 @@ def _bound(value: Optional[int], default: int, low: int, what: str) -> int:
     return value
 
 
+def _max_n(args, default: int, low: int, name: str) -> int:
+    """The --max-n of a bundle that sweeps every tree of each order up to
+    it, capped at the search limit as the search's own orders are."""
+    top = _bound(args.max_n, default, low, f"{name} needs --max-n")
+    if top > analysis.DEFAULT_SEARCH_LIMIT:
+        raise ParameterError(
+            f"{name} needs --max-n <= {analysis.DEFAULT_SEARCH_LIMIT} "
+            f"(the search limit), got {top}"
+        )
+    return top
+
+
 def _verify_bundle(name: str, args, budget: int):
     """The runner of one verify bundle, once its bounds have passed, so
     that a bad bound fails before any bundle's work is spent."""
@@ -352,7 +364,7 @@ def _verify_bundle(name: str, args, budget: int):
             check_line_budget(build(spec), 2, budget)
         return lambda: analysis.worked_example_checks(budget)
     if name == "buckley":
-        max_n = _bound(args.max_n, 14, 2, "buckley needs --max-n")
+        max_n = _max_n(args, 14, 2, "buckley")
         return lambda: analysis.line_identity_checks(max_n)
     if name == "lemmas":
         max_a = _bound(args.max_a, 8, 2, "lemmas needs --max-a")
@@ -384,12 +396,7 @@ def _verify_bundle(name: str, args, budget: int):
 
         return thm5
     if name == "thm1":
-        top = _bound(args.max_n, 12, 4, "thm1 needs --max-n")
-        if top > analysis.DEFAULT_SEARCH_LIMIT:
-            raise ParameterError(
-                f"thm1 needs --max-n <= {analysis.DEFAULT_SEARCH_LIMIT} "
-                f"(the search limit), got {top}"
-            )
+        top = _max_n(args, 12, 4, "thm1")
 
         def thm1():
             failures = [

@@ -12,15 +12,16 @@ sweeps feasible; generating labeled trees and de-duplicating dies around
 order 12.
 
 A block of the stream is a run of layouts that share the root's first
-subtree; the stream splits into blocks for parallel consumers. Layouts
-that share any prefix form a run of the stream too, and a degree filter
-decides them by one rule: once a prefix fixes a vertex's degree above a
-bound, or fixes too much degree waste to leave room for the required
-degree-3 vertices, the walk skips the whole run of that prefix in one
-step. A prefix within a block's first subtree condemns whole blocks;
-every consumer skips them unnumbered and splits only the live blocks
-among themselves. Striped streams count positions in the unfiltered
-stream and do not skip.
+subtree; the stream splits into blocks for parallel consumers. One walker
+takes every unstriped stream, one layout per step, and has one skip rule:
+the run of layouts that share a prefix is left in one step. A degree
+filter names such a prefix once it rules out every layout sharing it (a
+vertex's degree above a bound, or too much degree waste to leave room
+for the required degree-3 vertices), and a consumer names a block's
+first subtree when the block is another consumer's. A prefix within a
+block's first subtree condemns whole blocks; every consumer skips them
+unnumbered and splits only the live blocks among themselves. Striped
+streams count positions in the unfiltered stream and do not skip.
 
 `canonical_code` gives a relabeling-invariant byte encoding (equal codes
 iff isomorphic), used to de-duplicate search witnesses and to cross-check
@@ -179,73 +180,53 @@ def _path_layout(n: int) -> list[int]:
     return list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
 
 
-def _stream(n: int) -> Iterator[list[int]]:
-    """The unfiltered free-tree stream, in decreasing lexicographic order."""
-    if n == 1:
-        yield [0]
-        return
-    layout = _path_layout(n)
-    while layout is not None:
-        layout = _next_free_layout(layout)
-        yield layout
-        layout = _next_rooted_layout(layout)
-
-
-def _block_walk(n: int, index: int, count: int, cut) -> Iterator[list[int]]:
-    """The live stream blocks numbered index mod count, in stream order.
+def _walk(n: int, index: int, count: int, cut) -> Iterator[list[int]]:
+    """The layouts `cut` passes in the live blocks numbered index mod count.
 
     A block is a maximal run of consecutive layouts that share the root's
-    first subtree layout[:m]. A block is dead when `cut` rules out its
-    first layout at a prefix length 0 < j <= m: every layout sharing
-    layout[:j] fails, and those layouts are whole blocks, a run of the
-    stream. Every consumer skips that run unnumbered in one step, from the
-    rooted successor of layout[:j] + [1, ...], and numbers only the live
-    blocks; without `cut` every block is live.
+    first subtree layout[:m]. The walk takes one layout per step and has
+    one skip rule: a prefix length j > 0 leaves the whole run of layouts
+    that share layout[:j] in one step, from the rooted successor of
+    layout[:j] + [1, ...]. j is the prefix `cut` rules out, or m when the
+    layout opens a block that another share owns. A block whose first
+    layout is cut at 0 < j <= m is dead: its run is whole blocks, and they
+    get no number. Without `cut` every layout passes and every block lives.
 
-    Inside an own block this takes the stream's step and stops when the
-    step leaves the first subtree: the rooted successor's pivot falls below
-    m, or the free step jumps, which it does with pivot m - 1. Inside a
-    live block `cut` can only rule out prefixes longer than m; the walk
-    skips such a run of layout[:j] the same way. Another consumer's block
-    is skipped with j = m, without walking it.
+    A block ends when the rooted step's pivot falls below m, or when the
+    free step jumps, which it does with pivot m - 1. Off the stream a jump
+    may land on an invalid layout, so a new block's first layout is the
+    first that is its own free successor.
     """
     if n == 1:
-        if index == 0:
+        # one block, and no first subtree for cut to rule out before it
+        if index == 0 and not (cut and cut([0])):
             yield [0]
         return
     candidate = _path_layout(n)
-    block = 0
+    m = 0  # the open block's first-subtree end, 0 between blocks
+    block = -1
     while candidate is not None:
-        # off the stream one free step may land on an invalid layout, so
-        # step until the layout is its own successor
         layout = _next_free_layout(candidate)
-        while layout is not candidate:
-            candidate, layout = layout, _next_free_layout(layout)
-        m = _first_subtree_end(layout)
-        j = 0 if cut is None else cut(layout)
-        if 0 < j <= m:
-            candidate = _next_rooted_layout(layout[:j] + [1] * (n - j))
+        if layout is not candidate:
+            candidate, m = layout, 0
             continue
-        if block % count == index:
-            while True:
-                if j:
-                    layout = layout[:j] + [1] * (n - j)
-                else:
-                    yield layout
-                p = n - 1
-                while layout[p] == 1:
-                    p -= 1
-                candidate = _next_rooted_layout(layout, p)
-                if p < m:
-                    break
-                layout = _next_free_layout(candidate)
-                if layout is not candidate:
-                    candidate = layout
-                    break
-                j = 0 if cut is None else cut(layout)
+        j = cut(layout) if cut else 0
+        if not m:
+            m = _first_subtree_end(layout)
+            if not 0 < j <= m:
+                block += 1
+                if block % count != index:
+                    j = m
+        if j:
+            layout = layout[:j] + [1] * (n - j)
         else:
-            candidate = _next_rooted_layout(layout[:m] + [1] * (n - m))
-        block += 1
+            yield layout
+        p = n - 1
+        while layout[p] == 1:
+            p -= 1
+        if p < m:
+            m = 0
+        candidate = _next_rooted_layout(layout, p)
 
 
 def _check_part(name: str, size: str, part) -> tuple[int, int]:
@@ -285,22 +266,19 @@ def free_tree_layouts(
 
     `block=(index, count)` splits the stream into blocks instead: maximal
     runs of consecutive layouts whose root has the same first subtree. It
-    yields the blocks whose number is congruent to index mod count, in
+    yields the live blocks whose number is congruent to index mod count, in
     stream order, and walks only those; the others are skipped in a few
     steps each. `block` and `stripe` cannot be combined.
 
-    Without a stripe, `max_degree` and `min_degree3_count` also skip, in
-    one step each, every run of layouts that share a prefix which already
-    rules the filter out: a vertex there above `max_degree`, or too many
-    vertices of degree other than 3 to leave room for `min_degree3_count`
-    of them. The layouts yielded are the same; only fewer are walked. A
-    striped stream walks every layout. When such a prefix lies within a
-    block's first subtree, its run is whole blocks, and these get no
-    number: only the live blocks are numbered, so with these filters the
-    partition depends on them. Unfiltered, or filtered by
-    `min_max_degree` alone, blocks are numbered in the unfiltered stream
-    and apply before filtering. Either way the blocks for one count are
-    disjoint and together yield exactly the filtered stream.
+    Without a stripe, the walk skips in one step every run of layouts that
+    share a prefix which already rules the filters out: a vertex there
+    above `max_degree`, or too many vertices of degree other than 3 to
+    leave room for `min_degree3_count` of them. The layouts yielded are the
+    same; only fewer are walked. A striped stream walks every layout. When
+    such a prefix lies within a block's first subtree, its run is whole
+    blocks, and these are dead: blocks are numbered among the live ones
+    only, so the partition can depend on the filters. The blocks for one
+    count are disjoint and together yield exactly the filtered stream.
 
     Arguments are checked at the call, before the first layout.
     """
@@ -311,13 +289,9 @@ def free_tree_layouts(
     if n < 1:
         raise ParameterError(f"free_tree_layouts needs n >= 1, got {n}")
     cut = _degree_filter(n, max_degree, min_max_degree, min_degree3_count)
-    # min_max_degree alone rules nothing out before the last vertex, and
-    # order 1 has no prefix to cut: these filter the plain walk instead
-    if stripe is None and n > 1 and (max_degree, min_degree3_count) != (None, None):
-        return _block_walk(n, b_index, count, cut)
-    layouts = _stream(n) if count == 1 else _block_walk(n, b_index, count, None)
-    if step > 1:
-        layouts = islice(layouts, s_index, None, step)
+    if step == 1:
+        return _walk(n, b_index, count, cut)
+    layouts = islice(_walk(n, 0, 1, None), s_index, None, step)
     return layouts if cut is None else filterfalse(cut, layouts)
 
 

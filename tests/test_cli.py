@@ -272,6 +272,7 @@ def test_verify_rejects_bounds_it_cannot_run(capsys, argv):
     [
         ("buckley", "lemmas", "--max-a", "0"),
         ("thm1", "--max-n", "21"),
+        ("buckley", "--max-n", "21"),
         ("buckley", "thm5", "--budget", "1000"),
         ("buckley", "paper-numbers", "--budget", "5"),
     ],

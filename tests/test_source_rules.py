@@ -11,7 +11,9 @@ and CSV is made in one place. And no module imports `multiprocessing`:
 `--jobs` workers are bare forks over pipes. And the two O(n) kernels of
 `_fast`, `wiener_tree_layout` and `wiener2_tree_layout`, never call
 `layout_parents`: the searches run both on every tree, and each reads
-the level sequence in one reversed pass with no parent decode.
+the level sequence in one reversed pass with no parent decode. And
+`enumeration` has one generator that walks layouts: plain, filtered and
+block-shared streams all take its one skip rule, and stripes slice it.
 """
 
 from __future__ import annotations
@@ -136,3 +138,17 @@ def test_tree_kernels_decode_no_parent_array():
         for kernel in ("wiener_tree_layout", "wiener2_tree_layout")
     }
     assert found == {"wiener_tree_layout": [], "wiener2_tree_layout": []}
+
+
+def test_enumeration_has_one_layout_walker():
+    # free_trees yields graphs, decoded from that walker's layouts
+    generators = [
+        node.name
+        for node in ast.walk(parsed(PACKAGE / "enumeration.py"))
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(inner, (ast.Yield, ast.YieldFrom)) for inner in ast.walk(node)
+        )
+    ]
+    walkers = [name for name in generators if name != "free_trees"]
+    assert len(walkers) == 1, walkers
