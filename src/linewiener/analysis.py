@@ -10,8 +10,7 @@ a verdict.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import comb
 from typing import Optional
 
@@ -303,18 +302,18 @@ def _describe_class(max_degree, min_max_degree, min_degree3_count) -> str:
     return "trees with " + ", ".join(parts)
 
 
-def _keep_min(best: list, wk: int, w: int, codes) -> None:
-    """Fold the ratio wk/w into best = [best_wk, best_w, witness codes].
+def _keep_min(best: list, wk: int, w: int, recipes) -> None:
+    """Fold the ratio wk/w into best = [best_wk, best_w, witness recipes].
 
-    A smaller ratio replaces the witnesses with codes(), an equal one adds
-    codes() to them. codes is called only then, so a sweep computes the
-    canonical codes of its running argmins alone.
+    A smaller ratio replaces the witnesses with recipes(), an equal one
+    adds recipes() to them. recipes is called only then, so a sweep
+    builds the recipes of its running argmins alone.
     """
     best_wk, best_w, witnesses = best
     if best_w is None or wk * best_w < best_wk * w:
-        best[:] = wk, w, list(codes())
+        best[:] = wk, w, list(recipes())
     elif wk * best_w == best_wk * w:
-        witnesses.extend(codes())
+        witnesses.extend(recipes())
 
 
 def _masks_wk(layout: list[int], k: int) -> int:
@@ -328,55 +327,250 @@ def _masks_wk(layout: list[int], k: int) -> int:
 def _tree_scores(n: int, k: int, **stream):
     """(layout, W(T), W(L^k(T))) of each tree of the free-tree stream.
 
-    `stream` holds the filters and block of free_tree_layouts. W comes
-    from _fast.wiener_tree_layout and W_2 from _fast.wiener2_tree_layout,
-    each one reversed pass over the layout; W_1, the only other k a sweep
-    asks for, comes from a bitmask BFS on the line graph. The kernels are
-    looked up in _fast once, when the sweep starts. Every sweep over the
-    free-tree stream scores its trees here, and _witness_codes confirms
-    both values by BFS on each tree a sweep keeps.
+    `stream` holds the filters and stripe of free_tree_layouts. W comes
+    from _fast.wiener_tree_layout, one reversed pass over the layout, and
+    W_k from a bitmask BFS on the k-th line graph; the sweeps ask for
+    k = 1. The W kernel is looked up in _fast once, when the sweep starts.
     """
     tree_w = _fast.wiener_tree_layout
-    tree_wk = _fast.wiener2_tree_layout if k == 2 else partial(_masks_wk, k=k)
     for layout in free_tree_layouts(n, **stream):
         w = tree_w(layout)
-        wk = tree_wk(layout)
+        wk = _masks_wk(layout, k)
         if w <= 0 or wk < 0:
             raise CrossCheckError(f"W = {w}, W_{k} = {wk} for layout {layout}")
         yield layout, w, wk
 
 
-def _witness_codes(layout: list[int], k: int, w: int, wk: int) -> list[bytes]:
-    """The canonical code of a tree a sweep keeps as an argmin.
+def _branch_table(limit: int, most: Optional[int]) -> list[tuple]:
+    """Every rooted branch on at most `limit` vertices, smallest first.
 
-    Its W came from the edge-cut sum, so a BFS on the tree's graph
-    recomputes it first; at k = 2 its W_2 came from the formula, so the
-    mask BFS recomputes that too. Every reported witness is confirmed by
-    two methods.
+    A branch is a rooted tree that hangs by an up edge from a vertex
+    outside it, and every degree below counts that edge. Row i is
+
+        (size, x, p, s, a, a2, d3, top, kids, layout)
+
+    with p the distance sum from the vertex above to the branch's
+    vertices, x = W - p * size for W the branch's own Wiener index, s the
+    sum of C(d, 2) over its vertices (its wedges), a and a2 the sums of
+    A_e and A_e^2 over its edges, the up edge included, A_e being the
+    wedges below e, d3 its count of degree-3 vertices, top its largest
+    degree, kids the rows of the root's children and layout its level
+    sequence, root at level 0.
+
+    A branch of size m is a root over a multiset of smaller branches of
+    total size m - 1, taken as a non-increasing run of row indices, so
+    each rooted tree is one row: r(m) rows of size m (OEIS A000081).
+    Branches with a degree above `most` are left out. Each row is
+    summed from its kids' rows: with N = size - 1 below the root,
+    W = sum (W_j - p_j n_j) + (1 + N) sum p_j, so x = sum x_j - size^2.
+    """
+    rows: list[tuple] = []
+
+    def multisets(rem, last, kids):
+        # kids, extended by every non-increasing run of rows <= last
+        # whose sizes sum to rem
+        if not rem:
+            yield kids
+            return
+        for i in range(last, -1, -1):
+            if rows[i][0] <= rem:
+                yield from multisets(rem - rows[i][0], i, kids + (i,))
+
+    for size in range(1, limit + 1):
+        for kids in multisets(size - 1, len(rows) - 1, ()):
+            degree = len(kids) + 1
+            if most is not None and degree > most:
+                continue
+            x = p = s = a = a2 = d3 = 0
+            top = degree
+            layout = [0]
+            for i in kids:
+                _, xi, pi, si, ai, a2i, d3i, topi, _, below = rows[i]
+                x += xi
+                p += pi
+                s += si
+                a += ai
+                a2 += a2i
+                d3 += d3i
+                top = max(top, topi)
+                layout += [level + 1 for level in below]
+            s += comb(degree, 2)
+            rows.append((
+                size, x - size * size, p + size, s, a + s, a2 + s * s,
+                d3 + (degree == 3), top, kids, tuple(layout),
+            ))
+    return rows
+
+
+def _centroid_scan(n, most, least, need, index, jobs):
+    """One share of the min W_2/W sweep, walked by centroid.
+
+    Every free tree of order n is one of:
+    - a root (its centroid) over a multiset of branches of size at most
+      (n - 1)/2, taken as a non-increasing run of _branch_table rows;
+    - for even n, two branches a <= b of size n/2 joined by an edge,
+      rooted at a's root: a's kids and then b hang from it.
+    At a root with branches j, in a tree of order n,
+
+        W = sum w_j, with w_j = W_j + p_j (n - n_j) = x_j + n p_j,
+        W(L^2) = S * (sum a_j - n + 2 + S) - sum a2_j,
+
+    with S = sum s_j + C(c, 2) for c branches (the root's own wedges):
+    _fast.wiener2_tree_layout's edge-cut formula, summed per branch. So
+    a depth-first walk over the multisets carries the running sums and
+    scores each tree in O(1) from them.
+
+    The top-level choices are the largest branch at a centroid, then
+    (n even) the branch a; this share takes those numbered index mod
+    jobs. Returns (scanned, best_wk, best_w, recipes): each recipe is the
+    tuple of rows that hang from the root of one argmin of the share,
+    and best values are None when no tree passes the filters. `most`,
+    `least` and `need` are the degree filters of free_tree_layouts, None
+    when unset. A branch with a degree above `most` is left out of the
+    table, and a partial root is abandoned once its degree-3 vertices
+    cannot reach `need`: a forest of r vertices below it holds at most
+    (r - 1) // 2 of them, and the root itself one more.
+    """
+    best = [None, None, []]
+    # the running minimum best_wk / best_w; 1/0 lies above every ratio
+    best_wk, best_w = 1, 0
+    scanned = 0
+    least = least or 0
+    need = need or 0
+    if n == 1:
+        # the lone vertex, the one tree with no branch: W = W_2 = 0
+        if index == 0 and least == need == 0:
+            scanned = 1
+            _keep_min(best, 0, 0, lambda: [()])
+        return (scanned, *best)
+    half = n // 2
+    rows = _branch_table(half, most)
+    most = n if most is None else most
+    filtered = least > 0 or need > 0
+    # first[z]: the first row of size z or more
+    counts = [0] * (n + 2)
+    for row in rows:
+        counts[row[0] + 1] += 1
+    first = list(accumulate(counts))
+    # per row: its size, then its terms at a root of an order-n tree
+    terms = [
+        (size, x + n * p, s, a, a2, d3, top)
+        for size, x, p, s, a, a2, d3, top, *_ in rows
+    ]
+    leaves = [
+        (w, s, a, a2, d3, top, i)
+        for i, (_, w, s, a, a2, d3, top) in enumerate(terms)
+    ]
+    wedges = [comb(degree, 2) for degree in range(n + 1)]
+    room = [(rem - 1) // 2 + 1 for rem in range(n)]
+    shift = n - 2
+
+    def finish(lo, hi, degree, W, S, A, A2, d3, top, picks):
+        # score the trees that close the root with one more branch, a row
+        # in lo..hi-1, which gives the root `degree`
+        nonlocal scanned, best_wk, best_w
+        S += wedges[degree]
+        # W(L^2) = S * (sum a - (n - 2) + S) - sum a2, S and the sums
+        # taken with the closing branch
+        A -= shift
+        group = leaves[lo:hi]
+        if filtered:
+            d3 += degree == 3
+            top = max(top, degree)
+            group = [
+                leaf for leaf in group
+                if d3 + leaf[4] >= need and max(top, leaf[5]) >= least
+            ]
+        scanned += len(group)
+        for w, s, a, a2, _, _, i in group:
+            w += W
+            s += S
+            wk = s * (A + a + s) - A2 - a2
+            if wk * best_w <= best_wk * w:
+                _keep_min(best, wk, w, lambda: [picks + (i,)])
+                best_wk, best_w = best[0], best[1]
+
+    def grow(rem, last, count, W, S, A, A2, d3, top, picks):
+        # a root with `count` branches, the last of them row `last`, and
+        # rem vertices still to hang from it as rows <= last
+        degree = count + 1
+        lo = first[rem]
+        if degree <= most and last >= lo:
+            hi = min(last + 1, first[rem + 1])
+            finish(lo, hi, degree, W, S, A, A2, d3, top, picks)
+        if degree < most:
+            for i in range(min(last, lo - 1), -1, -1):
+                size, w, s, a, a2, d3i, topi = terms[i]
+                if d3 + d3i + room[rem - size] >= need:
+                    grow(
+                        rem - size, i, degree, W + w, S + s, A + a, A2 + a2,
+                        d3 + d3i, max(top, topi), picks + (i,),
+                    )
+
+    central = range(first[(n - 1) // 2 + 1] - 1, -1, -1)
+    pairs = range(first[half], first[half + 1]) if n % 2 == 0 else ()
+    choices = [(True, i) for i in central] + [(False, i) for i in pairs]
+    for centroid, i in choices[index::jobs]:
+        size, w, s, a, a2, d3, top = terms[i]
+        if centroid:
+            if d3 + room[n - 1 - size] >= need:
+                grow(n - 1 - size, i, 1, w, s, a, a2, d3, top, (i,))
+        else:
+            # a's row already holds its root's wedges and degree, the
+            # edge to b included. Its kids' sums are its own less its up
+            # edge's, and the w terms of a and b each count the edge
+            # between them for all half * half pairs across it
+            finish(
+                first[half], i + 1, 1, w - half * half, s, a - s, a2 - s * s,
+                d3, top, rows[i][8],
+            )
+    return (scanned, *best)
+
+
+def _witness_code(layout: list[int], k: int, w: int, wk: int) -> bytes:
+    """The canonical code of a tree a sweep reports as an argmin.
+
+    Its W and W_k are recomputed from the layout by independent methods
+    first: W by the edge-cut kernel and by BFS on the tree's graph, and
+    at k = 2 W_2 by the formula kernel and by the mask BFS. Any
+    disagreement with the sweep's values raises CrossCheckError.
     """
     g = layout_graph(layout)
-    bfs = wiener_index(g)
-    if bfs != w:
-        raise CrossCheckError(
-            f"W = {w} by edge cuts, {bfs} by BFS for layout {layout}"
-        )
+    checks = [
+        ("W", w, _fast.wiener_tree_layout(layout), "edge cuts"),
+        ("W", w, wiener_index(g), "BFS"),
+    ]
     if k == 2:
-        bfs = _masks_wk(layout, 2)
-        if bfs != wk:
+        checks += [
+            ("W_2", wk, _fast.wiener2_tree_layout(layout), "formula"),
+            ("W_2", wk, _masks_wk(layout, 2), "mask BFS"),
+        ]
+    for name, swept, value, method in checks:
+        if value != swept:
             raise CrossCheckError(
-                f"W_2 = {wk} by formula, {bfs} by BFS for layout {layout}"
+                f"{name} = {value} by {method}, {swept} by the sweep "
+                f"for layout {layout}"
             )
-    return [canonical_code(g)]
+    return canonical_code(g)
 
 
 def _scan_block(args):
-    """One job's blocks of a min W_k/W sweep.
+    """One job's share of a min W_k/W sweep.
 
-    Returns (scanned, best_wk, best_w, witness_codes); best values are None
-    when no tree of the blocks passes the filters. Witnesses are the codes
-    of these blocks' argmins.
+    args is (n, k, max_degree, min_max_degree, min_degree3_count, index,
+    jobs). k = 2 walks by centroid (_centroid_scan) and takes the
+    top-level choices numbered index mod jobs; any other k walks the
+    stripe (index, jobs) of the free-tree stream. Returns (scanned,
+    best_wk, best_w, recipes); best values are None when no tree of the
+    share passes the filters. A recipe names one argmin of the share, as
+    its rows of _branch_table at k = 2 and as its layout otherwise; the
+    caller rebuilds and confirms the argmins that survive the merge.
     """
     n, k, max_degree, min_max_degree, min_degree3_count, index, jobs = args
+    if k == 2:
+        return _centroid_scan(
+            n, max_degree, min_max_degree, min_degree3_count, index, jobs
+        )
     scanned = 0
     best = [None, None, []]
     # the running minimum best_wk / best_w; 1/0 lies above every ratio
@@ -387,11 +581,11 @@ def _scan_block(args):
         max_degree=max_degree,
         min_max_degree=min_max_degree,
         min_degree3_count=min_degree3_count,
-        block=(index, jobs),
+        stripe=(index, jobs),
     ):
         scanned += 1
         if wk * best_w <= best_wk * w:
-            _keep_min(best, wk, w, lambda: _witness_codes(layout, k, w, wk))
+            _keep_min(best, wk, w, lambda: [layout])
             best_wk, best_w = best[0], best[1]
     return (scanned, *best)
 
@@ -537,14 +731,15 @@ def _min_ratio_scan(
 ):
     """Exhaustive min of W(L^k)/W over filtered trees of order n.
 
-    Job i walks the blocks of the enumeration stream (runs of layouts that
-    share the root's first subtree) numbered i mod jobs, counting only the
-    blocks the degree filters leave alive, so the jobs partition the
-    filtered stream and each walks only its own part. Job 0 runs in this
-    process, the others in forked workers (_scan_in_workers). Merging their
-    exact minima is associative and the witnesses are sorted, so any job
-    count gives identical results. An unfiltered sweep must have scanned
-    exactly free_tree_count(n) trees, or it raises CrossCheckError.
+    The sweep is split into `jobs` shares (_scan_block): at k = 2 the
+    top-level choices of the centroid walk numbered i mod jobs, otherwise
+    the stripes of the free-tree stream. Share 0 runs in this process,
+    the others in forked workers (_scan_in_workers). Merging their exact
+    minima is associative and the witnesses are sorted, so any job count
+    gives identical results. An unfiltered sweep must have scanned
+    exactly free_tree_count(n) trees, or it raises CrossCheckError. Only
+    then are the merged argmins rebuilt from their recipes and confirmed
+    (_witness_code), each once.
     """
     args = [
         (n, k, max_degree, min_max_degree, min_degree3_count, i, jobs)
@@ -559,9 +754,19 @@ def _min_ratio_scan(
             _keep_min(best, part_wk, part_w, lambda: part_wit)
     if (max_degree, min_max_degree, min_degree3_count) == (None, None, None):
         _check_tree_count(n, scanned)
-    best_wk, best_w, witnesses = best
-    ratio = None if best_w is None else Fraction(best_wk, best_w)
-    return scanned, ratio, tuple(sorted(witnesses))
+    best_wk, best_w, recipes = best
+    if best_w is None:
+        return scanned, None, ()
+    layouts = recipes
+    if k == 2:
+        # a recipe lists the branch rows that hang from the root
+        rows = _branch_table(n // 2, max_degree)
+        layouts = [
+            [0] + [level + 1 for i in recipe for level in rows[i][9]]
+            for recipe in recipes
+        ]
+    codes = [_witness_code(layout, k, best_w, best_wk) for layout in layouts]
+    return scanned, Fraction(best_wk, best_w), tuple(sorted(codes))
 
 
 def _check_search_bounds(n: int, limit: int, jobs: int) -> None:
@@ -584,7 +789,9 @@ def min_r2_search(
 ) -> MinimizerReport:
     """Exact minimum of R2 over all (filtered) trees of order n.
 
-    Exhaustive over the free-tree stream, so the order is capped: above
+    Exhaustive: the centroid walk of _centroid_scan scores every free
+    tree of order n once, from branch summaries, and only the trees left
+    at the minimum are rebuilt and confirmed. So the order is capped: above
     `limit` the call fails rather than silently sampling, because a
     non-exhaustive minimum is worthless here. Raising the cap is the
     caller's explicit act.

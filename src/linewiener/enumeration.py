@@ -11,17 +11,12 @@ one layout per class is ever built, which is what makes order-20-plus
 sweeps feasible; generating labeled trees and de-duplicating dies around
 order 12.
 
-A block of the stream is a run of layouts that share the root's first
-subtree; the stream splits into blocks for parallel consumers. One walker
-takes every unstriped stream, one layout per step, and has one skip rule:
-the run of layouts that share a prefix is left in one step. A degree
-filter names such a prefix once it rules out every layout sharing it (a
-vertex's degree above a bound, or too much degree waste to leave room
-for the required degree-3 vertices), and a consumer names a block's
-first subtree when the block is another consumer's. A prefix within a
-block's first subtree condemns whole blocks; every consumer skips them
-unnumbered and splits only the live blocks among themselves. Striped
-streams count positions in the unfiltered stream and do not skip.
+One walker takes every unstriped stream, one layout per step, and has
+one skip rule: the run of layouts that share a prefix is left in one
+step. A degree filter names such a prefix once it rules out every layout
+sharing it (a vertex's degree above a bound, or too much degree waste to
+leave room for the required degree-3 vertices). Striped streams count
+positions in the unfiltered stream and do not skip.
 
 `canonical_code` gives a relabeling-invariant byte encoding (equal codes
 iff isomorphic), used to de-duplicate search witnesses and to cross-check
@@ -180,43 +175,28 @@ def _path_layout(n: int) -> list[int]:
     return list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
 
 
-def _walk(n: int, index: int, count: int, cut) -> Iterator[list[int]]:
-    """The layouts `cut` passes in the live blocks numbered index mod count.
+def _walk(n: int, cut) -> Iterator[list[int]]:
+    """The layouts of the free-tree stream that `cut` passes.
 
-    A block is a maximal run of consecutive layouts that share the root's
-    first subtree layout[:m]. The walk takes one layout per step and has
-    one skip rule: a prefix length j > 0 leaves the whole run of layouts
-    that share layout[:j] in one step, from the rooted successor of
-    layout[:j] + [1, ...]. j is the prefix `cut` rules out, or m when the
-    layout opens a block that another share owns. A block whose first
-    layout is cut at 0 < j <= m is dead: its run is whole blocks, and they
-    get no number. Without `cut` every layout passes and every block lives.
-
-    A block ends when the rooted step's pivot falls below m, or when the
-    free step jumps, which it does with pivot m - 1. Off the stream a jump
-    may land on an invalid layout, so a new block's first layout is the
-    first that is its own free successor.
+    The walk takes one layout per step and has one skip rule: when `cut`
+    rules out the prefix layout[:j], the whole run of layouts that share
+    it is left in one step, from the rooted successor of layout[:j] +
+    [1, ...]. Without `cut` every layout passes. The free step may jump
+    to an invalid layout, so a layout is walked only once it is its own
+    free successor.
     """
     if n == 1:
-        # one block, and no first subtree for cut to rule out before it
-        if index == 0 and not (cut and cut([0])):
+        # no prefix for cut to rule out before the lone vertex
+        if not (cut and cut([0])):
             yield [0]
         return
     candidate = _path_layout(n)
-    m = 0  # the open block's first-subtree end, 0 between blocks
-    block = -1
     while candidate is not None:
         layout = _next_free_layout(candidate)
         if layout is not candidate:
-            candidate, m = layout, 0
+            candidate = layout
             continue
         j = cut(layout) if cut else 0
-        if not m:
-            m = _first_subtree_end(layout)
-            if not 0 < j <= m:
-                block += 1
-                if block % count != index:
-                    j = m
         if j:
             layout = layout[:j] + [1] * (n - j)
         else:
@@ -224,19 +204,7 @@ def _walk(n: int, index: int, count: int, cut) -> Iterator[list[int]]:
         p = n - 1
         while layout[p] == 1:
             p -= 1
-        if p < m:
-            m = 0
         candidate = _next_rooted_layout(layout, p)
-
-
-def _check_part(name: str, size: str, part) -> tuple[int, int]:
-    """(index, size) of a stripe or block argument; None is (0, 1)."""
-    index, count = (0, 1) if part is None else part
-    if count < 1 or not 0 <= index < count:
-        raise ParameterError(
-            f"{name} must be (index, {size}) with 0 <= index < {size}, got {part}"
-        )
-    return index, count
 
 
 def free_tree_layouts(
@@ -246,7 +214,6 @@ def free_tree_layouts(
     min_max_degree: Optional[int] = None,
     min_degree3_count: Optional[int] = None,
     stripe: Optional[tuple[int, int]] = None,
-    block: Optional[tuple[int, int]] = None,
 ) -> Iterator[list[int]]:
     """Level sequences of all free trees on n vertices, one per class.
 
@@ -264,34 +231,25 @@ def free_tree_layouts(
     cover everything, and apply before filtering, so parallel consumers can
     run one stripe each and merge by position.
 
-    `block=(index, count)` splits the stream into blocks instead: maximal
-    runs of consecutive layouts whose root has the same first subtree. It
-    yields the live blocks whose number is congruent to index mod count, in
-    stream order, and walks only those; the others are skipped in a few
-    steps each. `block` and `stripe` cannot be combined.
-
     Without a stripe, the walk skips in one step every run of layouts that
     share a prefix which already rules the filters out: a vertex there
     above `max_degree`, or too many vertices of degree other than 3 to
     leave room for `min_degree3_count` of them. The layouts yielded are the
-    same; only fewer are walked. A striped stream walks every layout. When
-    such a prefix lies within a block's first subtree, its run is whole
-    blocks, and these are dead: blocks are numbered among the live ones
-    only, so the partition can depend on the filters. The blocks for one
-    count are disjoint and together yield exactly the filtered stream.
+    same; only fewer are walked. A striped stream walks every layout.
 
     Arguments are checked at the call, before the first layout.
     """
-    if stripe is not None and block is not None:
-        raise ParameterError("give stripe or block, not both")
-    s_index, step = _check_part("stripe", "step", stripe)
-    b_index, count = _check_part("block", "count", block)
+    index, step = (0, 1) if stripe is None else stripe
+    if step < 1 or not 0 <= index < step:
+        raise ParameterError(
+            f"stripe must be (index, step) with 0 <= index < step, got {stripe}"
+        )
     if n < 1:
         raise ParameterError(f"free_tree_layouts needs n >= 1, got {n}")
     cut = _degree_filter(n, max_degree, min_max_degree, min_degree3_count)
     if step == 1:
-        return _walk(n, b_index, count, cut)
-    layouts = islice(_walk(n, 0, 1, None), s_index, None, step)
+        return _walk(n, cut)
+    layouts = islice(_walk(n, None), index, None, step)
     return layouts if cut is None else filterfalse(cut, layouts)
 
 

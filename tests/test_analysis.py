@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -42,6 +43,7 @@ from linewiener import (
     w_spider,
     worked_example_checks,
 )
+from linewiener.enumeration import layout_graph, layout_parents
 
 from oracles import (
     level_sequence,
@@ -284,8 +286,9 @@ def test_wiener2_formula_against_subdivided_quipu_bfs():
 
 
 def test_search_runs_the_bfs_only_on_running_argmins(monkeypatch):
-    # the path comes first in the stream and is the unique minimizer at
-    # these orders, so its confirmation is the only BFS of the search
+    # the search confirms only the argmins left after the shares merge;
+    # the path is the unique minimizer at these orders, so its
+    # confirmation is the only BFS of the search
     from linewiener import _fast
 
     calls = []
@@ -328,20 +331,117 @@ def test_search_confirms_the_w_of_each_argmin_by_bfs(monkeypatch, jobs):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_search_keeps_every_tied_tree(monkeypatch, jobs):
-    # with W_2 = W every ratio is 1, so each tree ties the running minimum
-    # and must reach _keep_min; the layout's bytes stand in for its code
-    from linewiener import _fast, analysis
-    from linewiener.enumeration import free_tree_layouts
+    # with C(d, 2) = 0 no vertex carries a wedge, so the walk scores
+    # W(L^2) = 0 on every tree: each tree ties the running minimum 0/W and
+    # must reach _keep_min, survive the merge and be rebuilt from its
+    # recipe; the rebuilt layout's code stands in for its confirmation
+    from linewiener import analysis
 
-    monkeypatch.setattr(_fast, "wiener2_tree_layout", _fast.wiener_tree_layout)
+    monkeypatch.setattr(analysis, "comb", lambda n, k: 0)
     monkeypatch.setattr(
-        analysis, "_witness_codes", lambda layout, k, w, wk: [bytes(layout)]
+        analysis,
+        "_witness_code",
+        lambda layout, k, w, wk: canonical_code(layout_graph(layout)),
     )
     report = min_r2_search(8, jobs=jobs)
-    everything = sorted(bytes(layout) for layout in free_tree_layouts(8))
-    assert report.min_ratio == 1
+    everything = sorted(canonical_code(g) for g in free_trees(8))
+    assert report.min_ratio == 0
     assert report.trees_scanned == 23
     assert report.witnesses == tuple(everything)
+
+
+def scored_by_the_walk(monkeypatch, n):
+    """(W, W_2) of every tree the centroid walk scores at order n: the
+    running minimum is held at 0/0, which every score ties, so each tree
+    reaches _keep_min with its own values."""
+    from linewiener import analysis
+
+    scores = []
+
+    def record(best, wk, w, recipes):
+        scores.append((w, wk))
+        best[:2] = 0, 0
+
+    monkeypatch.setattr(analysis, "_keep_min", record)
+    scanned = analysis._scan_block((n, 2, None, None, None, 0, 1))[0]
+    assert scanned == len(scores), n
+    return Counter(scores)
+
+
+def test_centroid_walk_scores_every_tree_as_the_stream_kernels_do(monkeypatch):
+    from linewiener._fast import wiener2_tree_layout, wiener_tree_layout
+    from linewiener.enumeration import free_tree_layouts
+
+    for n in range(1, 15):
+        expected = Counter(
+            (wiener_tree_layout(layout), wiener2_tree_layout(layout))
+            for layout in free_tree_layouts(n)
+        )
+        assert scored_by_the_walk(monkeypatch, n) == expected, n
+
+
+def rooted_code(layout):
+    """Sorted-parentheses code of a layout's tree rooted at vertex 0:
+    equal codes iff the rooted trees are isomorphic."""
+    parent = layout_parents(layout)
+    below = [[] for _ in layout]
+    for v in range(len(layout) - 1, 0, -1):
+        below[parent[v]].append("(" + "".join(sorted(below[v])) + ")")
+    return "(" + "".join(sorted(below[0])) + ")"
+
+
+# rooted trees on m vertices, m = 1..10 (OEIS A000081)
+ROOTED_TREE_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
+
+
+def test_branch_table_holds_each_rooted_tree_once_with_its_summary():
+    # row i as a tree of its own: the vertex above, then the branch
+    from linewiener._fast import wiener2_tree_layout, wiener_tree_layout
+    from linewiener.analysis import _branch_table
+
+    rows = _branch_table(10, None)
+    sizes = [row[0] for row in rows]
+    assert sizes == sorted(sizes)
+    assert [sizes.count(m) for m in range(1, 11)] == ROOTED_TREE_COUNTS
+    codes = set()
+    for size, x, p, s, a, a2, d3, top, kids, layout in rows:
+        codes.add(rooted_code(layout))
+        assert len(layout) == size
+        assert sum(rows[i][0] for i in kids) == size - 1
+        assert list(kids) == sorted(kids, reverse=True)
+        hung = [0] + [level + 1 for level in layout]
+        g = layout_graph(hung)
+        assert wiener_tree_layout(hung) == x + p * size + p
+        assert wiener2_tree_layout(hung) == s * (a + s - size + 1) - a2
+        degrees = [g.degree(v) for v in range(1, size + 1)]
+        assert (d3, top) == (degrees.count(3), max(degrees))
+    assert len(codes) == len(rows)
+    capped = _branch_table(10, 3)
+    assert capped == [row for row in capped if row[7] <= 3]
+    assert len(capped) == len([row for row in rows if row[7] <= 3])
+
+
+def test_search_shares_give_identical_reports():
+    # the walk's top-level choices, numbered mod K, partition the trees;
+    # K = 7 exceeds the choices at the small orders, so shares run empty
+    from linewiener.reporting import report_text
+
+    from test_enumeration import DEGREE_FILTERS
+
+    for n in range(4, 13):
+        for kwargs in [{}] + DEGREE_FILTERS:
+            lone = min_r2_search(n, **kwargs)
+            for jobs in (2, 3, 7):
+                multi = min_r2_search(n, jobs=jobs, **kwargs)
+                assert multi == lone, (n, kwargs, jobs)
+                assert report_text(multi) == report_text(lone), (n, kwargs, jobs)
+
+
+def test_search_result_at_twenty_is_the_path():
+    report = min_r2_search(20)
+    assert report.trees_scanned == 823065
+    assert report.min_ratio == Fraction(51, 70) == r2_path(20)
+    assert report.witnesses == (canonical_code(tree("path:20")),)
 
 
 def brute_force_min_r2(n, keep=lambda g: True):
@@ -391,9 +491,8 @@ def test_search_jobs_do_not_change_the_report():
     lone = min_r2_search(10)
     multi = min_r2_search(10, jobs=3)
     assert lone == multi
-    # each job walks its own live stream blocks, and a filter that rules
-    # out a block's first subtree skips it unnumbered; the merged reports
-    # must agree
+    # each job walks its own top-level choices of the centroid walk, and
+    # the filters prune within them; the merged reports must agree
     cases = (
         (14, {"min_degree3_count": 2}),
         (13, {}),
@@ -434,6 +533,8 @@ def test_search_bounds():
 def test_star_minimizes_r1_at_small_orders():
     for n in range(4, 10):
         assert star_minimizes_r1(n)
+    # shares of the k = 1 sweep are stripes of the stream
+    assert star_minimizes_r1(9, jobs=3)
 
 
 def test_line_wiener_tree_identity():
@@ -445,10 +546,16 @@ def test_line_wiener_tree_identity():
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_unfiltered_sweeps_check_the_tree_count(monkeypatch, fault, jobs):
     # a walk that drops or repeats a tree has the wrong free-tree count,
-    # whichever tree it is, and also when only a worker's share is wrong
+    # whichever tree it is, and also when only a worker's share is wrong:
+    # the centroid walk loses or doubles a branch, the stream a layout
     from linewiener import analysis
 
+    table = analysis._branch_table
     layouts = analysis.free_tree_layouts
+
+    def faulty_table(limit, most):
+        rows = table(limit, most)
+        return rows[:-1] if fault == "drop" else rows + rows[-1:]
 
     def faulty(n, **kwargs):
         stream = layouts(n, **kwargs)
@@ -456,6 +563,7 @@ def test_unfiltered_sweeps_check_the_tree_count(monkeypatch, fault, jobs):
         yield from [first, first] if fault == "repeat" else []
         yield from stream
 
+    monkeypatch.setattr(analysis, "_branch_table", faulty_table)
     monkeypatch.setattr(analysis, "free_tree_layouts", faulty)
     with pytest.raises(CrossCheckError, match="trees scanned at order 8"):
         min_r2_search(8, jobs=jobs)

@@ -9,12 +9,10 @@ every Prufer sequence. Together those pin completeness and uniqueness.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
 import os
 import random
 from collections import deque
-from itertools import groupby
 
 import pytest
 
@@ -192,89 +190,6 @@ def passes(deg, kwargs):
     )
 
 
-def merged_blocks(n, count, **kwargs):
-    # the stream is in decreasing lexicographic order, so merging the block
-    # streams by that order puts every layout back at its stream position
-    parts = [free_tree_layouts(n, block=(i, count), **kwargs) for i in range(count)]
-    return heapq.merge(*parts, reverse=True)
-
-
-def test_blocks_partition_the_stream():
-    for n, pinned in PINNED_STREAMS.items():
-        for count in (1, 2, 3, 5):
-            assert stream_digest(merged_blocks(n, count)) == pinned, (n, count)
-    for n in (17, 18):
-        assert stream_digest(merged_blocks(n, 2)) == stream_digest(
-            free_tree_layouts(n)
-        ), n
-
-
-def test_block_one_of_one_is_the_plain_stream():
-    for n in (1, 2, 3, 9, 12):
-        assert list(free_tree_layouts(n, block=(0, 1))) == list(
-            free_tree_layouts(n)
-        ), n
-
-
-def first_subtree(layout):
-    # the root's first child and its descendants, up to the second child
-    rest = layout[2:]
-    return tuple(layout[: 2 + rest.index(1)] if 1 in rest else layout)
-
-
-def test_blocks_are_the_runs_of_one_first_subtree():
-    for n in (3, 8, 12):
-        runs = [
-            list(run)
-            for _, run in groupby(free_tree_layouts(n), key=first_subtree)
-        ]
-        # one block per consumer: each consumer gets exactly its run
-        count = len(runs)
-        for index, run in enumerate(runs):
-            assert list(free_tree_layouts(n, block=(index, count))) == run
-        # one consumer more than there are runs gets nothing
-        assert list(free_tree_layouts(n, block=(count, count + 1))) == []
-
-
-def test_block_applies_before_a_filter_that_cannot_prune():
-    # min_max_degree alone rules nothing out before the last vertex, so its
-    # blocks are the unfiltered blocks, filtered
-    for kwargs in ({"min_max_degree": 3}, {"min_max_degree": 5}):
-        for n in (9, 12):
-            kept = {tuple(layout) for layout in free_tree_layouts(n, **kwargs)}
-            for count in (2, 3):
-                for index in range(count):
-                    got = list(free_tree_layouts(n, block=(index, count), **kwargs))
-                    expected = [
-                        layout
-                        for layout in free_tree_layouts(n, block=(index, count))
-                        if tuple(layout) in kept
-                    ]
-                    assert got == expected, (kwargs, n, count, index)
-
-
-def test_block_validation():
-    for block in ((0, 0), (-1, 2), (2, 2), (5, 3)):
-        for n in (1, 5):
-            with pytest.raises(ParameterError):
-                list(free_tree_layouts(n, block=block))
-    for n in (1, 5):
-        for part in ((0, 1), (0, 2)):
-            with pytest.raises(ParameterError):
-                list(free_tree_layouts(n, block=part, stripe=part))
-
-
-@pytest.mark.skipif(
-    os.environ.get("LINEWIENER_STRETCH") != "1",
-    reason="set LINEWIENER_STRETCH=1 to walk all 823,065 trees of order 20",
-)
-def test_blocks_partition_the_stream_at_20():
-    plain = stream_digest(free_tree_layouts(20))
-    assert plain[0] == 823065
-    for count in (2, 3):
-        assert stream_digest(merged_blocks(20, count)) == plain, count
-
-
 def test_degree_filters():
     for stream in STREAMS:
         # max degree 2 leaves exactly the path; min max degree n-1 the star
@@ -316,51 +231,24 @@ def pruning_filters(n):
     ]
 
 
-def test_filtered_blocks_are_the_live_runs_filtered_by_graph_degrees():
-    # the reference partition, built from the unpruned stream: its
-    # first-subtree runs, less each run whose first layout the cut rules
-    # out within its first subtree, numbered in stream order, each layout
-    # then decided from the degrees of its decoded graph
+def test_filtered_stream_is_the_stream_filtered_by_graph_degrees():
+    # the walk skips the runs of layouts a prefix rules out; what it yields
+    # must be the unpruned stream, each layout decided from the degrees of
+    # its decoded graph
     for n in range(1, 17):
         full = list(free_tree_layouts(n))
         degrees = [graph_degrees(layout_graph(layout)) for layout in full]
-        runs = [
-            list(run)
-            for _, run in groupby(
-                zip(full, degrees), key=lambda pair: first_subtree(pair[0])
-            )
-        ]
         for kwargs in DEGREE_FILTERS + pruning_filters(n):
             got = list(free_tree_layouts(n, **kwargs))
             assert got == [
                 layout for layout, deg in zip(full, degrees) if passes(deg, kwargs)
             ], (n, kwargs)
-            cut = enumeration._degree_filter(n, **kwargs)
-            live = [
-                run
-                for run in runs
-                if not 0 < cut(run[0][0]) <= len(first_subtree(run[0][0]))
-            ]
-            for count in (1, 2, 3):
-                for index in range(count):
-                    expected = [
-                        layout
-                        for run in live[index::count]
-                        for layout, deg in run
-                        if passes(deg, kwargs)
-                    ]
-                    got = list(free_tree_layouts(n, block=(index, count), **kwargs))
-                    assert got == expected, (n, count, index, kwargs)
-    # the lone tree of orders 1 and 2 is in block 0
-    for n in (1, 2):
-        assert len(list(free_tree_layouts(n, max_degree=1, block=(0, 2)))) == 1
-        assert list(free_tree_layouts(n, max_degree=1, block=(1, 2))) == []
 
 
 def test_filtered_stream_is_pinned():
     # the search-filtered workload's stream, two more taken before the walk
     # skipped prefix runs, and one of order 22 taken before it skipped dead
-    # blocks unnumbered, each whole and as two and three merged blocks
+    # blocks, runs of layouts sharing a first subtree the cut rules out
     pins = [
         (18, {"min_degree3_count": 7}, 294,
          "2c0497ba20a8c9ca2067e0380e0b58b21526e79479d96f737319467cdea25fdf"),
@@ -374,15 +262,13 @@ def test_filtered_stream_is_pinned():
     for n, kwargs, size, digest in pins:
         pinned = (size, digest)
         assert stream_digest(free_tree_layouts(n, **kwargs)) == pinned, n
-        for count in (2, 3):
-            merged = merged_blocks(n, count, **kwargs)
-            assert stream_digest(merged) == pinned, (n, count)
 
 
 def test_filtered_stream_skips_blocks(monkeypatch):
     # every layout the walk visits is decoded by the degree cut; without
     # the prefix skips all 123,867 of order 18 would be, and a run of dead
-    # blocks costs one call, not one a block
+    # blocks (layouts sharing a first subtree the cut rules out) costs one
+    # call, not one a block
     calls = []
     degree_filter = enumeration._degree_filter
 
@@ -398,24 +284,6 @@ def test_filtered_stream_skips_blocks(monkeypatch):
     monkeypatch.setattr(enumeration, "_degree_filter", counting_filter)
     assert sum(1 for _ in free_tree_layouts(18, min_degree3_count=7)) == 294
     assert 0 < len(calls) < 4000
-    # each of two workers jumps the dead blocks too, rather than stepping
-    # over every block it does not own
-    steps = []
-    next_rooted_layout = enumeration._next_rooted_layout
-
-    def counting_step(*args):
-        steps.append(1)
-        return next_rooted_layout(*args)
-
-    monkeypatch.setattr(enumeration, "_next_rooted_layout", counting_step)
-    kept = 0
-    for index in (0, 1):
-        steps.clear()
-        kept += sum(
-            1 for _ in free_tree_layouts(18, min_degree3_count=7, block=(index, 2))
-        )
-        assert 0 < len(steps) < 4000, index
-    assert kept == 294
 
 
 def test_degree_cut_is_sound():

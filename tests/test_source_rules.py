@@ -12,8 +12,8 @@ and CSV is made in one place. And no module imports `multiprocessing`:
 `_fast`, `wiener_tree_layout` and `wiener2_tree_layout`, never call
 `layout_parents`: the searches run both on every tree, and each reads
 the level sequence in one reversed pass with no parent decode. And
-`enumeration` has one generator that walks layouts: plain, filtered and
-block-shared streams all take its one skip rule, and stripes slice it.
+`enumeration` has one generator that walks layouts: plain and filtered
+streams both take its one skip rule, and stripes slice it.
 """
 
 from __future__ import annotations
