@@ -7,8 +7,8 @@ levels that keeps one running sum per level for the vertex still open
 there, so neither decodes a parent array. The bitmask ones hold a graph
 on n vertices as a list of n ints, where bit u of ``masks[v]`` says u and
 v are adjacent, so BFS layers become mask operations and distance sums
-come from ``int.bit_count``. The searches score every tree with the
-closed forms and run the mask BFS only to confirm each running argmin;
+come from ``int.bit_count``. The min-R_2 search scores its trees from
+branch summaries and runs both kinds only to confirm its final argmins;
 the `buckley` and `thm1` checks of `verify` (k = 1) run the mask BFS on
 every tree. General-purpose code goes through graphs.Graph instead, whose
 wiener_index runs bitset sweeps from up to 4096 sources at once over the

@@ -302,18 +302,18 @@ def _describe_class(max_degree, min_max_degree, min_degree3_count) -> str:
     return "trees with " + ", ".join(parts)
 
 
-def _keep_min(best: list, wk: int, w: int, recipes) -> None:
-    """Fold the ratio wk/w into best = [best_wk, best_w, witness recipes].
+def _keep_min(best: list, wk: int, w: int, layouts) -> None:
+    """Fold the ratio wk/w into best = [best_wk, best_w, argmin layouts].
 
-    A smaller ratio replaces the witnesses with recipes(), an equal one
-    adds recipes() to them. recipes is called only then, so a sweep
-    builds the recipes of its running argmins alone.
+    A smaller ratio replaces the argmins with layouts(), an equal one
+    adds layouts() to them. layouts is called only then, so a sweep
+    builds the layouts of its running argmins alone.
     """
-    best_wk, best_w, witnesses = best
+    best_wk, best_w, argmins = best
     if best_w is None or wk * best_w < best_wk * w:
-        best[:] = wk, w, list(recipes())
+        best[:] = wk, w, list(layouts())
     elif wk * best_w == best_wk * w:
-        witnesses.extend(recipes())
+        argmins.extend(layouts())
 
 
 def _masks_wk(layout: list[int], k: int) -> int:
@@ -324,21 +324,20 @@ def _masks_wk(layout: list[int], k: int) -> int:
     return _fast.wiener_masks(it)
 
 
-def _tree_scores(n: int, k: int, **stream):
-    """(layout, W(T), W(L^k(T))) of each tree of the free-tree stream.
+def _tree_scores(n: int):
+    """(layout, W(T), W(L(T))) of each free tree of order n, in stream order.
 
-    `stream` holds the filters and stripe of free_tree_layouts. W comes
-    from _fast.wiener_tree_layout, one reversed pass over the layout, and
-    W_k from a bitmask BFS on the k-th line graph; the sweeps ask for
-    k = 1. The W kernel is looked up in _fast once, when the sweep starts.
+    W comes from _fast.wiener_tree_layout, one reversed pass over the
+    layout, and W(L(T)) from a bitmask BFS on the line graph. The W kernel
+    is looked up in _fast once, when the sweep starts.
     """
     tree_w = _fast.wiener_tree_layout
-    for layout in free_tree_layouts(n, **stream):
+    for layout in free_tree_layouts(n):
         w = tree_w(layout)
-        wk = _masks_wk(layout, k)
-        if w <= 0 or wk < 0:
-            raise CrossCheckError(f"W = {w}, W_{k} = {wk} for layout {layout}")
-        yield layout, w, wk
+        w1 = _masks_wk(layout, 1)
+        if w <= 0 or w1 < 0:
+            raise CrossCheckError(f"W = {w}, W_1 = {w1} for layout {layout}")
+        yield layout, w, w1
 
 
 def _branch_table(limit: int, most: Optional[int]) -> list[tuple]:
@@ -402,10 +401,11 @@ def _branch_table(limit: int, most: Optional[int]) -> list[tuple]:
     return rows
 
 
-def _centroid_scan(n, most, least, need, index, jobs):
-    """One share of the min W_2/W sweep, walked by centroid.
+def _scan_block(args):
+    """One job's share of the min W_2/W sweep, walked by centroid.
 
-    Every free tree of order n is one of:
+    args is (n, max_degree, min_max_degree, min_degree3_count, index,
+    jobs). Every free tree of order n is one of:
     - a root (its centroid) over a multiset of branches of size at most
       (n - 1)/2, taken as a non-increasing run of _branch_table rows;
     - for even n, two branches a <= b of size n/2 joined by an edge,
@@ -422,15 +422,16 @@ def _centroid_scan(n, most, least, need, index, jobs):
 
     The top-level choices are the largest branch at a centroid, then
     (n even) the branch a; this share takes those numbered index mod
-    jobs. Returns (scanned, best_wk, best_w, recipes): each recipe is the
-    tuple of rows that hang from the root of one argmin of the share,
-    and best values are None when no tree passes the filters. `most`,
-    `least` and `need` are the degree filters of free_tree_layouts, None
-    when unset. A branch with a degree above `most` is left out of the
-    table, and a partial root is abandoned once its degree-3 vertices
-    cannot reach `need`: a forest of r vertices below it holds at most
-    (r - 1) // 2 of them, and the root itself one more.
+    jobs. Returns (scanned, best_wk, best_w, layouts): the level
+    sequences of the share's argmins, built only for its running argmins
+    and ties, and best values None when no tree passes the filters. The
+    three degree filters are those of free_tree_layouts, None when unset.
+    A branch with a degree above max_degree is left out of the table,
+    and a partial root is abandoned once its degree-3 vertices cannot
+    reach min_degree3_count: a forest of r vertices below it holds at
+    most (r - 1) // 2 of them, and the root itself one more.
     """
+    n, most, least, need, index, jobs = args
     best = [None, None, []]
     # the running minimum best_wk / best_w; 1/0 lies above every ratio
     best_wk, best_w = 1, 0
@@ -441,10 +442,15 @@ def _centroid_scan(n, most, least, need, index, jobs):
         # the lone vertex, the one tree with no branch: W = W_2 = 0
         if index == 0 and least == need == 0:
             scanned = 1
-            _keep_min(best, 0, 0, lambda: [()])
+            _keep_min(best, 0, 0, lambda: [[0]])
         return (scanned, *best)
     half = n // 2
     rows = _branch_table(half, most)
+
+    def layout(picks):
+        # the tree whose root carries the branch rows `picks`
+        return [0] + [level + 1 for i in picks for level in rows[i][9]]
+
     most = n if most is None else most
     filtered = least > 0 or need > 0
     # first[z]: the first row of size z or more
@@ -487,7 +493,7 @@ def _centroid_scan(n, most, least, need, index, jobs):
             s += S
             wk = s * (A + a + s) - A2 - a2
             if wk * best_w <= best_wk * w:
-                _keep_min(best, wk, w, lambda: [picks + (i,)])
+                _keep_min(best, wk, w, lambda: [layout(picks + (i,))])
                 best_wk, best_w = best[0], best[1]
 
     def grow(rem, last, count, W, S, A, A2, d3, top, picks):
@@ -527,24 +533,21 @@ def _centroid_scan(n, most, least, need, index, jobs):
     return (scanned, *best)
 
 
-def _witness_code(layout: list[int], k: int, w: int, wk: int) -> bytes:
-    """The canonical code of a tree a sweep reports as an argmin.
+def _witness_code(layout: list[int], w: int, wk: int) -> bytes:
+    """The canonical code of a tree the search reports as an argmin.
 
-    Its W and W_k are recomputed from the layout by independent methods
-    first: W by the edge-cut kernel and by BFS on the tree's graph, and
-    at k = 2 W_2 by the formula kernel and by the mask BFS. Any
-    disagreement with the sweep's values raises CrossCheckError.
+    Its W and W_2 are recomputed from the layout by independent methods
+    first: W by the edge-cut kernel and by BFS on the tree's graph, W_2
+    by the formula kernel and by the mask BFS. Any disagreement with the
+    sweep's values raises CrossCheckError.
     """
     g = layout_graph(layout)
     checks = [
         ("W", w, _fast.wiener_tree_layout(layout), "edge cuts"),
         ("W", w, wiener_index(g), "BFS"),
+        ("W_2", wk, _fast.wiener2_tree_layout(layout), "formula"),
+        ("W_2", wk, _masks_wk(layout, 2), "mask BFS"),
     ]
-    if k == 2:
-        checks += [
-            ("W_2", wk, _fast.wiener2_tree_layout(layout), "formula"),
-            ("W_2", wk, _masks_wk(layout, 2), "mask BFS"),
-        ]
     for name, swept, value, method in checks:
         if value != swept:
             raise CrossCheckError(
@@ -552,42 +555,6 @@ def _witness_code(layout: list[int], k: int, w: int, wk: int) -> bytes:
                 f"for layout {layout}"
             )
     return canonical_code(g)
-
-
-def _scan_block(args):
-    """One job's share of a min W_k/W sweep.
-
-    args is (n, k, max_degree, min_max_degree, min_degree3_count, index,
-    jobs). k = 2 walks by centroid (_centroid_scan) and takes the
-    top-level choices numbered index mod jobs; any other k walks the
-    stripe (index, jobs) of the free-tree stream. Returns (scanned,
-    best_wk, best_w, recipes); best values are None when no tree of the
-    share passes the filters. A recipe names one argmin of the share, as
-    its rows of _branch_table at k = 2 and as its layout otherwise; the
-    caller rebuilds and confirms the argmins that survive the merge.
-    """
-    n, k, max_degree, min_max_degree, min_degree3_count, index, jobs = args
-    if k == 2:
-        return _centroid_scan(
-            n, max_degree, min_max_degree, min_degree3_count, index, jobs
-        )
-    scanned = 0
-    best = [None, None, []]
-    # the running minimum best_wk / best_w; 1/0 lies above every ratio
-    best_wk, best_w = 1, 0
-    for layout, w, wk in _tree_scores(
-        n,
-        k,
-        max_degree=max_degree,
-        min_max_degree=min_max_degree,
-        min_degree3_count=min_degree3_count,
-        stripe=(index, jobs),
-    ):
-        scanned += 1
-        if wk * best_w <= best_wk * w:
-            _keep_min(best, wk, w, lambda: [layout])
-            best_wk, best_w = best[0], best[1]
-    return (scanned, *best)
 
 
 def _relayed_error(exc: Exception, index: int, jobs: int) -> bytes:
@@ -721,61 +688,11 @@ def _check_tree_count(n: int, scanned: int) -> None:
         )
 
 
-def _min_ratio_scan(
-    n: int,
-    k: int,
-    max_degree,
-    min_max_degree,
-    min_degree3_count,
-    jobs: int,
-):
-    """Exhaustive min of W(L^k)/W over filtered trees of order n.
-
-    The sweep is split into `jobs` shares (_scan_block): at k = 2 the
-    top-level choices of the centroid walk numbered i mod jobs, otherwise
-    the stripes of the free-tree stream. Share 0 runs in this process,
-    the others in forked workers (_scan_in_workers). Merging their exact
-    minima is associative and the witnesses are sorted, so any job count
-    gives identical results. An unfiltered sweep must have scanned
-    exactly free_tree_count(n) trees, or it raises CrossCheckError. Only
-    then are the merged argmins rebuilt from their recipes and confirmed
-    (_witness_code), each once.
-    """
-    args = [
-        (n, k, max_degree, min_max_degree, min_degree3_count, i, jobs)
-        for i in range(jobs)
-    ]
-    results = [_scan_block(args[0])] if jobs == 1 else _scan_in_workers(args)
-    scanned = 0
-    best = [None, None, []]
-    for part_scanned, part_wk, part_w, part_wit in results:
-        scanned += part_scanned
-        if part_w is not None:
-            _keep_min(best, part_wk, part_w, lambda: part_wit)
-    if (max_degree, min_max_degree, min_degree3_count) == (None, None, None):
-        _check_tree_count(n, scanned)
-    best_wk, best_w, recipes = best
-    if best_w is None:
-        return scanned, None, ()
-    layouts = recipes
-    if k == 2:
-        # a recipe lists the branch rows that hang from the root
-        rows = _branch_table(n // 2, max_degree)
-        layouts = [
-            [0] + [level + 1 for i in recipe for level in rows[i][9]]
-            for recipe in recipes
-        ]
-    codes = [_witness_code(layout, k, best_w, best_wk) for layout in layouts]
-    return scanned, Fraction(best_wk, best_w), tuple(sorted(codes))
-
-
-def _check_search_bounds(n: int, limit: int, jobs: int) -> None:
+def _check_search_bounds(n: int, limit: int) -> None:
     if n < 4:
         raise ParameterError(f"search needs order >= 4, got {n}")
     if n > limit:
         raise SearchLimitError(n, limit)
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
 
 
 def min_r2_search(
@@ -789,42 +706,81 @@ def min_r2_search(
 ) -> MinimizerReport:
     """Exact minimum of R2 over all (filtered) trees of order n.
 
-    Exhaustive: the centroid walk of _centroid_scan scores every free
-    tree of order n once, from branch summaries, and only the trees left
-    at the minimum are rebuilt and confirmed. So the order is capped: above
-    `limit` the call fails rather than silently sampling, because a
-    non-exhaustive minimum is worthless here. Raising the cap is the
-    caller's explicit act.
+    Exhaustive: the centroid walk of _scan_block scores every free tree
+    of order n once, from branch summaries, and only the trees left at
+    the minimum are confirmed (_witness_code), each once. So the order is
+    capped: above `limit` the call fails rather than silently sampling,
+    because a non-exhaustive minimum is worthless here. Raising the cap
+    is the caller's explicit act.
+
+    The walk is split into `jobs` shares, its top-level choices numbered
+    i mod jobs. Share 0 runs in this process, the others in forked
+    workers (_scan_in_workers), and each returns the layouts of its own
+    argmins. Merging their exact minima is associative and the witnesses
+    are sorted, so any job count gives identical results. An unfiltered
+    search must have scanned exactly free_tree_count(n) trees, or it
+    raises CrossCheckError before any argmin is confirmed.
     """
-    _check_search_bounds(n, limit, jobs)
-    scanned, ratio, witnesses = _min_ratio_scan(
-        n, 2, max_degree, min_max_degree, min_degree3_count, jobs
-    )
+    _check_search_bounds(n, limit)
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    args = [
+        (n, max_degree, min_max_degree, min_degree3_count, i, jobs)
+        for i in range(jobs)
+    ]
+    results = [_scan_block(args[0])] if jobs == 1 else _scan_in_workers(args)
+    scanned = 0
+    best = [None, None, []]
+    for part_scanned, part_wk, part_w, part_layouts in results:
+        scanned += part_scanned
+        if part_w is not None:
+            _keep_min(best, part_wk, part_w, lambda: part_layouts)
+    if (max_degree, min_max_degree, min_degree3_count) == (None, None, None):
+        _check_tree_count(n, scanned)
+    best_wk, best_w, layouts = best
+    codes = [_witness_code(layout, best_w, best_wk) for layout in layouts]
     return MinimizerReport(
         order=n,
         class_description=_describe_class(
             max_degree, min_max_degree, min_degree3_count
         ),
-        min_ratio=ratio,
-        witnesses=witnesses,
+        min_ratio=None if best_w is None else Fraction(best_wk, best_w),
+        witnesses=tuple(sorted(codes)),
         trees_scanned=scanned,
     )
 
 
-def star_minimizes_r1(
-    n: int, *, jobs: int = 1, limit: int = DEFAULT_SEARCH_LIMIT
-) -> bool:
+def star_minimizes_r1(n: int) -> bool:
     """Is the star the unique R1 minimizer among trees of order n?
 
-    The star's own ratio and code are computed independently of the sweep
-    (direct build and BFS) and compared with the exhaustive minimum and its
-    full witness list, exactly.
+    One sweep of the free-tree stream (_tree_scores) takes the exact
+    minimum of W(L(T))/W(T) and all its argmins; each argmin's W is
+    confirmed by BFS on its graph. The star's own ratio and code are
+    computed independently of the sweep (direct build and BFS) and
+    compared with that minimum and the full witness list, exactly.
+    Raises CrossCheckError unless the sweep saw free_tree_count(n) trees.
     """
-    _check_search_bounds(n, limit, jobs)
-    _, ratio, witnesses = _min_ratio_scan(n, 1, None, None, None, jobs)
+    _check_search_bounds(n, DEFAULT_SEARCH_LIMIT)
+    scanned = 0
+    best = [None, None, []]
+    for layout, w, w1 in _tree_scores(n):
+        scanned += 1
+        _keep_min(best, w1, w, lambda: [layout])
+    _check_tree_count(n, scanned)
+    best_w1, best_w, layouts = best
+    codes = []
+    for layout in layouts:
+        g = layout_graph(layout)
+        bfs = wiener_index(g)
+        if bfs != best_w:
+            raise CrossCheckError(
+                f"W = {bfs} by BFS, {best_w} by the sweep for layout {layout}"
+            )
+        codes.append(canonical_code(g))
     star = build(Star(n))
     star_ratio = Fraction(wiener_index(line_graph(star)), wiener_index(star))
-    return star_ratio == ratio and witnesses == (canonical_code(star),)
+    ratio = Fraction(best_w1, best_w)
+    return star_ratio == ratio and codes == [canonical_code(star)]
 
 
 def line_wiener_tree_identity(n: int) -> bool:
@@ -837,7 +793,7 @@ def line_wiener_tree_identity(n: int) -> bool:
     shift = comb(n, 2)
     scanned = 0
     holds = True
-    for _, w, wk in _tree_scores(n, 1):
+    for _, w, wk in _tree_scores(n):
         scanned += 1
         holds = holds and wk == w - shift
     _check_tree_count(n, scanned)

@@ -122,12 +122,20 @@ def _add_degree_filters(parser: argparse.ArgumentParser, verb: str) -> None:
 
 
 def _degree_filters(args) -> dict:
-    """The degree filter flags as keyword arguments of the tree stream."""
-    return {
-        "max_degree": args.max_degree,
-        "min_max_degree": args.min_max_degree,
-        "min_degree3_count": args.min_degree3,
-    }
+    """The degree filter flags as keyword arguments of the tree stream.
+
+    A negative bound is refused: it would describe an empty or unfiltered
+    class while the report named it as a filter.
+    """
+    bounds = [
+        ("max_degree", "--max-degree", args.max_degree),
+        ("min_max_degree", "--min-max-degree", args.min_max_degree),
+        ("min_degree3_count", "--min-degree3", args.min_degree3),
+    ]
+    for _, flag, value in bounds:
+        if value is not None and value < 0:
+            raise ParameterError(f"{flag} must be >= 0, got {value}")
+    return {name: value for name, _, value in bounds}
 
 
 def _load_graph(args) -> Graph:

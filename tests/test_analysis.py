@@ -329,19 +329,37 @@ def test_search_confirms_the_w_of_each_argmin_by_bfs(monkeypatch, jobs):
         min_r2_search(8, jobs=jobs)
 
 
+def test_search_builds_the_branch_table_once(monkeypatch):
+    # the share builds its argmins' layouts from its own table, so the
+    # merge needs no second one
+    from linewiener import analysis
+
+    builds = []
+    table = analysis._branch_table
+
+    def counted(limit, most):
+        builds.append(limit)
+        return table(limit, most)
+
+    monkeypatch.setattr(analysis, "_branch_table", counted)
+    report = min_r2_search(12)
+    assert report.witnesses == (canonical_code(tree("path:12")),)
+    assert builds == [6]
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_search_keeps_every_tied_tree(monkeypatch, jobs):
     # with C(d, 2) = 0 no vertex carries a wedge, so the walk scores
     # W(L^2) = 0 on every tree: each tree ties the running minimum 0/W and
-    # must reach _keep_min, survive the merge and be rebuilt from its
-    # recipe; the rebuilt layout's code stands in for its confirmation
+    # must reach _keep_min, survive the merge and keep the layout its
+    # share built; that layout's code stands in for its confirmation
     from linewiener import analysis
 
     monkeypatch.setattr(analysis, "comb", lambda n, k: 0)
     monkeypatch.setattr(
         analysis,
         "_witness_code",
-        lambda layout, k, w, wk: canonical_code(layout_graph(layout)),
+        lambda layout, w, wk: canonical_code(layout_graph(layout)),
     )
     report = min_r2_search(8, jobs=jobs)
     everything = sorted(canonical_code(g) for g in free_trees(8))
@@ -358,12 +376,12 @@ def scored_by_the_walk(monkeypatch, n):
 
     scores = []
 
-    def record(best, wk, w, recipes):
+    def record(best, wk, w, layouts):
         scores.append((w, wk))
         best[:2] = 0, 0
 
     monkeypatch.setattr(analysis, "_keep_min", record)
-    scanned = analysis._scan_block((n, 2, None, None, None, 0, 1))[0]
+    scanned = analysis._scan_block((n, None, None, None, 0, 1))[0]
     assert scanned == len(scores), n
     return Counter(scores)
 
@@ -533,8 +551,19 @@ def test_search_bounds():
 def test_star_minimizes_r1_at_small_orders():
     for n in range(4, 10):
         assert star_minimizes_r1(n)
-    # shares of the k = 1 sweep are stripes of the stream
-    assert star_minimizes_r1(9, jobs=3)
+
+
+def test_star_check_confirms_the_w_of_each_argmin_by_bfs(monkeypatch):
+    # a wrong edge-cut W shifts every R1 alike, so only the BFS on the
+    # kept trees can see it
+    from linewiener import _fast
+
+    cuts = _fast.wiener_tree_layout
+    monkeypatch.setattr(
+        _fast, "wiener_tree_layout", lambda layout: cuts(layout) + 1
+    )
+    with pytest.raises(CrossCheckError, match=r"^W = \d+ by BFS"):
+        star_minimizes_r1(7)
 
 
 def test_line_wiener_tree_identity():
@@ -568,7 +597,7 @@ def test_unfiltered_sweeps_check_the_tree_count(monkeypatch, fault, jobs):
     with pytest.raises(CrossCheckError, match="trees scanned at order 8"):
         min_r2_search(8, jobs=jobs)
     with pytest.raises(CrossCheckError, match="trees scanned at order 7"):
-        star_minimizes_r1(7, jobs=jobs)
+        star_minimizes_r1(7)
     with pytest.raises(CrossCheckError, match="trees scanned at order 6"):
         line_wiener_tree_identity(6)
 

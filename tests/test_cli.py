@@ -339,6 +339,35 @@ def test_bad_inputs_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "min-r2", "--n", "8", "--min-degree3", "-2"),
+        ("search", "min-r2", "--n", "8", "--max-degree", "-1"),
+        ("search", "min-r2", "--n", "8", "--min-max-degree", "-3"),
+        ("enumerate", "--n", "7", "--max-degree", "-1"),
+        ("enumerate", "--n", "7", "--min-max-degree", "-1"),
+        ("enumerate", "--n", "7", "--min-degree3", "-1"),
+    ],
+)
+def test_negative_degree_bounds_exit_two_before_any_work(
+    capsys, monkeypatch, argv
+):
+    # a negative bound would name a class the stream does not filter by
+    import linewiener.cli as cli
+
+    calls = []
+    monkeypatch.setattr(
+        cli.analysis, "min_r2_search", lambda *a, **k: calls.append(a)
+    )
+    monkeypatch.setattr(cli, "free_trees", lambda *a, **k: calls.append(a))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {argv[-2]} must be >= 0, got {argv[-1]}\n"
+    assert calls == []
+
+
 def test_ctrl_c_exits_130_with_one_line(capsys, monkeypatch):
     from linewiener import analysis
 
