@@ -94,78 +94,54 @@ def wiener2_tree_layout(layout: list[int]) -> int:
 
 
 def wiener_masks(masks: list[int]) -> int:
-    """Sum of pairwise distances, or -1 if the graph is disconnected."""
+    """Sum of pairwise distances, or -1 if the graph is disconnected.
+
+    One BFS per source, which grows each layer from the frontier alone:
+    the union of its vertices' masks, less the vertices already reached.
+    """
     n = len(masks)
     full = (1 << n) - 1
     mask_of = {1 << v: m for v, m in enumerate(masks)}
     total = 0
     for s in range(n):
-        ms = masks[s]
-        seen = (1 << s) | ms
-        frontier = ms
+        frontier = masks[s]
+        todo = full ^ ((1 << s) | frontier)
         # sum of distances as sum over d >= 1 of |{v: dist(s, v) >= d}|
         acc = n - 1
-        while True:
-            todo = full ^ seen
-            if not todo:
-                break
-            tc = todo.bit_count()
-            acc += tc
-            # grow the layer from whichever side has fewer bits to walk
-            if frontier.bit_count() <= tc:
-                nxt = 0
-                f = frontier
-                while f:
-                    low = f & -f
-                    nxt |= mask_of[low]
-                    f ^= low
-                frontier = nxt & todo
-            else:
-                nxt = 0
-                f = todo
-                while f:
-                    low = f & -f
-                    if mask_of[low] & frontier:
-                        nxt |= low
-                    f ^= low
-                frontier = nxt
-            if not frontier:
-                break
-            seen |= frontier
+        while frontier and todo:
+            acc += todo.bit_count()
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= mask_of[low]
+                frontier ^= low
+            frontier = nxt & todo
+            todo ^= frontier
         # one full sweep proves connectivity for every later source
-        if s == 0 and seen != full:
+        if s == 0 and todo:
             return -1
         total += acc
     return total // 2
 
 
 def line_masks(masks: list[int]) -> list[int]:
-    """Masks of the line graph; edge ids follow lexicographic (u, v) order,
-    matching graphs.line_graph's vertex numbering."""
-    n = len(masks)
-    incident = [0] * n
-    ends: list[int] = []
-    eid = 0
-    for u in range(n):
-        rest = masks[u] >> (u + 1) << (u + 1)
+    """Masks of the line graph, in one pass over the edges.
+
+    Edge ids follow lexicographic (u, v) order, matching
+    graphs.line_graph's vertex numbering. An edge's line neighbors are
+    the edges incident to either endpoint, less itself: in a simple graph
+    it is the one edge at both, so an XOR of the two drops it alone.
+    """
+    incident = [0] * len(masks)
+    ends = []
+    for u, m in enumerate(masks):
+        rest = m >> (u + 1) << (u + 1)
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1
-            bit = 1 << eid
+            bit = 1 << len(ends)
             incident[u] |= bit
             incident[v] |= bit
-            ends.append(v)
-            eid += 1
+            ends.append((u, v))
             rest ^= low
-    # an edge's line neighbors are everything incident to either endpoint
-    lmask = [0] * eid
-    eid = 0
-    bit = 1
-    for u in range(n):
-        iu = incident[u]
-        count = (masks[u] >> (u + 1)).bit_count()
-        for _ in range(count):
-            lmask[eid] = (iu | incident[ends[eid]]) ^ bit
-            eid += 1
-            bit <<= 1
-    return lmask
+    return [incident[u] ^ incident[v] for u, v in ends]

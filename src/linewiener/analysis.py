@@ -329,15 +329,19 @@ def _tree_scores(n: int):
 
     W comes from _fast.wiener_tree_layout, one reversed pass over the
     layout, and W(L(T)) from a bitmask BFS on the line graph. The W kernel
-    is looked up in _fast once, when the sweep starts.
+    is looked up in _fast once, when the sweep starts. Once the stream is
+    exhausted, it checks its own count of trees (_check_tree_count).
     """
     tree_w = _fast.wiener_tree_layout
+    scanned = 0
     for layout in free_tree_layouts(n):
         w = tree_w(layout)
         w1 = _masks_wk(layout, 1)
         if w <= 0 or w1 < 0:
             raise CrossCheckError(f"W = {w}, W_1 = {w1} for layout {layout}")
+        scanned += 1
         yield layout, w, w1
+    _check_tree_count(n, scanned)
 
 
 def _branch_table(limit: int, most: Optional[int]) -> list[tuple]:
@@ -404,8 +408,9 @@ def _branch_table(limit: int, most: Optional[int]) -> list[tuple]:
 def _scan_block(args):
     """One job's share of the min W_2/W sweep, walked by centroid.
 
-    args is (n, max_degree, min_max_degree, min_degree3_count, index,
-    jobs). Every free tree of order n is one of:
+    args is (n, max_degree, min_max_degree, min_degree3_count, rows,
+    index, jobs), with rows the _branch_table(n // 2, max_degree) that
+    the search built once. Every free tree of order n, n >= 2, is one of:
     - a root (its centroid) over a multiset of branches of size at most
       (n - 1)/2, taken as a non-increasing run of _branch_table rows;
     - for even n, two branches a <= b of size n/2 joined by an edge,
@@ -431,21 +436,14 @@ def _scan_block(args):
     reach min_degree3_count: a forest of r vertices below it holds at
     most (r - 1) // 2 of them, and the root itself one more.
     """
-    n, most, least, need, index, jobs = args
+    n, most, least, need, rows, index, jobs = args
     best = [None, None, []]
     # the running minimum best_wk / best_w; 1/0 lies above every ratio
     best_wk, best_w = 1, 0
     scanned = 0
     least = least or 0
     need = need or 0
-    if n == 1:
-        # the lone vertex, the one tree with no branch: W = W_2 = 0
-        if index == 0 and least == need == 0:
-            scanned = 1
-            _keep_min(best, 0, 0, lambda: [[0]])
-        return (scanned, *best)
     half = n // 2
-    rows = _branch_table(half, most)
 
     def layout(picks):
         # the tree whose root carries the branch rows `picks`
@@ -533,21 +531,12 @@ def _scan_block(args):
     return (scanned, *best)
 
 
-def _witness_code(layout: list[int], w: int, wk: int) -> bytes:
-    """The canonical code of a tree the search reports as an argmin.
-
-    Its W and W_2 are recomputed from the layout by independent methods
-    first: W by the edge-cut kernel and by BFS on the tree's graph, W_2
-    by the formula kernel and by the mask BFS. Any disagreement with the
-    sweep's values raises CrossCheckError.
-    """
+def _confirmed_code(layout: list[int], w: int, checks: list) -> bytes:
+    """The canonical code of a swept argmin, once each (name, swept,
+    value, method) in checks and then W by BFS on its graph agree with the
+    sweep; else CrossCheckError."""
     g = layout_graph(layout)
-    checks = [
-        ("W", w, _fast.wiener_tree_layout(layout), "edge cuts"),
-        ("W", w, wiener_index(g), "BFS"),
-        ("W_2", wk, _fast.wiener2_tree_layout(layout), "formula"),
-        ("W_2", wk, _masks_wk(layout, 2), "mask BFS"),
-    ]
+    checks = [*checks, ("W", w, wiener_index(g), "BFS")]
     for name, swept, value, method in checks:
         if value != swept:
             raise CrossCheckError(
@@ -555,6 +544,16 @@ def _witness_code(layout: list[int], w: int, wk: int) -> bytes:
                 f"for layout {layout}"
             )
     return canonical_code(g)
+
+
+def _witness_code(layout: list[int], w: int, wk: int) -> bytes:
+    """_confirmed_code of a search argmin, with W by the edge-cut kernel
+    and W_2 by the formula kernel and by the mask BFS checked first."""
+    return _confirmed_code(layout, w, [
+        ("W", w, _fast.wiener_tree_layout(layout), "edge cuts"),
+        ("W_2", wk, _fast.wiener2_tree_layout(layout), "formula"),
+        ("W_2", wk, _masks_wk(layout, 2), "mask BFS"),
+    ])
 
 
 def _relayed_error(exc: Exception, index: int, jobs: int) -> bytes:
@@ -719,13 +718,18 @@ def min_r2_search(
     argmins. Merging their exact minima is associative and the witnesses
     are sorted, so any job count gives identical results. An unfiltered
     search must have scanned exactly free_tree_count(n) trees, or it
-    raises CrossCheckError before any argmin is confirmed.
+    raises CrossCheckError before any argmin is confirmed; so must one
+    whose bounds exclude no tree. The branch table is built here, once,
+    and reaches the workers through the fork; each row is one top-level
+    choice, so there are no more shares than rows.
     """
     _check_search_bounds(n, limit)
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    rows = _branch_table(n // 2, max_degree)
+    jobs = min(jobs, max(1, len(rows)))
     args = [
-        (n, max_degree, min_max_degree, min_degree3_count, i, jobs)
+        (n, max_degree, min_max_degree, min_degree3_count, rows, i, jobs)
         for i in range(jobs)
     ]
     results = [_scan_block(args[0])] if jobs == 1 else _scan_in_workers(args)
@@ -735,8 +739,10 @@ def min_r2_search(
         scanned += part_scanned
         if part_w is not None:
             _keep_min(best, part_wk, part_w, lambda: part_layouts)
-    if (max_degree, min_max_degree, min_degree3_count) == (None, None, None):
-        _check_tree_count(n, scanned)
+    # bounds that exclude no tree: at n >= 4 max degrees lie in 2..n - 1
+    if max_degree is None or max_degree >= n - 1:
+        if (min_max_degree or 0) <= 2 and (min_degree3_count or 0) <= 0:
+            _check_tree_count(n, scanned)
     best_wk, best_w, layouts = best
     codes = [_witness_code(layout, best_w, best_wk) for layout in layouts]
     return MinimizerReport(
@@ -761,22 +767,11 @@ def star_minimizes_r1(n: int) -> bool:
     Raises CrossCheckError unless the sweep saw free_tree_count(n) trees.
     """
     _check_search_bounds(n, DEFAULT_SEARCH_LIMIT)
-    scanned = 0
     best = [None, None, []]
     for layout, w, w1 in _tree_scores(n):
-        scanned += 1
         _keep_min(best, w1, w, lambda: [layout])
-    _check_tree_count(n, scanned)
     best_w1, best_w, layouts = best
-    codes = []
-    for layout in layouts:
-        g = layout_graph(layout)
-        bfs = wiener_index(g)
-        if bfs != best_w:
-            raise CrossCheckError(
-                f"W = {bfs} by BFS, {best_w} by the sweep for layout {layout}"
-            )
-        codes.append(canonical_code(g))
+    codes = [_confirmed_code(layout, best_w, []) for layout in layouts]
     star = build(Star(n))
     star_ratio = Fraction(wiener_index(line_graph(star)), wiener_index(star))
     ratio = Fraction(best_w1, best_w)
@@ -791,13 +786,8 @@ def line_wiener_tree_identity(n: int) -> bool:
     if n < 2:
         raise ParameterError(f"identity check needs n >= 2, got {n}")
     shift = comb(n, 2)
-    scanned = 0
-    holds = True
-    for _, w, wk in _tree_scores(n):
-        scanned += 1
-        holds = holds and wk == w - shift
-    _check_tree_count(n, scanned)
-    return holds
+    # a list, not a generator, so all() sees the whole stream and its count
+    return all([wk == w - shift for _, w, wk in _tree_scores(n)])
 
 
 # ------------------------------------------------- verification bundles

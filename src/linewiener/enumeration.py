@@ -39,13 +39,11 @@ from .graphs import Graph, is_tree
 # levels directly.
 
 
-def _next_rooted_layout(layout: list[int], p: Optional[int] = None):
-    """Successor of a rooted level sequence, or None after the last one."""
+def _next_rooted_layout(layout: list[int], p: int):
+    """Successor of a rooted level sequence from pivot p, or None after
+    the last one: the walk passes the last level above 1 (0 if none), the
+    free-tree step an earlier one to leave an invalid block."""
     n = len(layout)
-    if p is None:
-        p = n - 1
-        while layout[p] == 1:
-            p -= 1
     if p == 0:
         return None
     q = p - 1

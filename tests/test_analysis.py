@@ -51,6 +51,7 @@ from oracles import (
     naive_wiener,
     parent_array_wiener,
     parent_array_wiener2,
+    random_graph,
     random_tree,
 )
 
@@ -210,6 +211,36 @@ def test_wiener2_formula_against_mask_bfs():
             assert wiener2_tree_layout(layout) == wiener_masks(masks), layout
 
 
+def test_mask_kernels_beyond_trees():
+    # complete, cycle and seeded random graphs of up to 12 vertices, with
+    # cycles and dense neighborhoods no tree iterate of order <= 10 has
+    from linewiener._fast import line_masks, wiener_masks
+    from linewiener.graphs import is_connected, line_graph, wiener_index
+
+    def masks_of(g):
+        return [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
+
+    def cycle(n):
+        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+    rng = random.Random(1919)
+    cases = [tree("complete:5")] + [cycle(n) for n in range(3, 13)]
+    cases += [random_graph(rng, rng.randrange(2, 13), rng.uniform(0.15, 0.9))
+              for _ in range(200)]
+    # two disjoint 4-cycles, the second on the highest bits
+    cases.append(Graph(8, [(i, (i + 1) % 4 + i // 4 * 4) for i in range(8)]))
+    split = Counter(is_connected(g) for g in cases)
+    assert split[True] > 50 and split[False] > 20, split
+    for g in cases:
+        masks = masks_of(g)
+        h = line_graph(g)
+        assert line_masks(masks) == masks_of(h), g
+        for graph in (g, h):
+            if graph.vertex_count:
+                expected = wiener_index(graph) if is_connected(graph) else -1
+                assert wiener_masks(masks_of(graph)) == expected, graph
+
+
 def test_tree_kernels_against_parent_array_oracles():
     from linewiener._fast import wiener2_tree_layout, wiener_tree_layout
     from linewiener.enumeration import free_tree_layouts
@@ -347,6 +378,41 @@ def test_search_builds_the_branch_table_once(monkeypatch):
     assert builds == [6]
 
 
+def test_search_workers_take_the_branch_table_from_the_fork(monkeypatch):
+    # the table is built before the fork, so no worker builds its own
+    import os
+
+    from linewiener import analysis
+
+    table = analysis._branch_table
+    here = os.getpid()
+
+    def parent_only(limit, most):
+        if os.getpid() != here:
+            raise CrossCheckError("a worker built the branch table")
+        return table(limit, most)
+
+    monkeypatch.setattr(analysis, "_branch_table", parent_only)
+    assert min_r2_search(12, jobs=2) == min_r2_search(12)
+
+
+def test_search_forks_no_more_shares_than_top_level_choices(monkeypatch):
+    # order 6 has 4 branch rows (sizes 1, 2, 3, 3), one top-level choice
+    # each, so jobs = 9 makes 4 shares: this process and 3 forks
+    import os
+
+    fork = os.fork
+    forks = []
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    assert min_r2_search(6, jobs=9) == min_r2_search(6)
+    assert len(forks) == 3
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_search_keeps_every_tied_tree(monkeypatch, jobs):
     # with C(d, 2) = 0 no vertex carries a wedge, so the walk scores
@@ -381,7 +447,8 @@ def scored_by_the_walk(monkeypatch, n):
         best[:2] = 0, 0
 
     monkeypatch.setattr(analysis, "_keep_min", record)
-    scanned = analysis._scan_block((n, None, None, None, 0, 1))[0]
+    rows = analysis._branch_table(n // 2, None)
+    scanned = analysis._scan_block((n, None, None, None, rows, 0, 1))[0]
     assert scanned == len(scores), n
     return Counter(scores)
 
@@ -390,7 +457,7 @@ def test_centroid_walk_scores_every_tree_as_the_stream_kernels_do(monkeypatch):
     from linewiener._fast import wiener2_tree_layout, wiener_tree_layout
     from linewiener.enumeration import free_tree_layouts
 
-    for n in range(1, 15):
+    for n in range(2, 15):
         expected = Counter(
             (wiener_tree_layout(layout), wiener2_tree_layout(layout))
             for layout in free_tree_layouts(n)
@@ -441,7 +508,7 @@ def test_branch_table_holds_each_rooted_tree_once_with_its_summary():
 
 def test_search_shares_give_identical_reports():
     # the walk's top-level choices, numbered mod K, partition the trees;
-    # K = 7 exceeds the choices at the small orders, so shares run empty
+    # K = 7 exceeds the choices at the small orders, so fewer shares run
     from linewiener.reporting import report_text
 
     from test_enumeration import DEGREE_FILTERS
@@ -594,8 +661,15 @@ def test_unfiltered_sweeps_check_the_tree_count(monkeypatch, fault, jobs):
 
     monkeypatch.setattr(analysis, "_branch_table", faulty_table)
     monkeypatch.setattr(analysis, "free_tree_layouts", faulty)
-    with pytest.raises(CrossCheckError, match="trees scanned at order 8"):
-        min_r2_search(8, jobs=jobs)
+    # bounds that exclude no tree of order 8 leave the search unfiltered
+    for bounds in [
+        {},
+        {"min_degree3_count": 0},
+        {"max_degree": 7},
+        {"min_max_degree": 2},
+    ]:
+        with pytest.raises(CrossCheckError, match="trees scanned at order 8"):
+            min_r2_search(8, jobs=jobs, **bounds)
     with pytest.raises(CrossCheckError, match="trees scanned at order 7"):
         star_minimizes_r1(7)
     with pytest.raises(CrossCheckError, match="trees scanned at order 6"):

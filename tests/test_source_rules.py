@@ -10,10 +10,13 @@ every report through `reporting.render`, so the choice between text, JSON
 and CSV is made in one place. And no module imports `multiprocessing`:
 `--jobs` workers are bare forks over pipes. And the two O(n) kernels of
 `_fast`, `wiener_tree_layout` and `wiener2_tree_layout`, never call
-`layout_parents`: the searches run both on every tree, and each reads
-the level sequence in one reversed pass with no parent decode. And
+`layout_parents`: the k = 1 sweeps of `verify` take W of every tree from
+the first, the min-R_2 search confirms its argmins with both, and each
+reads the level sequence in one reversed pass with no parent decode. And
 `enumeration` has one generator that walks layouts: plain and filtered
-streams both take its one skip rule, and stripes slice it.
+streams both take its one skip rule, and stripes slice it. And the
+free-tree count is checked in two places only: the k = 1 stream sweep
+`_tree_scores`, which counts its own trees, and `min_r2_search`.
 """
 
 from __future__ import annotations
@@ -152,3 +155,18 @@ def test_enumeration_has_one_layout_walker():
     ]
     walkers = [name for name in generators if name != "free_trees"]
     assert len(walkers) == 1, walkers
+
+
+def test_tree_count_is_checked_by_the_two_sweeps_alone():
+    # a sweep over _tree_scores inherits its count check; a new sweep that
+    # counts its own trees would be a second way to do it
+    found = sorted(
+        f"{path.stem}.{function.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function in parsed(path).body
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and "_check_tree_count" in names_in(node.func)
+    )
+    assert found == ["analysis._tree_scores", "analysis.min_r2_search"]
