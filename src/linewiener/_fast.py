@@ -9,15 +9,17 @@ on n vertices as a list of n ints, where bit u of ``masks[v]`` says u and
 v are adjacent, so BFS layers become mask operations and distance sums
 come from ``int.bit_count``. The min-R_2 search scores its trees from
 branch summaries and runs both kinds only to confirm its final argmins;
-the `buckley` and `thm1` checks of `verify` (k = 1) run the mask BFS on
-every tree. General-purpose code goes through graphs.Graph instead, whose
-wiener_index runs bitset sweeps from up to 4096 sources at once over the
-adjacency lists.
+the `buckley` and `thm1` checks of `verify` (k = 1) run one lane-parallel
+BFS per chunk of trees (line_wiener_lanes), and the mask BFS on each
+chunk's first and last tree only. General-purpose code goes through
+graphs.Graph instead, whose wiener_index runs bitset sweeps from up to
+4096 sources at once over the adjacency lists.
 """
 
 from __future__ import annotations
 
 from .enumeration import layout_parents
+from .errors import CrossCheckError, ParameterError
 
 
 def layout_masks(layout: list[int]) -> list[int]:
@@ -145,3 +147,56 @@ def line_masks(masks: list[int]) -> list[int]:
             ends.append((u, v))
             rest ^= low
     return [incident[u] ^ incident[v] for u, v in ends]
+
+
+def line_wiener_lanes(layouts: list[list[int]]) -> list[int]:
+    """W(L(T)) of each tree of a chunk of same-order layouts, by one BFS.
+
+    Bit t of every mask stands for tree t. Edge j (1 <= j < n) joins
+    vertex j to its parent; (x, j, lanes) in pairs holds the trees in which
+    x is j's parent. From each source edge the BFS runs in every lane at
+    once: a round steps the reached edges to their ends (at) and back, one
+    step of L(T), after every lane has added the edges it has not reached
+    to its bit-sliced counter. A round that reaches nothing new while some
+    lane has gaps left raises CrossCheckError.
+    """
+    k, n = len(layouts), len(layouts[0])
+    if any(len(t) != n for t in layouts):
+        raise ParameterError("lane BFS needs layouts of one order")
+    ones = (1 << k) - 1
+    # byte t * (n - 1) + j - 1 is the parent of vertex j in tree t
+    parents = b"".join(bytes(layout_parents(t)[1:]) for t in layouts)
+    pairs = []
+    for j in range(1, n):
+        # reversed, so that tree t is bit t of int(..., 2)
+        column = parents[j - 1 :: n - 1][::-1]
+        for x in set(column):
+            # the table that maps byte x to "1" and every other to "0"
+            hit = b"0" * x + b"1" + b"0" * (255 - x)
+            pairs.append((x, j, int(column.translate(hit), 2)))
+    # bit t of slices[b] is bit b of tree t's running distance sum
+    slices = [0]
+    for s in range(1, n):
+        reached = [0] * n
+        reached[s] = ones
+        while gaps := [ones ^ r for r in reached[1:] if r != ones]:
+            for carry in gaps:
+                for b, bits in enumerate(slices):
+                    slices[b] = bits ^ carry
+                    carry &= bits
+                    if not carry:
+                        break
+                else:
+                    slices.append(carry)
+            at = reached[:]
+            for x, j, lanes in pairs:
+                at[x] |= reached[j] & lanes
+            grown = at[:]
+            for x, j, lanes in pairs:
+                grown[j] |= at[x] & lanes
+            grown[0] = 0
+            if grown == reached:
+                raise CrossCheckError(f"lane BFS stalls at order {n}")
+            reached = grown
+    rows = [format(bits, f"0{k}b") for bits in reversed(slices)]
+    return [int("".join(bits), 2) // 2 for bits in zip(*rows)][::-1]

@@ -10,7 +10,7 @@ a verdict.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, islice
 from math import comb
 from typing import Optional
 
@@ -324,23 +324,40 @@ def _masks_wk(layout: list[int], k: int) -> int:
     return _fast.wiener_masks(it)
 
 
+# trees per lane BFS in _tree_scores, as graphs._SWEEP_SOURCES per sweep
+_CHUNK = 4096
+
+
 def _tree_scores(n: int):
     """(layout, W(T), W(L(T))) of each free tree of order n, in stream order.
 
     W comes from _fast.wiener_tree_layout, one reversed pass over the
-    layout, and W(L(T)) from a bitmask BFS on the line graph. The W kernel
-    is looked up in _fast once, when the sweep starts. Once the stream is
+    layout, and W(L(T)) from _fast.line_wiener_lanes, one lane-parallel
+    BFS per chunk of up to _CHUNK trees. The first and last tree of each
+    chunk are scored again by the mask BFS on their own line graphs
+    (_masks_wk), which pins both ends of the lane order. The W kernel is
+    looked up in _fast once, when the sweep starts. Once the stream is
     exhausted, it checks its own count of trees (_check_tree_count).
     """
     tree_w = _fast.wiener_tree_layout
     scanned = 0
-    for layout in free_tree_layouts(n):
-        w = tree_w(layout)
-        w1 = _masks_wk(layout, 1)
-        if w <= 0 or w1 < 0:
-            raise CrossCheckError(f"W = {w}, W_1 = {w1} for layout {layout}")
-        scanned += 1
-        yield layout, w, w1
+    stream = free_tree_layouts(n)
+    while chunk := list(islice(stream, _CHUNK)):
+        lanes = _fast.line_wiener_lanes(chunk)
+        for t in {0, len(chunk) - 1}:
+            if (w1 := _masks_wk(chunk[t], 1)) != lanes[t]:
+                raise CrossCheckError(
+                    f"W_1 = {w1} by mask BFS, {lanes[t]} by the lanes "
+                    f"for layout {chunk[t]}"
+                )
+        for layout, w1 in zip(chunk, lanes):
+            w = tree_w(layout)
+            if w <= 0 or w1 < 0:
+                raise CrossCheckError(
+                    f"W = {w}, W_1 = {w1} for layout {layout}"
+                )
+            yield layout, w, w1
+        scanned += len(chunk)
     _check_tree_count(n, scanned)
 
 
@@ -760,10 +777,11 @@ def star_minimizes_r1(n: int) -> bool:
     """Is the star the unique R1 minimizer among trees of order n?
 
     One sweep of the free-tree stream (_tree_scores) takes the exact
-    minimum of W(L(T))/W(T) and all its argmins; each argmin's W is
-    confirmed by BFS on its graph. The star's own ratio and code are
-    computed independently of the sweep (direct build and BFS) and
-    compared with that minimum and the full witness list, exactly.
+    minimum of W(L(T))/W(T) and all its argmins; each argmin's W(L(T))
+    and W are confirmed by BFS on its line graph and on its graph. The
+    star's own ratio and code are computed independently of the sweep
+    (direct build and BFS) and compared with that minimum and the full
+    witness list, exactly.
     Raises CrossCheckError unless the sweep saw free_tree_count(n) trees.
     """
     _check_search_bounds(n, DEFAULT_SEARCH_LIMIT)
@@ -771,7 +789,11 @@ def star_minimizes_r1(n: int) -> bool:
     for layout, w, w1 in _tree_scores(n):
         _keep_min(best, w1, w, lambda: [layout])
     best_w1, best_w, layouts = best
-    codes = [_confirmed_code(layout, best_w, []) for layout in layouts]
+    codes = []
+    for layout in layouts:
+        w1 = wiener_index(line_graph(layout_graph(layout)))
+        checks = [("W_1", best_w1, w1, "BFS")]
+        codes.append(_confirmed_code(layout, best_w, checks))
     star = build(Star(n))
     star_ratio = Fraction(wiener_index(line_graph(star)), wiener_index(star))
     ratio = Fraction(best_w1, best_w)

@@ -427,6 +427,9 @@ def _verify_bundle(name: str, args, budget: int):
 
 def _cmd_verify(args) -> int:
     selected = tuple(args.checks) if args.checks else VERIFY_CHECKS
+    repeated = sorted({name for name in selected if selected.count(name) > 1})
+    if repeated:
+        raise ParameterError(f"check named twice: {', '.join(repeated)}")
     budget = _budget_of(args)
     runners = [_verify_bundle(name, args, budget) for name in selected]
     checks = [check for run in runners for check in run()]

@@ -633,6 +633,23 @@ def test_star_check_confirms_the_w_of_each_argmin_by_bfs(monkeypatch):
         star_minimizes_r1(7)
 
 
+def test_star_check_confirms_the_w1_of_each_argmin_by_bfs(monkeypatch):
+    # a lane value wrong in the middle of the chunk, where the mask BFS of
+    # the chunk's ends does not look, makes that tree the argmin
+    from linewiener import _fast
+
+    lanes = _fast.line_wiener_lanes
+
+    def faulty(layouts):
+        out = lanes(layouts)
+        out[len(out) // 2] = 0
+        return out
+
+    monkeypatch.setattr(_fast, "line_wiener_lanes", faulty)
+    with pytest.raises(CrossCheckError, match=r"^W_1 = \d+ by BFS"):
+        star_minimizes_r1(7)
+
+
 def test_line_wiener_tree_identity():
     for n in range(2, 11):
         assert line_wiener_tree_identity(n)
@@ -677,11 +694,102 @@ def test_unfiltered_sweeps_check_the_tree_count(monkeypatch, fault, jobs):
 
 
 def test_tree_kernel_rejects_an_impossible_wiener_value(monkeypatch):
+    # the mask BFS agrees, so only the sign check can see it
     from linewiener import _fast
 
+    monkeypatch.setattr(_fast, "line_wiener_lanes", lambda ls: [-1] * len(ls))
     monkeypatch.setattr(_fast, "wiener_masks", lambda masks: -1)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(CrossCheckError, match=r"^W = \d+, W_1 = -1 for layout"):
         line_wiener_tree_identity(6)
+
+
+def test_lane_kernel_equals_the_mask_bfs_on_every_layout():
+    from linewiener._fast import line_wiener_lanes
+    from linewiener.analysis import _masks_wk
+    from linewiener.enumeration import free_tree_layouts
+
+    for n in range(2, 15):
+        layouts = list(free_tree_layouts(n))
+        expected = [_masks_wk(layout, 1) for layout in layouts]
+        assert line_wiener_lanes(layouts) == expected, n
+
+
+def test_lane_kernel_against_graph_bfs_on_random_trees():
+    # layouts from random roots, 40 trees of one order per call
+    from linewiener._fast import line_wiener_lanes
+    from linewiener.graphs import line_graph, wiener_index
+
+    rng = random.Random(2018)
+    for n in range(15, 41):
+        layouts = [
+            level_sequence(random_tree(rng, n), rng.randrange(n))
+            for _ in range(40)
+        ]
+        expected = [
+            wiener_index(line_graph(layout_graph(layout))) for layout in layouts
+        ]
+        assert line_wiener_lanes(layouts) == expected, n
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_tree_scores_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    from linewiener import analysis
+
+    expected = [list(analysis._tree_scores(n)) for n in range(2, 11)]
+    monkeypatch.setattr(analysis, "_CHUNK", chunk)
+    assert [list(analysis._tree_scores(n)) for n in range(2, 11)] == expected
+
+
+def test_lane_kernel_raises_when_a_lane_stalls(monkeypatch):
+    # vertex 3 as its own parent in tree 1 cuts edge 3 off there; the BFS
+    # must stop with an error, so an alarm fails the test if it spins
+    import signal
+
+    from linewiener import _fast
+
+    parents_of = _fast.layout_parents
+    calls = []
+
+    def faulty(layout):
+        parents = parents_of(layout)
+        if len(calls) == 1:
+            parents[3] = 3
+        calls.append(layout)
+        return parents
+
+    def spins(signum, frame):
+        raise TimeoutError("lane BFS still running after 10 s")
+
+    monkeypatch.setattr(_fast, "layout_parents", faulty)
+    previous = signal.signal(signal.SIGALRM, spins)
+    signal.alarm(10)
+    try:
+        with pytest.raises(CrossCheckError, match="lane BFS stalls"):
+            _fast.line_wiener_lanes([[0, 1, 2, 3, 4]] * 3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ParameterError, match="one order"):
+        _fast.line_wiener_lanes([[0, 1, 2, 3], [0, 1, 2]])
+
+
+def test_buckley_sweep_runs_the_mask_bfs_on_chunk_ends_alone(monkeypatch):
+    # the first and last tree of each chunk, which the bench tracer's
+    # per-tree mask spans also read; every other tree is scored in lanes
+    from linewiener import _fast, analysis
+    from linewiener.enumeration import free_tree_count
+
+    calls = []
+    bfs = _fast.wiener_masks
+    monkeypatch.setattr(
+        _fast, "wiener_masks", lambda masks: calls.append(1) or bfs(masks)
+    )
+    [result] = line_identity_checks(max_n=14)
+    assert result.ok
+    chunks = sum(
+        -(-free_tree_count(n) // analysis._CHUNK) for n in range(2, 15)
+    )
+    assert chunks <= len(calls) <= 2 * chunks
 
 
 def test_buckley_check_takes_w_from_edge_cuts(monkeypatch):

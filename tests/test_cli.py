@@ -275,6 +275,7 @@ def test_verify_rejects_bounds_it_cannot_run(capsys, argv):
         ("buckley", "--max-n", "21"),
         ("buckley", "thm5", "--budget", "1000"),
         ("buckley", "paper-numbers", "--budget", "5"),
+        ("thm1", "buckley", "thm1"),
     ],
 )
 def test_verify_checks_every_bound_before_any_bundle_runs(
