@@ -29,6 +29,7 @@ from .formulas import (
     balanced_spider_case,
     d2_quipu,
     d2_spider,
+    d2_ua,
     deficit_quotient,
     path_deficit,
     r2_path,
@@ -36,6 +37,7 @@ from .formulas import (
     w_path,
     w_quipu,
     w_spider,
+    w_ua,
 )
 from .graphs import (
     DEFAULT_BUDGET,
@@ -201,23 +203,14 @@ def beats_path(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
     return Fraction(w2, w) < r2_path(g.vertex_count)
 
 
-def _gap_scan(
-    family_case: str, a_lo: int, a_hi: int, gap_at, stop_at_first_pass=False
-) -> ThresholdReport:
+def _gap_scan(family_case: str, a_lo: int, a_hi: int, gap_at) -> ThresholdReport:
     """The rows gap_at(a) for a in [a_lo, a_hi] and the first positive one."""
     if a_lo < 2:
         raise ParameterError(f"scan needs a >= 2, got start {a_lo}")
     if a_hi < a_lo:
         raise ParameterError(f"empty scan range [{a_lo}, {a_hi}]")
-    rows = []
-    smallest = None
-    for a in range(a_lo, a_hi + 1):
-        gap = gap_at(a)
-        rows.append((a, gap))
-        if smallest is None and gap > 0:
-            smallest = a
-            if stop_at_first_pass:
-                break
+    rows = [(a, gap_at(a)) for a in range(a_lo, a_hi + 1)]
+    smallest = next((a for a, gap in rows if gap > 0), None)
     return ThresholdReport(
         family_case=family_case,
         smallest_passing_a=smallest,
@@ -235,49 +228,43 @@ def threshold_scan(case: str, a_lo: int, a_hi: int) -> ThresholdReport:
     return _gap_scan(case, a_lo, a_hi, gap_at)
 
 
-def _ua_w_w2(a: int, budget: int) -> tuple[int, int, int]:
-    """(n, W, W2) of the subdivided quipu U_a, all by direct BFS."""
-    g = build(SubdividedQuipu(a))
-    return (g.vertex_count, *_w_w2(g, budget))
-
-
 def subdivided_quipu_beats_path(
     a: int, budget: int = DEFAULT_BUDGET
 ) -> SubdividedQuipuCheck:
-    """Compare R2(U_a) with R2(P_n) at n = a^2 + 3a, fully by oracle."""
-    n, w, w2 = _ua_w_w2(a, budget)
-    r2_ua = Fraction(w2, w)
-    r2_pn = r2_path(n)
+    """Compare R2(U_a) with R2(P_n) at n = a^2 + 3a by the closed forms,
+    confirmed by BFS on the built U_a: the one BFS of U_a left."""
+    g = build(SubdividedQuipu(a))
+    w, d2 = w_ua(a), d2_ua(a)
+    bfs_w, bfs_w2 = _w_w2(g, budget)
+    if (bfs_w, bfs_w - bfs_w2) != (w, d2):
+        raise CrossCheckError(
+            f"U_{a}: W = {bfs_w} and D2 = {bfs_w - bfs_w2} by BFS, "
+            f"{w} and {d2} by the closed forms"
+        )
+    r2_ua = Fraction(w - d2, w)
+    r2_pn = r2_path(g.vertex_count)
     return SubdividedQuipuCheck(
-        a=a, n=n, r2_ua=r2_ua, r2_path=r2_pn, holds=r2_ua < r2_pn
+        a=a, n=g.vertex_count, r2_ua=r2_ua, r2_path=r2_pn, holds=r2_ua < r2_pn
     )
 
 
-def subdivided_quipu_scan(
-    a_lo: int,
-    a_hi: int,
-    budget: int = DEFAULT_BUDGET,
-    stop_at_first_pass: bool = False,
-) -> ThresholdReport:
+def subdivided_quipu_scan(a_lo: int, a_hi: int) -> ThresholdReport:
     """Deficit gap of U_a over a range, as a ThresholdReport with tag "ua".
 
-    The per-a work is a full BFS evaluation (order a^2+3a), so wide scans
-    are slow; `stop_at_first_pass` cuts the scan at the first positive gap.
+    The gaps come from the closed forms alone, with no graph built, so the
+    scan is instant at any a; `verify thm5` confirms the forms by BFS.
     """
 
     def gap_at(a):
-        check = subdivided_quipu_beats_path(a, budget)
-        return check.r2_path - check.r2_ua
+        return Fraction(d2_ua(a), w_ua(a)) - path_deficit(a * a + 3 * a)
 
-    return _gap_scan("ua", a_lo, a_hi, gap_at, stop_at_first_pass)
+    return _gap_scan("ua", a_lo, a_hi, gap_at)
 
 
-def subdivided_quipu_deviation(
-    a: int, budget: int = DEFAULT_BUDGET
-) -> SubdividedQuipuDeviation:
-    """Exact relative deviation of W(U_a), D2(U_a) from (2/3)a^5, (1/6)a^4."""
-    _, w, w2 = _ua_w_w2(a, budget)
-    d2 = w - w2
+def subdivided_quipu_deviation(a: int) -> SubdividedQuipuDeviation:
+    """Exact relative deviation of W(U_a), D2(U_a) from (2/3)a^5, (1/6)a^4,
+    by the closed forms."""
+    w, d2 = w_ua(a), d2_ua(a)
     w_dev = Fraction(3 * w, 2 * a**5) - 1
     d2_dev = Fraction(6 * d2, a**4) - 1
     return SubdividedQuipuDeviation(

@@ -227,12 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LO..HI",
         help="parameter range (default 2..30, ua default 2..50)",
     )
-    p.add_argument(
-        "--stop-at-first",
-        action="store_true",
-        help="ua only: stop scanning at the first a that beats the path",
-    )
-    _add_budget(p)
     _add_format(p, _REPORT_FORMATS, "report")
 
     p = sub.add_parser(
@@ -322,21 +316,9 @@ def _check_ua_budget(a: int, budget: int) -> None:
 
 
 def _cmd_scan(args) -> int:
-    budget = _budget_of(args)
     if args.case == "ua":
-        lo, hi = _a_range(args, 50)
-        # the largest a must fit before any a is scanned; a bad range is
-        # left to the scan's own error
-        if 2 <= lo <= hi:
-            _check_ua_budget(hi, budget)
-        scanned = [
-            analysis.subdivided_quipu_scan(
-                lo, hi, budget, stop_at_first_pass=args.stop_at_first
-            )
-        ]
+        scanned = [analysis.subdivided_quipu_scan(*_a_range(args, 50))]
     else:
-        if args.stop_at_first:
-            raise ParameterError("--stop-at-first only applies to --case ua")
         lo, hi = _a_range(args, 30)
         cases = ("i", "ii", "iii") if args.case == "all" else (args.case,)
         scanned = [analysis.threshold_scan(case, lo, hi) for case in cases]

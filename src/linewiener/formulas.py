@@ -11,6 +11,8 @@ Families covered:
 * T_{a,b,c}, the spider with three arms of a, b, c edges.
 * Q_a, the balanced quipu: path on a+2 vertices whose a internal vertices
   each carry a pendant path of a vertices.
+* U_a, the subdivided quipu: Q_a with both end spine edges subdivided into
+  paths of a edges, order a^2 + 3a. `scan --case ua` needs no graph.
 
 "Deficit" means 1 - R_2 = D_2/W where D_2 = W - W(L^2); a tree beats the
 path at its order exactly when its deficit exceeds the path's.
@@ -117,6 +119,25 @@ def d2_quipu(a: int) -> int:
         + 1
     )
     return _integral(value, "d2_quipu", a)
+
+
+def w_ua(a: int) -> int:
+    """W(U_a) = (2/3)a^5 + 4a^4 + (16/3)a^3 - (1/2)a^2 - (1/2)a."""
+    if a < 2:
+        raise ParameterError(f"w_ua needs a >= 2, got {a}")
+    value = Fraction(2, 3) * a**5 + 4 * a**4 + Fraction(16, 3) * a**3
+    value -= Fraction(1, 2) * a**2 + Fraction(1, 2) * a
+    return _integral(value, "w_ua", a)
+
+
+def d2_ua(a: int) -> int:
+    """D_2(U_a) = (1/6)a^4 + 3a^3 + (19/3)a^2 - (9/2)a + 1, pinned like
+    d2_quipu by BFS and by the O(n) tree kernels on built U_a."""
+    if a < 2:
+        raise ParameterError(f"d2_ua needs a >= 2, got {a}")
+    value = Fraction(1, 6) * a**4 + 3 * a**3 + Fraction(19, 3) * a**2
+    value += 1 - Fraction(9, 2) * a
+    return _integral(value, "d2_ua", a)
 
 
 class SpiderCaseValues(Record):

@@ -10,7 +10,6 @@ from itertools import combinations_with_replacement
 import pytest
 
 from linewiener import (
-    DEFAULT_BUDGET,
     BalancedQuipu,
     BudgetExceededError,
     CrossCheckError,
@@ -25,7 +24,9 @@ from linewiener import (
     closed_form_oracle_checks,
     d2_quipu,
     d2_spider,
+    d2_ua,
     free_trees,
+    iterated_line_graph,
     limit_quotient_checks,
     line_identity_checks,
     line_wiener_tree_identity,
@@ -41,6 +42,8 @@ from linewiener import (
     threshold_scan,
     w_quipu,
     w_spider,
+    w_ua,
+    wiener_index,
     worked_example_checks,
 )
 from linewiener.enumeration import layout_graph, layout_parents
@@ -140,10 +143,21 @@ def test_subdivided_quipu_scan_finds_ten():
         assert (gap > 0) == (a >= 10), a
 
 
-def test_subdivided_quipu_scan_can_stop_early():
-    report = subdivided_quipu_scan(2, 50, stop_at_first_pass=True)
+def test_ua_scan_and_deviation_build_no_graph(monkeypatch):
+    # U_a is a closed-form family: only verify thm5 builds it, for its
+    # one BFS confirmation
+    import linewiener.analysis as analysis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"built or searched a graph: {args}")
+
+    for name in ("build", "wiener_index", "iterated_line_graph"):
+        monkeypatch.setattr(analysis, name, refuse)
+    report = subdivided_quipu_scan(2, 1000)
     assert report.smallest_passing_a == 10
-    assert report.per_a_gap[-1][0] == 10
+    assert len(report.per_a_gap) == 999
+    row = subdivided_quipu_deviation(60)
+    assert (row.w_ua, row.d2_ua) == (w_ua(60), d2_ua(60))
 
 
 def test_subdivided_quipu_beats_path_at_fifty():
@@ -309,11 +323,11 @@ def test_wiener2_formula_against_closed_forms():
 
 def test_wiener2_formula_against_subdivided_quipu_bfs():
     from linewiener._fast import wiener2_tree_layout
-    from linewiener.analysis import _ua_w_w2
 
     for a in range(2, 21):
-        layout = level_sequence(build(SubdividedQuipu(a)))
-        assert wiener2_tree_layout(layout) == _ua_w_w2(a, DEFAULT_BUDGET)[2], a
+        g = build(SubdividedQuipu(a))
+        bfs = wiener_index(iterated_line_graph(g, 2))
+        assert wiener2_tree_layout(level_sequence(g)) == bfs, a
 
 
 def test_search_runs_the_bfs_only_on_running_argmins(monkeypatch):

@@ -121,45 +121,27 @@ def test_scan_reports_thresholds(capsys):
     code, out, _ = run(capsys, "scan", "--case", "i", "--a-range", "2..9")
     assert code == 0
     assert "smallest passing a: 7" in out
-    code, out, _ = run(
-        capsys, "scan", "--case", "ua", "--a-range", "2..12", "--stop-at-first"
-    )
+    # L^2(U_1000) would outgrow the default budget; the closed forms
+    # build no graph, so the whole range runs
+    code, out, _ = run(capsys, "scan", "--case", "ua", "--a-range", "2..1000")
     assert code == 0
     assert "smallest passing a: 10" in out
+    assert out.count("a=") == 999
 
 
-def test_scan_checks_the_budget_before_any_a(capsys, monkeypatch):
-    # L^2(U_40) outgrows the budget; the scan must refuse before it
-    # evaluates a = 2, where it used to get as far as a = 29
-    import linewiener.analysis as analysis
-
-    calls = []
-
-    def evaluate(a, budget):
-        calls.append(a)
-        raise AssertionError(f"scan evaluated a = {a} before the budget check")
-
-    monkeypatch.setattr(analysis, "subdivided_quipu_beats_path", evaluate)
-    code, out, err = run(
-        capsys, "scan", "--case", "ua", "--a-range", "2..40", "--budget", "1000"
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: line graph iteration")
-    assert "budget is 1000\n" in err
-    assert calls == []
+@pytest.mark.parametrize("flag", [["--budget", "1000"], ["--stop-at-first"]])
+def test_scan_takes_no_budget_or_stop_flag(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--case", "ua", "--a-range", "2..12", *flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("scan", "--case", "ua", "--a-range", "2..100000"),
-        ("verify", "thm5", "--a", "100000"),
-    ],
-)
-def test_ua_past_the_budget_fails_without_being_built(capsys, monkeypatch, argv):
+def test_ua_past_the_budget_fails_without_being_built(capsys, monkeypatch):
     # U_100000 has about 10^10 vertices: its order alone must refuse it,
-    # before it is built or any a is evaluated
+    # before it is built or its ratio is evaluated
     import linewiener.cli as cli
 
     def refuse(*args):
@@ -167,13 +149,29 @@ def test_ua_past_the_budget_fails_without_being_built(capsys, monkeypatch, argv)
 
     monkeypatch.setattr(cli, "build", refuse)
     monkeypatch.setattr(cli.analysis, "subdivided_quipu_beats_path", refuse)
-    code, out, err = run(capsys, *argv, "--budget", "1000000")
+    code, out, err = run(
+        capsys, "verify", "thm5", "--a", "100000", "--budget", "1000000"
+    )
     assert code == 2
     assert out == ""
     assert err == (
         "error: line graph iteration 1 would need 10000299999 vertices, "
         "budget is 1000000\n"
     )
+
+
+def test_thm5_bfs_catches_a_wrong_closed_form(capsys, monkeypatch):
+    import linewiener.analysis as analysis
+
+    right = analysis.d2_ua
+    monkeypatch.setattr(analysis, "d2_ua", lambda a: right(a) + 1)
+    code, out, err = run(capsys, "verify", "thm5", "--a", "12")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: U_12: W = ")
+    assert "by BFS" in err and "by the closed forms" in err
+    with pytest.raises(CrossCheckError):
+        analysis.subdivided_quipu_beats_path(12)
 
 
 def test_scan_all_cases(capsys):

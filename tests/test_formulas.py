@@ -13,10 +13,12 @@ from linewiener import (
     ParameterError,
     Path,
     Spider,
+    SubdividedQuipu,
     balanced_spider_case,
     build,
     d2_quipu,
     d2_spider,
+    d2_ua,
     deficit_quotient,
     iterated_line_graph,
     path_deficit,
@@ -25,9 +27,12 @@ from linewiener import (
     w_path,
     w_quipu,
     w_spider,
+    w_ua,
 )
 
-from oracles import naive_wiener
+from linewiener._fast import wiener2_tree_layout, wiener_tree_layout
+
+from oracles import level_sequence, naive_wiener
 
 
 def oracle_w_and_d2(g):
@@ -90,6 +95,45 @@ def test_quipu_frozen_values():
     ]
 
 
+def test_subdivided_quipu_closed_forms_against_oracle():
+    for a in range(2, 11):
+        w, d2 = oracle_w_and_d2(build(SubdividedQuipu(a)))
+        assert w_ua(a) == w, a
+        assert d2_ua(a) == d2, a
+
+
+def test_subdivided_quipu_closed_forms_against_tree_kernels():
+    for a in range(2, 201):
+        layout = level_sequence(build(SubdividedQuipu(a)))
+        w = wiener_tree_layout(layout)
+        assert w_ua(a) == w, a
+        assert d2_ua(a) == w - wiener2_tree_layout(layout), a
+
+
+# 6(D2 n(n+1) - 6(n-1) W) at n = a^2 + 3a, highest power first: its sign
+# is the sign of U_a's deficit gap over the path, since W n(n+1) > 0
+UA_CERTIFICATE = (1, 0, -60, -216, -136, 144, 15, 0, 0)
+
+
+def ua_certificate(a):
+    return sum(c * a ** (8 - i) for i, c in enumerate(UA_CERTIFICATE))
+
+
+def test_subdivided_quipu_beats_the_path_iff_a_is_at_least_ten():
+    # both sides have degree 8 in a, so agreeing at 10 points makes them
+    # the same polynomial
+    for a in range(2, 12):
+        n = a * a + 3 * a
+        gap = 6 * (d2_ua(a) * n * (n + 1) - 6 * (n - 1) * w_ua(a))
+        assert gap == ua_certificate(a), a
+    # Cauchy: every root has |a| < 1 + max |c_i| / c_0 = 217, so past 217
+    # the leading term decides and the certificate stays positive
+    bound = 1 + max(map(abs, UA_CERTIFICATE[1:])) // UA_CERTIFICATE[0]
+    assert bound == 217
+    for a in range(2, bound + 1):
+        assert (ua_certificate(a) > 0) == (a >= 10), a
+
+
 def test_parameter_validation():
     for call in (
         lambda: w_path(0),
@@ -99,6 +143,8 @@ def test_parameter_validation():
         lambda: d2_spider(1, 2, 2),
         lambda: w_quipu(1),
         lambda: d2_quipu(0),
+        lambda: w_ua(1),
+        lambda: d2_ua(1),
         lambda: balanced_spider_case(1, "i"),
         lambda: balanced_spider_case(3, "iv"),
         lambda: spider_case_arms(3, "II"),
