@@ -9,9 +9,11 @@ a verdict.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement, islice
+from itertools import combinations_with_replacement, islice
 from math import comb
+from operator import itemgetter
 from typing import Optional
 
 from . import _fast
@@ -409,14 +411,80 @@ def _branch_table(limit: int, most: Optional[int]) -> list[tuple]:
     return rows
 
 
-def _scan_block(args):
-    """One job's share of the min W_2/W sweep, walked by centroid.
+def _row_terms(n: int, rows: list[tuple]) -> list[tuple]:
+    """Per _branch_table row: (size, w, s, a, a2, d3, top), with
+    w = x + n p its W term at a root of an order-n tree."""
+    return [
+        (size, x + n * p, s, a, a2, d3, top)
+        for size, x, p, s, a, a2, d3, top, *_ in rows
+    ]
 
-    args is (n, max_degree, min_max_degree, min_degree3_count, rows,
-    index, jobs), with rows the _branch_table(n // 2, max_degree) that
-    the search built once. Every free tree of order n, n >= 2, is one of:
-    - a root (its centroid) over a multiset of branches of size at most
-      (n - 1)/2, taken as a non-increasing run of _branch_table rows;
+
+def _forest_table(
+    n: int, rows: list[tuple], most: Optional[int], need: Optional[int]
+) -> list[list[tuple]]:
+    """Every forest that can hang from a centroid beside its largest branch.
+
+    A forest is a non-increasing run of _branch_table rows. forests[m]
+    holds each one of total size m whose largest row r has a size
+    z <= (n - 1)/2 with m + z <= n - 1, sorted by r, ascending; so the
+    forests whose rows are all <= i form a prefix of forests[m]. Each
+    entry is made in O(1) as r over the rest of its forest, entry j of
+    forests[m - size_r], which lies in the prefix of r. It holds
+
+        (r, j, sum w, sum s + C(k + 1, 2), sum a - (n - 2), sum a2,
+         sum d3 + (k == 2), max(tops, k + 1)),
+
+    the forest's sums closed at a root of degree k + 1 for its k rows,
+    as _scan_block scores them (w as in _row_terms).
+    A forest whose root degree k + 1 exceeds `most` is left out, as is
+    one whose degree-3 vertices cannot reach `need`: the root and the
+    n - 1 - m vertices beside the forest hold at most (n - m) // 2 more.
+    """
+    most = n if most is None else most
+    need = need or 0
+    big = (n - 1) // 2
+    terms = _row_terms(n, rows)
+    # (r, j, k, w, s, a, a2, d3, top): each forest's links and plain sums
+    sums = [[(-1, 0, 0, 0, 0, 0, 0, 0, 0)]]
+    for m in range(1, n - 1):
+        made = []
+        for r, (size, w, s, a, a2, d3, top) in enumerate(terms):
+            if size > min(big, m, n - 1 - m):
+                break
+            rest = sums[m - size]
+            for j in range(bisect_right(rest, r, key=_largest)):
+                _, _, k, W, S, A, A2, D3, TOP = rest[j]
+                if k + 2 <= most and D3 + d3 + (n - m) // 2 >= need:
+                    made.append((
+                        r, j, k + 1, W + w, S + s, A + a, A2 + a2, D3 + d3,
+                        max(TOP, top),
+                    ))
+        sums.append(made)
+    return [
+        [
+            (r, j, W, S + comb(k + 1, 2), A - (n - 2), A2, d3 + (k == 2),
+             max(top, k + 1))
+            for r, j, k, W, S, A, A2, d3, top in made
+        ]
+        for made in sums
+    ]
+
+
+# the sort key of a _forest_table entry: its largest row
+_largest = itemgetter(0)
+
+
+def _scan_block(args):
+    """One job's share of the min W_2/W sweep, scored by centroid.
+
+    args is (n, min_max_degree, min_degree3_count, rows, table, index,
+    jobs), with rows the _branch_table(n // 2, max_degree) and table the
+    _forest_table of the same bounds, both built once by the search.
+    Every free tree of order n, n >= 2, is one of:
+    - a root (its centroid) over its largest branch i, a _branch_table row
+      of size at most (n - 1)/2, and a forest of rows <= i of size
+      n - 1 - size_i: a prefix of the table's forests of that size;
     - for even n, two branches a <= b of size n/2 joined by an edge,
       rooted at a's root: a's kids and then b hang from it.
     At a root with branches j, in a tree of order n,
@@ -425,22 +493,21 @@ def _scan_block(args):
         W(L^2) = S * (sum a_j - n + 2 + S) - sum a2_j,
 
     with S = sum s_j + C(c, 2) for c branches (the root's own wedges):
-    _fast.wiener2_tree_layout's edge-cut formula, summed per branch. So
-    a depth-first walk over the multisets carries the running sums and
-    scores each tree in O(1) from them.
+    _fast.wiener2_tree_layout's edge-cut formula, summed per branch. The
+    table holds each forest's sums closed at its root, so each tree is
+    scored in O(1) from the sums of branch i and of one forest, in one
+    flat loop per top-level choice.
 
-    The top-level choices are the largest branch at a centroid, then
+    The top-level choices are the largest branch i at a centroid, then
     (n even) the branch a; this share takes those numbered index mod
     jobs. Returns (scanned, best_wk, best_w, layouts): the level
     sequences of the share's argmins, built only for its running argmins
     and ties, and best values None when no tree passes the filters. The
-    three degree filters are those of free_tree_layouts, None when unset.
-    A branch with a degree above max_degree is left out of the table,
-    and a partial root is abandoned once its degree-3 vertices cannot
-    reach min_degree3_count: a forest of r vertices below it holds at
-    most (r - 1) // 2 of them, and the root itself one more.
+    degree filters are those of free_tree_layouts, None when unset, and
+    are checked per tree; max_degree and the reach of min_degree3_count
+    are already applied in the two tables.
     """
-    n, most, least, need, rows, index, jobs = args
+    n, least, need, rows, forests, index, jobs = args
     best = [None, None, []]
     # the running minimum best_wk / best_w; 1/0 lies above every ratio
     best_wk, best_w = 1, 0
@@ -448,90 +515,59 @@ def _scan_block(args):
     least = least or 0
     need = need or 0
     half = n // 2
+    filtered = least > 0 or need > 0
+    terms = _row_terms(n, rows)
+    sizes = [row[0] for row in rows]
 
     def layout(picks):
         # the tree whose root carries the branch rows `picks`
         return [0] + [level + 1 for i in picks for level in rows[i][9]]
 
-    most = n if most is None else most
-    filtered = least > 0 or need > 0
-    # first[z]: the first row of size z or more
-    counts = [0] * (n + 2)
-    for row in rows:
-        counts[row[0] + 1] += 1
-    first = list(accumulate(counts))
-    # per row: its size, then its terms at a root of an order-n tree
-    terms = [
-        (size, x + n * p, s, a, a2, d3, top)
-        for size, x, p, s, a, a2, d3, top, *_ in rows
+    def forest(m, j):
+        # the rows of entry j of forests[m], largest first
+        picks = []
+        while m:
+            r, j = forests[m][j][:2]
+            picks.append(r)
+            m -= sizes[r]
+        return picks
+
+    # the rows b of size n/2 closed at a's root, which gains no degree
+    lo = bisect_left(sizes, half)
+    halves = [
+        (b, None, w, s, a - (n - 2), a2, d3, top)
+        for b, (_, w, s, a, a2, d3, top) in enumerate(terms[lo:], lo)
     ]
-    leaves = [
-        (w, s, a, a2, d3, top, i)
-        for i, (_, w, s, a, a2, d3, top) in enumerate(terms)
-    ]
-    wedges = [comb(degree, 2) for degree in range(n + 1)]
-    room = [(rem - 1) // 2 + 1 for rem in range(n)]
-    shift = n - 2
-
-    def finish(lo, hi, degree, W, S, A, A2, d3, top, picks):
-        # score the trees that close the root with one more branch, a row
-        # in lo..hi-1, which gives the root `degree`
-        nonlocal scanned, best_wk, best_w
-        S += wedges[degree]
-        # W(L^2) = S * (sum a - (n - 2) + S) - sum a2, S and the sums
-        # taken with the closing branch
-        A -= shift
-        group = leaves[lo:hi]
-        if filtered:
-            d3 += degree == 3
-            top = max(top, degree)
-            group = [
-                leaf for leaf in group
-                if d3 + leaf[4] >= need and max(top, leaf[5]) >= least
-            ]
-        scanned += len(group)
-        for w, s, a, a2, _, _, i in group:
-            w += W
-            s += S
-            wk = s * (A + a + s) - A2 - a2
-            if wk * best_w <= best_wk * w:
-                _keep_min(best, wk, w, lambda: [layout(picks + (i,))])
-                best_wk, best_w = best[0], best[1]
-
-    def grow(rem, last, count, W, S, A, A2, d3, top, picks):
-        # a root with `count` branches, the last of them row `last`, and
-        # rem vertices still to hang from it as rows <= last
-        degree = count + 1
-        lo = first[rem]
-        if degree <= most and last >= lo:
-            hi = min(last + 1, first[rem + 1])
-            finish(lo, hi, degree, W, S, A, A2, d3, top, picks)
-        if degree < most:
-            for i in range(min(last, lo - 1), -1, -1):
-                size, w, s, a, a2, d3i, topi = terms[i]
-                if d3 + d3i + room[rem - size] >= need:
-                    grow(
-                        rem - size, i, degree, W + w, S + s, A + a, A2 + a2,
-                        d3 + d3i, max(top, topi), picks + (i,),
-                    )
-
-    central = range(first[(n - 1) // 2 + 1] - 1, -1, -1)
-    pairs = range(first[half], first[half + 1]) if n % 2 == 0 else ()
+    central = range(bisect_right(sizes, (n - 1) // 2) - 1, -1, -1)
+    pairs = range(lo, len(rows)) if n % 2 == 0 else ()
     choices = [(True, i) for i in central] + [(False, i) for i in pairs]
     for centroid, i in choices[index::jobs]:
         size, w, s, a, a2, d3, top = terms[i]
         if centroid:
-            if d3 + room[n - 1 - size] >= need:
-                grow(n - 1 - size, i, 1, w, s, a, a2, d3, top, (i,))
+            m = n - 1 - size
+            group = forests[m][: bisect_right(forests[m], i, key=_largest)]
+            picks = lambda r, j: [i, r, *forest(m - sizes[r], j)]
         else:
             # a's row already holds its root's wedges and degree, the
             # edge to b included. Its kids' sums are its own less its up
             # edge's, and the w terms of a and b each count the edge
             # between them for all half * half pairs across it
-            finish(
-                first[half], i + 1, 1, w - half * half, s, a - s, a2 - s * s,
-                d3, top, rows[i][8],
-            )
+            group = halves[: i - lo + 1]
+            w, a, a2 = w - half * half, a - s, a2 - s * s
+            picks = lambda b, _: [*rows[i][8], b]
+        if filtered:
+            group = [
+                tree for tree in group
+                if d3 + tree[6] >= need and max(top, tree[7]) >= least
+            ]
+        scanned += len(group)
+        for r, j, W, S, A, A2, _, _ in group:
+            W += w
+            S += s
+            wk = S * (A + a + S) - A2 - a2
+            if wk * best_w <= best_wk * W:
+                _keep_min(best, wk, W, lambda: [layout(picks(r, j))])
+                best_wk, best_w = best[0], best[1]
     return (scanned, *best)
 
 
@@ -709,31 +745,32 @@ def min_r2_search(
 ) -> MinimizerReport:
     """Exact minimum of R2 over all (filtered) trees of order n.
 
-    Exhaustive: the centroid walk of _scan_block scores every free tree
-    of order n once, from branch summaries, and only the trees left at
-    the minimum are confirmed (_witness_code), each once. So the order is
-    capped: above `limit` the call fails rather than silently sampling,
-    because a non-exhaustive minimum is worthless here. Raising the cap
-    is the caller's explicit act.
+    Exhaustive: the centroid scan of _scan_block scores every free tree
+    of order n once, from branch and forest summaries, and only the trees
+    left at the minimum are confirmed (_witness_code), each once. So the
+    order is capped: above `limit` the call fails rather than silently
+    sampling, because a non-exhaustive minimum is worthless here. Raising
+    the cap is the caller's explicit act.
 
-    The walk is split into `jobs` shares, its top-level choices numbered
+    The scan is split into `jobs` shares, its top-level choices numbered
     i mod jobs. Share 0 runs in this process, the others in forked
     workers (_scan_in_workers), and each returns the layouts of its own
     argmins. Merging their exact minima is associative and the witnesses
     are sorted, so any job count gives identical results. An unfiltered
     search must have scanned exactly free_tree_count(n) trees, or it
     raises CrossCheckError before any argmin is confirmed; so must one
-    whose bounds exclude no tree. The branch table is built here, once,
-    and reaches the workers through the fork; each row is one top-level
-    choice, so there are no more shares than rows.
+    whose bounds exclude no tree. The branch and forest tables are built
+    here, once, and reach the workers through the fork; each row is one
+    top-level choice, so there are no more shares than rows.
     """
     _check_search_bounds(n, limit)
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     rows = _branch_table(n // 2, max_degree)
+    table = _forest_table(n, rows, max_degree, min_degree3_count)
     jobs = min(jobs, max(1, len(rows)))
     args = [
-        (n, max_degree, min_max_degree, min_degree3_count, rows, i, jobs)
+        (n, min_max_degree, min_degree3_count, rows, table, i, jobs)
         for i in range(jobs)
     ]
     results = [_scan_block(args[0])] if jobs == 1 else _scan_in_workers(args)

@@ -22,7 +22,7 @@ from typing import Optional
 from . import analysis, reporting
 from .enumeration import free_trees
 from .errors import BudgetExceededError, LineWienerError, ParameterError
-from .families import SubdividedQuipu, build, parse_family, spec_order
+from .families import build, parse_family
 from .graphio import read_graph, sniff_format, write_graph
 from .graphs import (
     DEFAULT_BUDGET,
@@ -306,13 +306,14 @@ def _cmd_enumerate(args) -> int:
 
 def _check_ua_budget(a: int, budget: int) -> None:
     """Raise the BudgetExceededError that L^2(U_a) would raise, before any
-    work is spent. U_a is a tree, so L(U_a) has one vertex fewer than U_a:
-    an order past the budget fails without building U_a."""
-    spec = SubdividedQuipu(a)
-    line_order = spec_order(spec) - 1
-    if line_order > budget:
-        raise BudgetExceededError(line_order, budget, 1)
-    check_line_budget(build(spec), 2, budget)
+    work is spent and without building U_a, as check_line_budget would.
+    U_a has a hubs of degree 3 in a row, a + 2 leaves and every other
+    vertex of degree 2, so L(U_a) has a^2 + 3a - 1 vertices and
+    a^2 + 4a - 2 edges, and L^2(U_a) has a^2 + 9a - 4 edges."""
+    sizes = (a * a + 3 * a - 1, a * a + 4 * a - 2, a * a + 9 * a - 4)
+    for step, predicted in zip((1, 1, 2), sizes):
+        if predicted > budget:
+            raise BudgetExceededError(predicted, budget, step)
 
 
 def _cmd_scan(args) -> int:

@@ -3,17 +3,13 @@
 Each test prints "[PASS] criterion N: ..." with its measured wall time when
 its assertions hold; a failed assertion surfaces as the test's FAILED line
 instead. Stated time budgets are asserted, not aspirational. Criterion 10
-walks all 5.6 million trees of order 22 and only runs when
-LINEWIENER_STRETCH=1 is set in the environment.
+scores all 5.6 million trees of order 22, in about a second.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from fractions import Fraction
-
-import pytest
 
 from linewiener import (
     CASES,
@@ -172,10 +168,6 @@ def test_criterion_09_star_uniquely_minimizes_r1():
     verdict(9, 120, watch, "the star is the unique R_1 minimizer for 4 <= n <= 12")
 
 
-@pytest.mark.skipif(
-    os.environ.get("LINEWIENER_STRETCH") != "1",
-    reason="set LINEWIENER_STRETCH=1 to walk all 5.6M trees of order 22",
-)
 def test_criterion_10_exhaustive_search_at_22():
     with stopwatch() as watch:
         report = min_r2_search(22, limit=22)

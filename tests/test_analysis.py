@@ -375,38 +375,44 @@ def test_search_confirms_the_w_of_each_argmin_by_bfs(monkeypatch, jobs):
 
 
 def test_search_builds_the_branch_table_once(monkeypatch):
-    # the share builds its argmins' layouts from its own table, so the
-    # merge needs no second one
+    # each share builds its argmins' layouts from the tables it inherits,
+    # so the merge needs neither table a second time
     from linewiener import analysis
 
     builds = []
-    table = analysis._branch_table
-
-    def counted(limit, most):
-        builds.append(limit)
-        return table(limit, most)
-
-    monkeypatch.setattr(analysis, "_branch_table", counted)
-    report = min_r2_search(12)
-    assert report.witnesses == (canonical_code(tree("path:12")),)
-    assert builds == [6]
+    for name in ("_branch_table", "_forest_table"):
+        table = getattr(analysis, name)
+        monkeypatch.setattr(
+            analysis,
+            name,
+            lambda *args, name=name, table=table: (
+                builds.append(name) or table(*args)
+            ),
+        )
+    for jobs in (1, 2):
+        del builds[:]
+        report = min_r2_search(12, jobs=jobs)
+        assert report.witnesses == (canonical_code(tree("path:12")),)
+        assert builds == ["_branch_table", "_forest_table"], jobs
 
 
 def test_search_workers_take_the_branch_table_from_the_fork(monkeypatch):
-    # the table is built before the fork, so no worker builds its own
+    # the branch and forest tables are built before the fork, so no
+    # worker builds its own
     import os
 
     from linewiener import analysis
 
-    table = analysis._branch_table
     here = os.getpid()
+    for name in ("_branch_table", "_forest_table"):
+        table = getattr(analysis, name)
 
-    def parent_only(limit, most):
-        if os.getpid() != here:
-            raise CrossCheckError("a worker built the branch table")
-        return table(limit, most)
+        def parent_only(*args, name=name, table=table):
+            if os.getpid() != here:
+                raise CrossCheckError(f"a worker built {name}")
+            return table(*args)
 
-    monkeypatch.setattr(analysis, "_branch_table", parent_only)
+        monkeypatch.setattr(analysis, name, parent_only)
     assert min_r2_search(12, jobs=2) == min_r2_search(12)
 
 
@@ -462,7 +468,8 @@ def scored_by_the_walk(monkeypatch, n):
 
     monkeypatch.setattr(analysis, "_keep_min", record)
     rows = analysis._branch_table(n // 2, None)
-    scanned = analysis._scan_block((n, None, None, None, rows, 0, 1))[0]
+    table = analysis._forest_table(n, rows, None, None)
+    scanned = analysis._scan_block((n, None, None, rows, table, 0, 1))[0]
     assert scanned == len(scores), n
     return Counter(scores)
 
@@ -518,6 +525,79 @@ def test_branch_table_holds_each_rooted_tree_once_with_its_summary():
     capped = _branch_table(10, 3)
     assert capped == [row for row in capped if row[7] <= 3]
     assert len(capped) == len([row for row in rows if row[7] <= 3])
+
+
+def forest_runs(n, rows):
+    """Every non-increasing run of branch rows that can hang from a
+    centroid of an order-n tree beside a branch at least as large as its
+    largest row, by a walk of its own."""
+    big = (n - 1) // 2
+    fits = [i for i, row in enumerate(rows) if row[0] <= big]
+
+    def extend(run, last, total):
+        if run:
+            yield run
+        for r in fits:
+            size = rows[r][0]
+            # the run's largest row is its first
+            largest = rows[run[0]][0] if run else size
+            if r <= last and total + size + largest <= n - 1:
+                yield from extend(run + (r,), r, total + size)
+
+    yield from extend((), len(rows), 0)
+
+
+@pytest.mark.parametrize(
+    "most, need", [(None, None), (3, None), (4, 2), (None, 3)]
+)
+def test_forest_table_holds_each_forest_once_with_its_summary(most, need):
+    from linewiener.analysis import _branch_table, _forest_table
+
+    for n in range(2, 17):
+        rows = _branch_table(n // 2, most)
+        forests = _forest_table(n, rows, most, need)
+        expected = set()
+        for run in forest_runs(n, rows):
+            m = sum(rows[r][0] for r in run)
+            d3 = sum(rows[r][6] for r in run)
+            # the root's degree, and the degree-3 vertices beside the run
+            if len(run) + 1 <= (most or n):
+                if d3 + (n - m) // 2 >= (need or 0):
+                    expected.add(run)
+        seen = []
+        for m, made in enumerate(forests):
+            assert made == sorted(made, key=lambda entry: entry[0]), (n, m)
+            for j, entry in enumerate(made):
+                run, rest, at = [], m, j
+                while rest:
+                    r, at = forests[rest][at][:2]
+                    run.append(r)
+                    rest -= rows[r][0]
+                if m:
+                    seen.append(tuple(run))
+                k = len(run)
+                parts = [rows[r] for r in run]
+                assert entry[2:] == (
+                    sum(x + n * p for _, x, p, *_ in parts),
+                    sum(row[3] for row in parts) + k * (k + 1) // 2,
+                    sum(row[4] for row in parts) - (n - 2),
+                    sum(row[5] for row in parts),
+                    sum(row[6] for row in parts) + (k == 2),
+                    max([row[7] for row in parts] + [k + 1]),
+                ), (n, m, j)
+        assert Counter(seen) == Counter(expected), (n, most, need)
+
+
+def test_min_degree3_pruning_keeps_every_tree_that_passes():
+    from linewiener.enumeration import free_tree_layouts
+
+    for n in range(4, 15):
+        for need in range((n - 2) // 2 + 2):
+            expected = sum(
+                1 for _ in free_tree_layouts(n, min_degree3_count=need)
+            )
+            report = min_r2_search(n, min_degree3_count=need)
+            assert report.trees_scanned == expected, (n, need)
 
 
 def test_search_shares_give_identical_reports():
@@ -674,15 +754,24 @@ def test_line_wiener_tree_identity():
 def test_unfiltered_sweeps_check_the_tree_count(monkeypatch, fault, jobs):
     # a walk that drops or repeats a tree has the wrong free-tree count,
     # whichever tree it is, and also when only a worker's share is wrong:
-    # the centroid walk loses or doubles a branch, the stream a layout
+    # the centroid scan loses or doubles a branch or a forest (here the
+    # forest of n - 2 leaves beside a leaf, which makes the star), the
+    # stream a layout
     from linewiener import analysis
 
-    table = analysis._branch_table
+    rows_of = analysis._branch_table
+    forests_of = analysis._forest_table
     layouts = analysis.free_tree_layouts
 
-    def faulty_table(limit, most):
-        rows = table(limit, most)
+    def faulty_rows(limit, most):
+        rows = rows_of(limit, most)
         return rows[:-1] if fault == "drop" else rows + rows[-1:]
+
+    def faulty_forests(n, rows, most, need):
+        forests = forests_of(n, rows, most, need)
+        made = forests[n - 2]
+        made[:1] = [] if fault == "drop" else made[:1] * 2
+        return forests
 
     def faulty(n, **kwargs):
         stream = layouts(n, **kwargs)
@@ -690,17 +779,24 @@ def test_unfiltered_sweeps_check_the_tree_count(monkeypatch, fault, jobs):
         yield from [first, first] if fault == "repeat" else []
         yield from stream
 
-    monkeypatch.setattr(analysis, "_branch_table", faulty_table)
-    monkeypatch.setattr(analysis, "free_tree_layouts", faulty)
-    # bounds that exclude no tree of order 8 leave the search unfiltered
-    for bounds in [
-        {},
-        {"min_degree3_count": 0},
-        {"max_degree": 7},
-        {"min_max_degree": 2},
+    for name, table in [
+        ("_branch_table", faulty_rows),
+        ("_forest_table", faulty_forests),
     ]:
-        with pytest.raises(CrossCheckError, match="trees scanned at order 8"):
-            min_r2_search(8, jobs=jobs, **bounds)
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, name, table)
+            # bounds that exclude no tree of order 8 leave it unfiltered
+            for bounds in [
+                {},
+                {"min_degree3_count": 0},
+                {"max_degree": 7},
+                {"min_max_degree": 2},
+            ]:
+                with pytest.raises(
+                    CrossCheckError, match="trees scanned at order 8"
+                ):
+                    min_r2_search(8, jobs=jobs, **bounds)
+    monkeypatch.setattr(analysis, "free_tree_layouts", faulty)
     with pytest.raises(CrossCheckError, match="trees scanned at order 7"):
         star_minimizes_r1(7)
     with pytest.raises(CrossCheckError, match="trees scanned at order 6"):

@@ -160,6 +160,53 @@ def test_ua_past_the_budget_fails_without_being_built(capsys, monkeypatch):
     )
 
 
+def test_ua_budget_check_predicts_the_line_graph_sizes():
+    # the check reads the sizes of L(U_a) and L^2(U_a) off a alone; it
+    # must fail exactly where check_line_budget on the built U_a fails,
+    # with the same error
+    from linewiener import SubdividedQuipu, build
+    from linewiener.cli import _check_ua_budget
+    from linewiener.errors import BudgetExceededError
+    from linewiener.graphs import check_line_budget
+
+    def error(check, *args):
+        try:
+            check(*args)
+        except BudgetExceededError as exc:
+            return str(exc)
+        return None
+
+    for a in range(2, 25):
+        g = build(SubdividedQuipu(a))
+        n = g.vertex_count
+        for size in (n - 1, a * a + 4 * a - 2, a * a + 9 * a - 4):
+            for budget in (size - 1, size, size + 1):
+                expected = error(check_line_budget, g, 2, budget)
+                assert error(_check_ua_budget, a, budget) == expected, (
+                    a, budget
+                )
+
+
+def test_verify_thm5_builds_ua_once(capsys, monkeypatch):
+    import linewiener.analysis as analysis
+    import linewiener.cli as cli
+    from linewiener import SubdividedQuipu
+
+    builds = []
+    for module in (analysis, cli):
+        made = module.build
+
+        def counted(spec, made=made):
+            builds.append(spec)
+            return made(spec)
+
+        monkeypatch.setattr(module, "build", counted)
+    code, out, _ = run(capsys, "verify", "thm5", "--a", "12")
+    assert code == 0
+    assert "[PASS] R2(U_12)" in out
+    assert builds.count(SubdividedQuipu(12)) == 1
+
+
 def test_thm5_bfs_catches_a_wrong_closed_form(capsys, monkeypatch):
     import linewiener.analysis as analysis
 
