@@ -8,10 +8,11 @@ there, so neither decodes a parent array. The bitmask ones hold a graph
 on n vertices as a list of n ints, where bit u of ``masks[v]`` says u and
 v are adjacent, so BFS layers become mask operations and distance sums
 come from ``int.bit_count``. The min-R_2 search scores its trees from
-branch and forest summaries and runs both kinds only to confirm its
-final argmins; the `buckley` and `thm1` checks of `verify` (k = 1) run
-one lane-parallel BFS per chunk of trees (line_wiener_lanes), and the
-mask BFS on each chunk's first and last tree only. General-purpose code
+the summaries of one table of branches and forests and runs both kinds
+only to confirm its final argmins; the `buckley` and `thm1` checks of
+`verify` (k = 1) run one lane-parallel BFS per chunk of trees
+(line_wiener_lanes), and the mask BFS on each chunk's first and last
+tree only. General-purpose code
 goes through graphs.Graph instead, whose wiener_index runs bitset sweeps
 from up to 4096 sources at once over the adjacency lists.
 """

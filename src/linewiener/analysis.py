@@ -9,7 +9,7 @@ a verdict.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
 from math import comb
@@ -350,162 +350,119 @@ def _tree_scores(n: int):
     _check_tree_count(n, scanned)
 
 
-def _branch_table(limit: int, most: Optional[int]) -> list[tuple]:
-    """Every rooted branch on at most `limit` vertices, smallest first.
+def _tables(
+    n: int, most: Optional[int], need: Optional[int]
+) -> tuple[list[tuple], list[list[tuple]]]:
+    """Every branch and forest a free tree of order n is built from.
 
     A branch is a rooted tree that hangs by an up edge from a vertex
-    outside it, and every degree below counts that edge. Row i is
+    outside it, and every degree below counts that edge; a forest is a
+    non-increasing run of branch rows. One pass over m = 1 .. n - 1 makes
+    first the rows of size m, for m <= n / 2, one per entry j of
+    forests[m - 1], in that order: a root over the forest, which holds its
+    kids. Then it makes forests[m]: each forest of total size m whose
+    largest row r has a size z <= (n - 1) / 2 with m + z <= n - 1, sorted
+    by r, ascending; so the forests whose rows are all <= i form a prefix
+    of forests[m]. Each is made in O(1) as r over the rest of the forest,
+    entry j of forests[m - size_r], which lies in the prefix of r. So each
+    rooted tree is one row, r(m) rows of size m (OEIS A000081), and each
+    forest one entry. Entry j of forests[m] is
 
-        (size, x, p, s, a, a2, d3, top, kids, layout)
+        (r, j, k, w, s, a, a2, d3, top),
 
-    with p the distance sum from the vertex above to the branch's
-    vertices, x = W - p * size for W the branch's own Wiener index, s the
-    sum of C(d, 2) over its vertices (its wedges), a and a2 the sums of
-    A_e and A_e^2 over its edges, the up edge included, A_e being the
-    wedges below e, d3 its count of degree-3 vertices, top its largest
-    degree, kids the rows of the root's children and layout its level
-    sequence, root at level 0.
+    the sums over its k rows closed at a root of degree k + 1 (a
+    centroid's beside its largest branch, or a row's with its up edge):
+    w, a and a2 summed, s with the root's C(k + 1, 2) wedges, d3 with the
+    root when k == 2, and top with the root's degree. Row i is
 
-    A branch of size m is a root over a multiset of smaller branches of
-    total size m - 1, taken as a non-increasing run of row indices, so
-    each rooted tree is one row: r(m) rows of size m (OEIS A000081).
-    Branches with a degree above `most` are left out. Each row is
-    summed from its kids' rows: with N = size - 1 below the root,
-    W = sum (W_j - p_j n_j) + (1 + N) sum p_j, so x = sum x_j - size^2.
-    """
-    rows: list[tuple] = []
+        (size, w, s, a, a2, d3, top, j),
 
-    def multisets(rem, last, kids):
-        # kids, extended by every non-increasing run of rows <= last
-        # whose sizes sum to rem
-        if not rem:
-            yield kids
-            return
-        for i in range(last, -1, -1):
-            if rows[i][0] <= rem:
-                yield from multisets(rem - rows[i][0], i, kids + (i,))
+    made from entry j of forests[size - 1]. Here w = W + p (n - size) is
+    its W term at a root of an order-n tree, for W the branch's own Wiener
+    index and p the distance sum from the vertex above to its vertices; s
+    the sum of C(d, 2) over its vertices (its wedges), a and a2 the sums
+    of A_e and A_e^2 over its edges, the up edge included, A_e being the
+    wedges below e; d3 its count of degree-3 vertices and top its largest
+    degree. Over its kids, with N = size - 1 below the root,
+    W = sum (W_j - p_j n_j) + (1 + N) sum p_j and p = sum p_j + size, so
+    w = sum w_j + size (n - size), and the up edge has A_e = s.
 
-    for size in range(1, limit + 1):
-        for kids in multisets(size - 1, len(rows) - 1, ()):
-            degree = len(kids) + 1
-            if most is not None and degree > most:
-                continue
-            x = p = s = a = a2 = d3 = 0
-            top = degree
-            layout = [0]
-            for i in kids:
-                _, xi, pi, si, ai, a2i, d3i, topi, _, below = rows[i]
-                x += xi
-                p += pi
-                s += si
-                a += ai
-                a2 += a2i
-                d3 += d3i
-                top = max(top, topi)
-                layout += [level + 1 for level in below]
-            s += comb(degree, 2)
-            rows.append((
-                size, x - size * size, p + size, s, a + s, a2 + s * s,
-                d3 + (degree == 3), top, kids, tuple(layout),
-            ))
-    return rows
-
-
-def _row_terms(n: int, rows: list[tuple]) -> list[tuple]:
-    """Per _branch_table row: (size, w, s, a, a2, d3, top), with
-    w = x + n p its W term at a root of an order-n tree."""
-    return [
-        (size, x + n * p, s, a, a2, d3, top)
-        for size, x, p, s, a, a2, d3, top, *_ in rows
-    ]
-
-
-def _forest_table(
-    n: int, rows: list[tuple], most: Optional[int], need: Optional[int]
-) -> list[list[tuple]]:
-    """Every forest that can hang from a centroid beside its largest branch.
-
-    A forest is a non-increasing run of _branch_table rows. forests[m]
-    holds each one of total size m whose largest row r has a size
-    z <= (n - 1)/2 with m + z <= n - 1, sorted by r, ascending; so the
-    forests whose rows are all <= i form a prefix of forests[m]. Each
-    entry is made in O(1) as r over the rest of its forest, entry j of
-    forests[m - size_r], which lies in the prefix of r. It holds
-
-        (r, j, sum w, sum s + C(k + 1, 2), sum a - (n - 2), sum a2,
-         sum d3 + (k == 2), max(tops, k + 1)),
-
-    the forest's sums closed at a root of degree k + 1 for its k rows,
-    as _scan_block scores them (w as in _row_terms).
-    A forest whose root degree k + 1 exceeds `most` is left out, as is
-    one whose degree-3 vertices cannot reach `need`: the root and the
-    n - 1 - m vertices beside the forest hold at most (n - m) // 2 more.
+    A forest whose root degree k + 1 exceeds `most` is left out, as is one
+    whose own degree-3 vertices (its root's not among them) cannot reach
+    `need` with the at most (n - m) // 2 of the rest of the tree: wherever
+    a forest of size m hangs from a root, the other n - m vertices, the
+    root among them, make a subtree in which every vertex but the root has
+    its full degree, so at most (n - m) // 2 of them have degree 3. A row
+    needs its kids' forest, so both bounds reach the rows through it.
     """
     most = n if most is None else most
     need = need or 0
     big = (n - 1) // 2
-    terms = _row_terms(n, rows)
-    # (r, j, k, w, s, a, a2, d3, top): each forest's links and plain sums
-    sums = [[(-1, 0, 0, 0, 0, 0, 0, 0, 0)]]
-    for m in range(1, n - 1):
+    rows: list[tuple] = []
+    # the empty forest, under a root of degree 1
+    forests = [[(-1, 0, 0, 0, 0, 0, 0, 0, 1)]]
+    for m in range(1, n):
+        if m <= n // 2:
+            for j, (*_, W, S, A, A2, d3, top) in enumerate(forests[m - 1]):
+                w = W + m * (n - m)
+                rows.append((m, w, S, A + S, A2 + S * S, d3, top, j))
         made = []
-        for r, (size, w, s, a, a2, d3, top) in enumerate(terms):
+        for r, (size, w, s, a, a2, d3, top, _) in enumerate(rows):
             if size > min(big, m, n - 1 - m):
                 break
-            rest = sums[m - size]
+            rest = forests[m - size]
             for j in range(bisect_right(rest, r, key=_largest)):
                 _, _, k, W, S, A, A2, D3, TOP = rest[j]
-                if k + 2 <= most and D3 + d3 + (n - m) // 2 >= need:
+                # the rest's root, of degree k + 1, gains the edge to r
+                D3 += d3 - (k == 2)
+                if k + 2 <= most and D3 + (n - m) // 2 >= need:
                     made.append((
-                        r, j, k + 1, W + w, S + s, A + a, A2 + a2, D3 + d3,
-                        max(TOP, top),
+                        r, j, k + 1, W + w,
+                        S + s + comb(k + 2, 2) - comb(k + 1, 2),
+                        A + a, A2 + a2, D3 + (k == 1), max(TOP, top, k + 2),
                     ))
-        sums.append(made)
-    return [
-        [
-            (r, j, W, S + comb(k + 1, 2), A - (n - 2), A2, d3 + (k == 2),
-             max(top, k + 1))
-            for r, j, k, W, S, A, A2, d3, top in made
-        ]
-        for made in sums
-    ]
+        forests.append(made)
+    return rows, forests
 
 
-# the sort key of a _forest_table entry: its largest row
+# the sort key of a forests entry: its largest row
 _largest = itemgetter(0)
 
 
 def _scan_block(args):
     """One job's share of the min W_2/W sweep, scored by centroid.
 
-    args is (n, min_max_degree, min_degree3_count, rows, table, index,
-    jobs), with rows the _branch_table(n // 2, max_degree) and table the
-    _forest_table of the same bounds, both built once by the search.
-    Every free tree of order n, n >= 2, is one of:
-    - a root (its centroid) over its largest branch i, a _branch_table row
-      of size at most (n - 1)/2, and a forest of rows <= i of size
-      n - 1 - size_i: a prefix of the table's forests of that size;
-    - for even n, two branches a <= b of size n/2 joined by an edge,
-      rooted at a's root: a's kids and then b hang from it.
+    args is (n, min_max_degree, min_degree3_count, rows, forests, index,
+    jobs), with rows and forests the _tables of the search's bounds, built
+    once by the search. Every free tree of order n, n >= 2, is a root
+    over one row i and a forest of size n - 1 - size_i, one of:
+    - the root is its centroid, i its largest branch, of size at most
+      (n - 1)/2, and the forest's rows are <= i: a prefix of the forests
+      of that size;
+    - for even n, the tree has two centroids a and b, joined by an edge,
+      whose branches away from each other have n/2 vertices each, a <= b.
+      The root is a, i is b and the forest is a's kids: since the rows of
+      size n/2 were made in the order of forests[n/2 - 1], a <= b holds
+      for the entries up to b's own, another prefix.
     At a root with branches j, in a tree of order n,
 
-        W = sum w_j, with w_j = W_j + p_j (n - n_j) = x_j + n p_j,
+        W = sum w_j,
         W(L^2) = S * (sum a_j - n + 2 + S) - sum a2_j,
 
     with S = sum s_j + C(c, 2) for c branches (the root's own wedges):
     _fast.wiener2_tree_layout's edge-cut formula, summed per branch. The
-    table holds each forest's sums closed at its root, so each tree is
-    scored in O(1) from the sums of branch i and of one forest, in one
-    flat loop per top-level choice.
+    forests hold their sums closed at the root, so each tree is scored in
+    O(1) from the sums of row i and of one forest, in one flat loop per
+    top-level choice.
 
-    The top-level choices are the largest branch i at a centroid, then
-    (n even) the branch a; this share takes those numbered index mod
-    jobs. Returns (scanned, best_wk, best_w, layouts): the level
-    sequences of the share's argmins, built only for its running argmins
-    and ties, and best values None when no tree passes the filters. The
-    degree filters are those of free_tree_layouts, None when unset, and
-    are checked per tree; max_degree and the reach of min_degree3_count
-    are already applied in the two tables.
+    The top-level choices are the rows i, largest first; this share takes
+    those numbered index mod jobs. Returns (scanned, best_wk, best_w,
+    layouts): the level sequences of the share's argmins, rebuilt from the
+    links only for its running argmins and ties, and best values None
+    when no tree passes the filters. The degree filters are those of
+    free_tree_layouts, None when unset, and are checked per tree;
+    max_degree and the reach of min_degree3_count are already applied in
+    the tables.
     """
     n, least, need, rows, forests, index, jobs = args
     best = [None, None, []]
@@ -514,59 +471,43 @@ def _scan_block(args):
     scanned = 0
     least = least or 0
     need = need or 0
-    half = n // 2
     filtered = least > 0 or need > 0
-    terms = _row_terms(n, rows)
-    sizes = [row[0] for row in rows]
 
-    def layout(picks):
-        # the tree whose root carries the branch rows `picks`
-        return [0] + [level + 1 for i in picks for level in rows[i][9]]
-
-    def forest(m, j):
-        # the rows of entry j of forests[m], largest first
-        picks = []
+    def layout(m, j, picks):
+        # a root over the rows picks and those of entry j of forests[m]
         while m:
             r, j = forests[m][j][:2]
             picks.append(r)
-            m -= sizes[r]
-        return picks
+            m -= rows[r][0]
+        return [0] + [
+            level + 1
+            for i in picks
+            for level in layout(rows[i][0] - 1, rows[i][7], [])
+        ]
 
-    # the rows b of size n/2 closed at a's root, which gains no degree
-    lo = bisect_left(sizes, half)
-    halves = [
-        (b, None, w, s, a - (n - 2), a2, d3, top)
-        for b, (_, w, s, a, a2, d3, top) in enumerate(terms[lo:], lo)
-    ]
-    central = range(bisect_right(sizes, (n - 1) // 2) - 1, -1, -1)
-    pairs = range(lo, len(rows)) if n % 2 == 0 else ()
-    choices = [(True, i) for i in central] + [(False, i) for i in pairs]
-    for centroid, i in choices[index::jobs]:
-        size, w, s, a, a2, d3, top = terms[i]
-        if centroid:
-            m = n - 1 - size
-            group = forests[m][: bisect_right(forests[m], i, key=_largest)]
-            picks = lambda r, j: [i, r, *forest(m - sizes[r], j)]
+    for i in range(len(rows) - 1 - index, -1, -jobs):
+        size, w, s, a, a2, d3, top, j = rows[i]
+        made = forests[n - 1 - size]
+        if 2 * size == n:
+            # i is the far side of two centroids, the forest the near one's
+            # kids, up to i's own
+            group = made[: j + 1]
         else:
-            # a's row already holds its root's wedges and degree, the
-            # edge to b included. Its kids' sums are its own less its up
-            # edge's, and the w terms of a and b each count the edge
-            # between them for all half * half pairs across it
-            group = halves[: i - lo + 1]
-            w, a, a2 = w - half * half, a - s, a2 - s * s
-            picks = lambda b, _: [*rows[i][8], b]
+            group = made[: bisect_right(made, i, key=_largest)]
         if filtered:
             group = [
                 tree for tree in group
-                if d3 + tree[6] >= need and max(top, tree[7]) >= least
+                if d3 + tree[7] >= need and max(top, tree[8]) >= least
             ]
         scanned += len(group)
-        for r, j, W, S, A, A2, _, _ in group:
+        a -= n - 2
+        for r, j, _, W, S, A, A2, _, _ in group:
             W += w
             S += s
             wk = S * (A + a + S) - A2 - a2
             if wk * best_w <= best_wk * W:
-                _keep_min(best, wk, W, lambda: [layout(picks(r, j))])
+                rest = n - 1 - size - rows[r][0]
+                _keep_min(best, wk, W, lambda: [layout(rest, j, [i, r])])
                 best_wk, best_w = best[0], best[1]
     return (scanned, *best)
 
@@ -759,18 +700,17 @@ def min_r2_search(
     are sorted, so any job count gives identical results. An unfiltered
     search must have scanned exactly free_tree_count(n) trees, or it
     raises CrossCheckError before any argmin is confirmed; so must one
-    whose bounds exclude no tree. The branch and forest tables are built
+    whose bounds exclude no tree. The rows and forests (_tables) are built
     here, once, and reach the workers through the fork; each row is one
     top-level choice, so there are no more shares than rows.
     """
     _check_search_bounds(n, limit)
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    rows = _branch_table(n // 2, max_degree)
-    table = _forest_table(n, rows, max_degree, min_degree3_count)
+    rows, forests = _tables(n, max_degree, min_degree3_count)
     jobs = min(jobs, max(1, len(rows)))
     args = [
-        (n, min_max_degree, min_degree3_count, rows, table, i, jobs)
+        (n, min_max_degree, min_degree3_count, rows, forests, i, jobs)
         for i in range(jobs)
     ]
     results = [_scan_block(args[0])] if jobs == 1 else _scan_in_workers(args)

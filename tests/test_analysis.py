@@ -375,51 +375,51 @@ def test_search_confirms_the_w_of_each_argmin_by_bfs(monkeypatch, jobs):
 
 
 def test_search_builds_the_branch_table_once(monkeypatch):
-    # each share builds its argmins' layouts from the tables it inherits,
-    # so the merge needs neither table a second time
+    # each share rebuilds its argmins' layouts from the tables it inherits,
+    # so the merge needs no table a second time
     from linewiener import analysis
 
     builds = []
-    for name in ("_branch_table", "_forest_table"):
-        table = getattr(analysis, name)
-        monkeypatch.setattr(
-            analysis,
-            name,
-            lambda *args, name=name, table=table: (
-                builds.append(name) or table(*args)
-            ),
-        )
+    tables = analysis._tables
+    monkeypatch.setattr(
+        analysis,
+        "_tables",
+        lambda *args: builds.append(args) or tables(*args),
+    )
     for jobs in (1, 2):
         del builds[:]
         report = min_r2_search(12, jobs=jobs)
         assert report.witnesses == (canonical_code(tree("path:12")),)
-        assert builds == ["_branch_table", "_forest_table"], jobs
+        assert builds == [(12, None, None)], jobs
 
 
 def test_search_workers_take_the_branch_table_from_the_fork(monkeypatch):
-    # the branch and forest tables are built before the fork, so no
-    # worker builds its own
+    # the rows and forests are built before the fork, so no worker builds
+    # its own
     import os
 
     from linewiener import analysis
 
     here = os.getpid()
-    for name in ("_branch_table", "_forest_table"):
-        table = getattr(analysis, name)
+    tables = analysis._tables
 
-        def parent_only(*args, name=name, table=table):
-            if os.getpid() != here:
-                raise CrossCheckError(f"a worker built {name}")
-            return table(*args)
+    def parent_only(*args):
+        if os.getpid() != here:
+            raise CrossCheckError("a worker built _tables")
+        return tables(*args)
 
-        monkeypatch.setattr(analysis, name, parent_only)
+    monkeypatch.setattr(analysis, "_tables", parent_only)
     assert min_r2_search(12, jobs=2) == min_r2_search(12)
 
 
 def test_search_forks_no_more_shares_than_top_level_choices(monkeypatch):
     # order 6 has 4 branch rows (sizes 1, 2, 3, 3), one top-level choice
-    # each, so jobs = 9 makes 4 shares: this process and 3 forks
+    # each, so jobs = 9 makes 4 shares: this process and 3 forks. Under
+    # min_degree3_count = 3, order 8 keeps 5 of its 8 rows (the only row
+    # of size 4 left is the one over a cherry), so 5 shares
     import os
+
+    from linewiener.analysis import _tables
 
     fork = os.fork
     forks = []
@@ -431,6 +431,12 @@ def test_search_forks_no_more_shares_than_top_level_choices(monkeypatch):
     monkeypatch.setattr(os, "fork", counted)
     assert min_r2_search(6, jobs=9) == min_r2_search(6)
     assert len(forks) == 3
+    del forks[:]
+    lone = min_r2_search(8, min_degree3_count=3)
+    assert min_r2_search(8, jobs=9, min_degree3_count=3) == lone
+    rows = _tables(8, None, 3)[0]
+    assert len(rows) == 5 < len(_tables(8, None, None)[0])
+    assert len(forks) == len(rows) - 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -467,9 +473,8 @@ def scored_by_the_walk(monkeypatch, n):
         best[:2] = 0, 0
 
     monkeypatch.setattr(analysis, "_keep_min", record)
-    rows = analysis._branch_table(n // 2, None)
-    table = analysis._forest_table(n, rows, None, None)
-    scanned = analysis._scan_block((n, None, None, rows, table, 0, 1))[0]
+    rows, forests = analysis._tables(n, None, None)
+    scanned = analysis._scan_block((n, None, None, rows, forests, 0, 1))[0]
     assert scanned == len(scores), n
     return Counter(scores)
 
@@ -496,35 +501,69 @@ def rooted_code(layout):
     return "(" + "".join(sorted(below[0])) + ")"
 
 
+def forest_rows(rows, forests, m, j):
+    """The rows of entry j of forests[m], largest first, by its links."""
+    picks = []
+    while m:
+        r, j = forests[m][j][:2]
+        picks.append(r)
+        m -= rows[r][0]
+    return picks
+
+
+def row_layout(rows, forests, i):
+    """The level sequence of row i, root at level 0, by its links."""
+    size, *_, j = rows[i]
+    return [0] + [
+        level + 1
+        for kid in forest_rows(rows, forests, size - 1, j)
+        for level in row_layout(rows, forests, kid)
+    ]
+
+
 # rooted trees on m vertices, m = 1..10 (OEIS A000081)
 ROOTED_TREE_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
 
 
 def test_branch_table_holds_each_rooted_tree_once_with_its_summary():
-    # row i as a tree of its own: the vertex above, then the branch
+    # row i as a tree of its own: the vertex above, then the branch; at
+    # order 20 the rows reach size 10
     from linewiener._fast import wiener2_tree_layout, wiener_tree_layout
-    from linewiener.analysis import _branch_table
+    from linewiener.analysis import _tables
 
-    rows = _branch_table(10, None)
+    n = 20
+    rows, forests = _tables(n, None, None)
     sizes = [row[0] for row in rows]
     assert sizes == sorted(sizes)
     assert [sizes.count(m) for m in range(1, 11)] == ROOTED_TREE_COUNTS
     codes = set()
-    for size, x, p, s, a, a2, d3, top, kids, layout in rows:
+    for i, (size, w, s, a, a2, d3, top, j) in enumerate(rows):
+        kids = forest_rows(rows, forests, size - 1, j)
+        assert sum(rows[kid][0] for kid in kids) == size - 1
+        assert kids == sorted(kids, reverse=True)
+        layout = row_layout(rows, forests, i)
         codes.add(rooted_code(layout))
         assert len(layout) == size
-        assert sum(rows[i][0] for i in kids) == size - 1
-        assert list(kids) == sorted(kids, reverse=True)
         hung = [0] + [level + 1 for level in layout]
         g = layout_graph(hung)
-        assert wiener_tree_layout(hung) == x + p * size + p
+        # the vertex above adds p, its distance sum to the branch, to W
+        p = wiener_tree_layout(hung) - wiener_tree_layout(layout)
+        assert w == wiener_tree_layout(layout) + p * (n - size)
         assert wiener2_tree_layout(hung) == s * (a + s - size + 1) - a2
         degrees = [g.degree(v) for v in range(1, size + 1)]
         assert (d3, top) == (degrees.count(3), max(degrees))
     assert len(codes) == len(rows)
-    capped = _branch_table(10, 3)
-    assert capped == [row for row in capped if row[7] <= 3]
-    assert len(capped) == len([row for row in rows if row[7] <= 3])
+    capped, capped_forests = _tables(n, 3, None)
+    assert all(row[6] <= 3 for row in capped)
+    assert {
+        rooted_code(row_layout(capped, capped_forests, i))
+        for i in range(len(capped))
+    } == {
+        rooted_code(row_layout(rows, forests, i))
+        for i, row in enumerate(rows)
+        if row[6] <= 3
+    }
+    assert len(capped) == len([row for row in rows if row[6] <= 3])
 
 
 def forest_runs(n, rows):
@@ -551,15 +590,16 @@ def forest_runs(n, rows):
     "most, need", [(None, None), (3, None), (4, 2), (None, 3)]
 )
 def test_forest_table_holds_each_forest_once_with_its_summary(most, need):
-    from linewiener.analysis import _branch_table, _forest_table
+    # a row is made only over a forest that passed the bounds, so the
+    # runs expected are those of the rows the tables kept
+    from linewiener.analysis import _tables
 
     for n in range(2, 17):
-        rows = _branch_table(n // 2, most)
-        forests = _forest_table(n, rows, most, need)
+        rows, forests = _tables(n, most, need)
         expected = set()
         for run in forest_runs(n, rows):
             m = sum(rows[r][0] for r in run)
-            d3 = sum(rows[r][6] for r in run)
+            d3 = sum(rows[r][5] for r in run)
             # the root's degree, and the degree-3 vertices beside the run
             if len(run) + 1 <= (most or n):
                 if d3 + (n - m) // 2 >= (need or 0):
@@ -568,24 +608,36 @@ def test_forest_table_holds_each_forest_once_with_its_summary(most, need):
         for m, made in enumerate(forests):
             assert made == sorted(made, key=lambda entry: entry[0]), (n, m)
             for j, entry in enumerate(made):
-                run, rest, at = [], m, j
-                while rest:
-                    r, at = forests[rest][at][:2]
-                    run.append(r)
-                    rest -= rows[r][0]
+                run = forest_rows(rows, forests, m, j)
                 if m:
                     seen.append(tuple(run))
                 k = len(run)
                 parts = [rows[r] for r in run]
                 assert entry[2:] == (
-                    sum(x + n * p for _, x, p, *_ in parts),
-                    sum(row[3] for row in parts) + k * (k + 1) // 2,
-                    sum(row[4] for row in parts) - (n - 2),
-                    sum(row[5] for row in parts),
-                    sum(row[6] for row in parts) + (k == 2),
-                    max([row[7] for row in parts] + [k + 1]),
+                    k,
+                    sum(row[1] for row in parts),
+                    sum(row[2] for row in parts) + k * (k + 1) // 2,
+                    sum(row[3] for row in parts),
+                    sum(row[4] for row in parts),
+                    sum(row[5] for row in parts) + (k == 2),
+                    max([row[6] for row in parts] + [k + 1]),
                 ), (n, m, j)
         assert Counter(seen) == Counter(expected), (n, most, need)
+
+
+@pytest.mark.parametrize("most, need", [(None, None), (3, None), (None, 3)])
+def test_rows_follow_the_order_of_their_kids_forests(most, need):
+    # the scan pairs a row b of size n/2 with the entries of
+    # forests[n/2 - 1] up to b's own link (the other centroid's kids,
+    # a <= b), which meets each pair once as the rows of that size link
+    # to those entries one to one, in their order
+    from linewiener.analysis import _tables
+
+    for n in range(4, 17):
+        rows, forests = _tables(n, most, need)
+        for m in range(1, n // 2 + 1):
+            links = [row[7] for row in rows if row[0] == m]
+            assert links == list(range(len(forests[m - 1]))), (n, m)
 
 
 def test_min_degree3_pruning_keeps_every_tree_that_passes():
@@ -759,19 +811,18 @@ def test_unfiltered_sweeps_check_the_tree_count(monkeypatch, fault, jobs):
     # stream a layout
     from linewiener import analysis
 
-    rows_of = analysis._branch_table
-    forests_of = analysis._forest_table
+    tables = analysis._tables
     layouts = analysis.free_tree_layouts
 
-    def faulty_rows(limit, most):
-        rows = rows_of(limit, most)
-        return rows[:-1] if fault == "drop" else rows + rows[-1:]
+    def faulty_rows(n, most, need):
+        rows, forests = tables(n, most, need)
+        return (rows[:-1] if fault == "drop" else rows + rows[-1:]), forests
 
-    def faulty_forests(n, rows, most, need):
-        forests = forests_of(n, rows, most, need)
+    def faulty_forests(n, most, need):
+        rows, forests = tables(n, most, need)
         made = forests[n - 2]
         made[:1] = [] if fault == "drop" else made[:1] * 2
-        return forests
+        return rows, forests
 
     def faulty(n, **kwargs):
         stream = layouts(n, **kwargs)
@@ -779,12 +830,9 @@ def test_unfiltered_sweeps_check_the_tree_count(monkeypatch, fault, jobs):
         yield from [first, first] if fault == "repeat" else []
         yield from stream
 
-    for name, table in [
-        ("_branch_table", faulty_rows),
-        ("_forest_table", faulty_forests),
-    ]:
+    for table in (faulty_rows, faulty_forests):
         with monkeypatch.context() as patch:
-            patch.setattr(analysis, name, table)
+            patch.setattr(analysis, "_tables", table)
             # bounds that exclude no tree of order 8 leave it unfiltered
             for bounds in [
                 {},

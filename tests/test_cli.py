@@ -643,6 +643,10 @@ GOLDEN_STDOUT = {
         "981fed46df344c212c572714659c984d2472c47149936fcd7d0c43cfa824dcf0",
     "search min-r2 --n 12 --min-degree3 2 --jobs 2 --format json":
         "34f8bba0f49662e3b9d1e2e252c2fd8e516b28946dcb2428820b7f9362d29c22",
+    "search min-r2 --n 15":
+        "dcc6b459146e6231096a7982ef09f187bb9b61c724868228442baaef56753c1a",
+    "search min-r2 --n 16 --max-degree 3 --jobs 3 --format json":
+        "93fc9f93e9595b85ab43ba590f1e6ef5b02043e96e96eb78ce80d16bb79d928a",
     "scan --case ua --a-range 2..6":
         "8841a0f69c89cc7185bb18db1a6085f69fddeb66346b2eabed95c1d578afca0b",
     "verify --a 12":
