@@ -737,22 +737,43 @@ def min_r2_search(
     )
 
 
-def star_minimizes_r1(n: int) -> bool:
+def _k1_sweep(n: int, sweeps: Optional[dict]) -> tuple:
+    """(identity holds, best W_1, best W, argmin layouts) of order n.
+
+    One pass of _tree_scores gives both k = 1 facts: whether W(L(T)) =
+    W(T) - C(n,2) for every tree, and the exact minimum of W(L(T))/W(T)
+    with all its argmins (_keep_min). `sweeps`, when given, maps each order
+    already swept to its summary: checks handed the same dict sweep each
+    order once, and the summaries go when the caller drops the dict.
+    """
+    if sweeps is not None and n in sweeps:
+        return sweeps[n]
+    shift = comb(n, 2)
+    holds = True
+    best = [None, None, []]
+    for layout, w, w1 in _tree_scores(n):
+        if w1 != w - shift:
+            holds = False
+        _keep_min(best, w1, w, lambda: [layout])
+    summary = (holds, *best)
+    if sweeps is not None:
+        sweeps[n] = summary
+    return summary
+
+
+def star_minimizes_r1(n: int, sweeps: Optional[dict] = None) -> bool:
     """Is the star the unique R1 minimizer among trees of order n?
 
-    One sweep of the free-tree stream (_tree_scores) takes the exact
-    minimum of W(L(T))/W(T) and all its argmins; each argmin's W(L(T))
-    and W are confirmed by BFS on its line graph and on its graph. The
-    star's own ratio and code are computed independently of the sweep
-    (direct build and BFS) and compared with that minimum and the full
-    witness list, exactly.
+    One sweep of the free-tree stream (_k1_sweep, read from `sweeps` when
+    it holds order n) takes the exact minimum of W(L(T))/W(T) and all its
+    argmins; each argmin's W(L(T)) and W are confirmed by BFS on its line
+    graph and on its graph. The star's own ratio and code are computed
+    independently of the sweep (direct build and BFS) and compared with
+    that minimum and the full witness list, exactly.
     Raises CrossCheckError unless the sweep saw free_tree_count(n) trees.
     """
     _check_search_bounds(n, DEFAULT_SEARCH_LIMIT)
-    best = [None, None, []]
-    for layout, w, w1 in _tree_scores(n):
-        _keep_min(best, w1, w, lambda: [layout])
-    best_w1, best_w, layouts = best
+    _, best_w1, best_w, layouts = _k1_sweep(n, sweeps)
     codes = []
     for layout in layouts:
         w1 = wiener_index(line_graph(layout_graph(layout)))
@@ -764,16 +785,15 @@ def star_minimizes_r1(n: int) -> bool:
     return star_ratio == ratio and codes == [canonical_code(star)]
 
 
-def line_wiener_tree_identity(n: int) -> bool:
-    """W(L(T)) = W(T) - C(n,2) for every tree of order n.
+def line_wiener_tree_identity(n: int, sweeps: Optional[dict] = None) -> bool:
+    """W(L(T)) = W(T) - C(n,2) for every tree of order n, from one sweep
+    (_k1_sweep, read from `sweeps` when it holds order n).
 
     Raises CrossCheckError unless the sweep saw free_tree_count(n) trees.
     """
     if n < 2:
         raise ParameterError(f"identity check needs n >= 2, got {n}")
-    shift = comb(n, 2)
-    # a list, not a generator, so all() sees the whole stream and its count
-    return all([wk == w - shift for _, w, wk in _tree_scores(n)])
+    return _k1_sweep(n, sweeps)[0]
 
 
 # ------------------------------------------------- verification bundles
@@ -784,29 +804,44 @@ def _check(name: str, ok: bool, detail: str) -> CheckResult:
 
 
 def closed_form_oracle_checks(
-    max_a: int = 8, max_path_n: int = 60
+    max_a: int = 8, max_path_n: int = 60, budget: int = DEFAULT_BUDGET
 ) -> list[CheckResult]:
     """Every closed form against direct build-then-BFS evaluation.
 
     Spider W over all 1 <= a <= b <= c <= max_a, spider D2 over the same
     range from 2 up (its formula needs arms >= 2), quipu forms over
-    2 <= a <= max_a, and the path forms over n up to max_path_n.
+    2 <= a <= max_a, and the path forms over n up to max_path_n. Every
+    L^2 is built within `budget`.
+
+    Each distinct graph is swept once, its W kept by the graph itself:
+    L^2(P_n) is P_{n-2} vertex for vertex, so the path R2 check reads the
+    W of a path swept before, while an L^2 that differs from every graph
+    seen so far is swept on its own.
     """
     if max_a < 2:
         raise ParameterError(f"oracle check needs max_a >= 2, got {max_a}")
+    swept: dict[Graph, int] = {}
+
+    def bfs(g: Graph) -> int:
+        w = swept.get(g)
+        if w is None:
+            w = swept[g] = wiener_index(g)
+        return w
+
+    def bfs_l2(g: Graph) -> int:
+        return bfs(iterated_line_graph(g, 2, budget))
+
     out = []
     arm_triples = list(combinations_with_replacement(range(1, max_a + 1), 3))
     bad_w = bad_d2 = d2_combos = 0
     for arms in arm_triples:
         spider = build(Spider(*arms))
+        w = bfs(spider)
         # d2_spider needs every arm >= 2; arms[0] is the shortest
         if arms[0] >= 2:
             d2_combos += 1
-            w, w2 = _w_w2(spider)
-            if d2_spider(*arms) != w - w2:
+            if d2_spider(*arms) != w - bfs_l2(spider):
                 bad_d2 += 1
-        else:
-            w = wiener_index(spider)
         if w_spider(*arms) != w:
             bad_w += 1
     out.append(
@@ -825,10 +860,11 @@ def closed_form_oracle_checks(
     )
     bad_w = bad_d2 = 0
     for a in range(2, max_a + 1):
-        w, w2 = _w_w2(build(BalancedQuipu(a)))
+        quipu = build(BalancedQuipu(a))
+        w = bfs(quipu)
         if w_quipu(a) != w:
             bad_w += 1
-        if d2_quipu(a) != w - w2:
+        if d2_quipu(a) != w - bfs_l2(quipu):
             bad_d2 += 1
     out.append(
         _check("quipu W closed form = BFS", bad_w == 0, f"a = 2..{max_a}")
@@ -839,12 +875,11 @@ def closed_form_oracle_checks(
     bad_w = bad_r2 = 0
     for n in range(1, max_path_n + 1):
         path = build(Path(n))
-        w = wiener_index(path)
+        w = bfs(path)
         if w_path(n) != w:
             bad_w += 1
         if n >= 3:
-            w2 = wiener_index(iterated_line_graph(path, 2))
-            if r2_path(n) != Fraction(w2, w):
+            if r2_path(n) != Fraction(bfs_l2(path), w):
                 bad_r2 += 1
     out.append(
         _check("path W closed form = BFS", bad_w == 0, f"n = 1..{max_path_n}")
@@ -859,11 +894,18 @@ def closed_form_oracle_checks(
     return out
 
 
-def line_identity_checks(max_n: int = 14) -> list[CheckResult]:
-    """W(L(T)) = W(T) - C(n,2) over every tree of each order up to max_n."""
+def line_identity_checks(
+    max_n: int = 14, sweeps: Optional[dict] = None
+) -> list[CheckResult]:
+    """W(L(T)) = W(T) - C(n,2) over every tree of each order up to max_n;
+    `sweeps` as in line_wiener_tree_identity."""
     if max_n < 2:
         raise ParameterError(f"identity check needs max_n >= 2, got {max_n}")
-    bad = [n for n in range(2, max_n + 1) if not line_wiener_tree_identity(n)]
+    bad = [
+        n
+        for n in range(2, max_n + 1)
+        if not line_wiener_tree_identity(n, sweeps)
+    ]
     return [
         _check(
             "W(L(T)) = W(T) - C(n,2) for all trees",
@@ -874,9 +916,12 @@ def line_identity_checks(max_n: int = 14) -> list[CheckResult]:
     ]
 
 
-def near_balanced_checks(a_lo: int = 2, a_hi: int = 30) -> list[CheckResult]:
-    """Near-balanced spider cases: closed forms against BFS for small a,
-    sign pattern of the gap, and the realized crossover at a = 7."""
+def near_balanced_checks(
+    a_lo: int = 2, a_hi: int = 30, budget: int = DEFAULT_BUDGET
+) -> list[CheckResult]:
+    """Near-balanced spider cases: closed forms against BFS for small a
+    (each L^2 built within `budget`), sign pattern of the gap, and the
+    realized crossover at a = 7."""
     out = []
     for case in CASES:
         report = threshold_scan(case, a_lo, a_hi)
@@ -900,7 +945,7 @@ def near_balanced_checks(a_lo: int = 2, a_hi: int = 30) -> list[CheckResult]:
         oracle_ok = True
         for a in range(max(2, a_lo), min(8, a_hi) + 1):
             values = balanced_spider_case(a, case)
-            w, w2 = _w_w2(build(Spider(*spider_case_arms(a, case))))
+            w, w2 = _w_w2(build(Spider(*spider_case_arms(a, case))), budget)
             if values.w != w or values.d2 != w - w2:
                 oracle_ok = False
             if values.one_minus_r2_tree != Fraction(w - w2, w):

@@ -22,7 +22,7 @@ from typing import Optional
 from . import analysis, reporting
 from .enumeration import free_trees
 from .errors import BudgetExceededError, LineWienerError, ParameterError
-from .families import build, parse_family
+from .families import BalancedQuipu, Path, Spider, build, parse_family
 from .graphio import read_graph, sniff_format, write_graph
 from .graphs import (
     DEFAULT_BUDGET,
@@ -347,26 +347,44 @@ def _max_n(args, default: int, low: int, name: str) -> int:
     return top
 
 
-def _verify_bundle(name: str, args, budget: int):
+def _check_l2_budget(specs, budget: int) -> None:
+    """Raise the BudgetExceededError that L^2 of any tree in `specs`
+    would raise, before any bundle runs."""
+    for spec in specs:
+        check_line_budget(build(spec), 2, budget)
+
+
+def _verify_bundle(name: str, args, budget: int, sweeps: dict):
     """The runner of one verify bundle, once its bounds have passed, so
-    that a bad bound fails before any bundle's work is spent."""
+    that a bad bound fails before any bundle's work is spent. The budget
+    is such a bound: each bundle that builds L^2 iterates checks its
+    largest first. `sweeps` carries the k = 1 sweeps of each order from
+    buckley to thm1 (or back), within this command alone."""
     if name == "paper-numbers":
-        for spec in analysis.WORKED_EXAMPLE_SPECS:
-            check_line_budget(build(spec), 2, budget)
+        _check_l2_budget(analysis.WORKED_EXAMPLE_SPECS, budget)
         return lambda: analysis.worked_example_checks(budget)
     if name == "buckley":
         max_n = _max_n(args, 14, 2, "buckley")
-        return lambda: analysis.line_identity_checks(max_n)
+        return lambda: analysis.line_identity_checks(max_n, sweeps)
     if name == "lemmas":
         max_a = _bound(args.max_a, 8, 2, "lemmas needs --max-a")
-        return lambda: analysis.closed_form_oracle_checks(max_a)
+        # the path loop runs to closed_form_oracle_checks' max_path_n, 60
+        _check_l2_budget(
+            (Spider(max_a, max_a, max_a), BalancedQuipu(max_a), Path(60)), budget
+        )
+        return lambda: analysis.closed_form_oracle_checks(max_a, budget=budget)
     if name == "thm4":
         lo, hi = _a_range(args, 30)
         if lo < 2 or hi < lo:
             raise ParameterError(
                 f"thm4 needs --a-range 2 <= LO <= HI, got {lo}..{hi}"
             )
-        return lambda: analysis.near_balanced_checks(lo, hi)
+        # near_balanced_checks builds the case spiders for a up to 8;
+        # case iii, arms (a, a + 1, a + 1), is the largest
+        top = min(8, hi)
+        if lo <= top:
+            _check_l2_budget((Spider(top, top + 1, top + 1),), budget)
+        return lambda: analysis.near_balanced_checks(lo, hi, budget)
     if name == "limits":
         return lambda: analysis.limit_quotient_checks()
     if name == "thm5":
@@ -391,7 +409,9 @@ def _verify_bundle(name: str, args, budget: int):
 
         def thm1():
             failures = [
-                n for n in range(4, top + 1) if not analysis.star_minimizes_r1(n)
+                n
+                for n in range(4, top + 1)
+                if not analysis.star_minimizes_r1(n, sweeps)
             ]
             return [
                 analysis.CheckResult(
@@ -414,7 +434,8 @@ def _cmd_verify(args) -> int:
     if repeated:
         raise ParameterError(f"check named twice: {', '.join(repeated)}")
     budget = _budget_of(args)
-    runners = [_verify_bundle(name, args, budget) for name in selected]
+    sweeps: dict = {}
+    runners = [_verify_bundle(name, args, budget, sweeps) for name in selected]
     checks = [check for run in runners for check in run()]
     sys.stdout.write(reporting.render(checks, args.format))
     return 0 if all(c.ok for c in checks) else 1

@@ -133,12 +133,17 @@ def wiener_index(g: Graph) -> int:
 
     A sweep takes a block S of up to 4096 sources. ``reach[v]`` is a bitset
     of the sources in S within distance d of v. Round d adds |S| - |reach[v]|,
-    the sources still farther than d from v, for each v, and then grows every
-    reach by the reaches of v's neighbors. Summed over all rounds, each pair
-    (s, v) is counted d(s, v) times. A round costs at most n + 2m ORs of
-    |S|-bit ints, so a graph of diameter D costs about D * (n + 2m) of them
-    per block: far below one BFS per vertex when D << n, and worst on paths.
-    Memory stays at two lists of n such ints.
+    the sources still farther than d from v, for each v; summed over all
+    rounds, each pair (s, v) is counted d(s, v) times. Round 0 is the closed
+    form n|S| - |S|: each source reaches only itself. Each later round is one
+    pass over the vertices whose reach is not yet full: it ORs the round-d
+    reaches of v's neighbors into v's round-(d + 1) reach, written to a copy
+    so that no round-d reach is overwritten while it is still read, adds
+    that reach's term, and keeps v for the next round only while it is not
+    full. A round costs at most n + 2m ORs of |S|-bit ints, so a graph of
+    diameter D costs about D * (n + 2m) of them per block: far below one BFS
+    per vertex when D << n, and worst on paths. Memory stays at two lists of
+    n such ints.
 
     Raises EmptyGraphError for 0 vertices and DisconnectedGraphError when any
     distance is infinite; neither case has a defined value here.
@@ -158,20 +163,22 @@ def wiener_index(g: Graph) -> int:
         reach = [0] * n
         for i in range(width):
             reach[first + i] = 1 << i
+        total += n * width - width
         # connected, so every reach fills within D rounds
         todo = range(n)
         while todo:
-            total += sum(width - reach[v].bit_count() for v in todo)
-            # every reach of round d is read before any of round d + 1 is stored
-            grown = []
+            grown = reach[:]
+            left = []
             for v in todo:
                 b = reach[v]
                 for u in adj[v]:
                     b |= reach[u]
-                grown.append(b)
-            for v, b in zip(todo, grown):
-                reach[v] = b
-            todo = [v for v in todo if reach[v] != full]
+                grown[v] = b
+                if b != full:
+                    total += width - b.bit_count()
+                    left.append(v)
+            reach = grown
+            todo = left
     return total // 2
 
 

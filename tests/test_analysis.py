@@ -976,3 +976,50 @@ def test_check_bundles_pass():
     all_ok(line_identity_checks(max_n=8))
     all_ok(near_balanced_checks(2, 10))
     all_ok(limit_quotient_checks())
+
+
+def test_oracle_checks_sweep_each_distinct_graph_once(monkeypatch):
+    # L^2(P_n) is P_{n-2}, so the path loop sweeps P_1..P_60 and no L^2;
+    # the 120 spiders, the L^2 of the 84 with arms >= 2, the 7 quipus and
+    # their L^2 are all distinct
+    from linewiener import analysis
+    from linewiener.families import Path
+
+    swept = []
+    bfs = analysis.wiener_index
+    monkeypatch.setattr(
+        analysis, "wiener_index", lambda g: swept.append(g) or bfs(g)
+    )
+    all_ok(closed_form_oracle_checks(8))
+    assert len(swept) == len(set(swept)) == 120 + 84 + 2 * 7 + 60
+    assert {build(Path(n)) for n in range(1, 61)} <= set(swept)
+
+
+def test_path_r2_check_sweeps_the_l2_it_builds(monkeypatch):
+    # an L^2 that is not P_{n-2} must be swept as itself, not read from
+    # the path of order n - 2 swept before it
+    from linewiener import analysis
+    from linewiener.families import Path
+
+    iterate = analysis.iterated_line_graph
+
+    def one_step_for_paths(g, k, budget):
+        n = g.vertex_count
+        if g == build(Path(n)):
+            return build(Path(n - 1))
+        return iterate(g, k, budget)
+
+    monkeypatch.setattr(analysis, "iterated_line_graph", one_step_for_paths)
+    results = closed_form_oracle_checks(4, max_path_n=20)
+    assert [r.name for r in results if not r.ok] == ["path R2 closed form = BFS"]
+
+
+def test_oracle_bundles_build_every_l2_within_the_budget():
+    # L^2(Q_8) has 116 edges, the largest L^2 of lemmas at max_a = 8;
+    # L^2 of the case-iii spider at a = 8, arms 8, 9, 9, has 29
+    with pytest.raises(BudgetExceededError):
+        closed_form_oracle_checks(8, budget=115)
+    all_ok(closed_form_oracle_checks(8, budget=116))
+    with pytest.raises(BudgetExceededError):
+        near_balanced_checks(2, 8, budget=28)
+    all_ok(near_balanced_checks(2, 8, budget=29))

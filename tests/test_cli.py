@@ -321,6 +321,10 @@ def test_verify_rejects_bounds_it_cannot_run(capsys, argv):
         ("buckley", "thm5", "--budget", "1000"),
         ("buckley", "paper-numbers", "--budget", "5"),
         ("thm1", "buckley", "thm1"),
+        ("lemmas", "--budget", "5"),
+        ("thm4", "--budget", "5"),
+        ("buckley", "lemmas", "--budget", "5"),
+        ("buckley", "thm4", "--budget", "5"),
     ],
 )
 def test_verify_checks_every_bound_before_any_bundle_runs(
@@ -338,6 +342,50 @@ def test_verify_checks_every_bound_before_any_bundle_runs(
     assert out == ""
     assert err.startswith("error:")
     assert calls == []
+
+
+def test_verify_sweeps_each_order_once_per_command(capsys, monkeypatch):
+    # thm1 reads buckley's k = 1 sweeps of orders 4..12; the next command
+    # sweeps afresh
+    from linewiener import analysis
+
+    orders = []
+    scores = analysis._tree_scores
+    monkeypatch.setattr(
+        analysis, "_tree_scores", lambda n: orders.append(n) or scores(n)
+    )
+    for argv, swept in [
+        (("buckley", "thm1"), range(2, 15)),
+        (("thm1",), range(4, 13)),
+        (("thm1", "buckley"), range(2, 15)),
+        (("buckley", "thm1"), range(2, 15)),
+    ]:
+        orders.clear()
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0, out
+        assert sorted(orders) == list(swept), argv
+        assert len(orders) == len(set(orders)), argv
+
+
+def test_verify_confirms_a_reused_sweep_by_bfs(capsys, monkeypatch):
+    # a lane value wrong inside a chunk of three or more, where the mask
+    # BFS of the chunk's ends does not look: buckley reports its identity
+    # failed, and thm1, reading that sweep, must still refuse the argmin
+    from linewiener import _fast
+
+    lanes = _fast.line_wiener_lanes
+
+    def faulty(layouts):
+        out = lanes(layouts)
+        if len(out) > 2:
+            out[len(out) // 2] = 0
+        return out
+
+    monkeypatch.setattr(_fast, "line_wiener_lanes", faulty)
+    code, out, err = run(capsys, "verify", "buckley", "thm1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: W_1 = ")
 
 
 def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
@@ -651,6 +699,11 @@ GOLDEN_STDOUT = {
         "8841a0f69c89cc7185bb18db1a6085f69fddeb66346b2eabed95c1d578afca0b",
     "verify --a 12":
         "e024d6a4c8a0cee27949251fd98d2173d32cf1fdd1dd3febdd7c8184eccf2b5a",
+    # the benchmark's verify workload
+    "verify --a 30":
+        "02b3f85768f0db5a002193e3c33e4f5c2ea00e32bc81ba92c8585970960925b1",
+    "verify --a 30 --format json":
+        "a8b243a06bfc09899d5ca185111a031cb08afb47689600c7ddb37689698b073e",
 }
 
 

@@ -177,6 +177,77 @@ def test_wiener_sweep_blocks_of_sources(monkeypatch, width):
     monkeypatch.setattr(graphs, "_SWEEP_SOURCES", width)
     for g in _wiener_sweep_cases()[:40] + [path(23), cycle(30), complete(9)]:
         _assert_wiener_matches_oracle(g)
+    assert wiener_index(Graph(1)) == 0
+    disconnected = [
+        # two paths
+        Graph(9, [*path(4).edges(), *((u + 4, v + 4) for u, v in path(5).edges())]),
+        # an isolated vertex beside a path
+        Graph(10, [(u + 1, v + 1) for u, v in path(9).edges()]),
+        # the first block of sources, 0..width - 1, lies wholly in P_8
+        Graph(12, [*path(8).edges(), (8, 9), (9, 10), (10, 11), (11, 8)]),
+    ]
+    for g in disconnected:
+        with pytest.raises(DisconnectedGraphError):
+            wiener_index(g)
+
+
+def _distances(g):
+    """All-pairs distances of a connected graph by plain BFS."""
+    rows = []
+    for source in range(g.vertex_count):
+        dist = [None] * g.vertex_count
+        dist[source] = 0
+        frontier = [source]
+        while frontier:
+            frontier_next = []
+            for u in frontier:
+                for v in g.adjacency[u]:
+                    if dist[v] is None:
+                        dist[v] = dist[u] + 1
+                        frontier_next.append(v)
+            frontier = frontier_next
+        rows.append(dist)
+    return rows
+
+
+@pytest.mark.parametrize("width", [1, 3, 7, 4096])
+def test_wiener_sweep_reads_each_vertex_once_per_round_until_it_fills(
+    monkeypatch, width
+):
+    # is_connected reads each neighbor tuple once. Then each block of
+    # sources S reads v's in one pass per round, round 1 for every v and
+    # round d > 1 while v's reach of round d - 1 is not full, so as many
+    # times as max(1, the distance from v to its farthest source in S):
+    # a vertex read again in a round, or kept once its reach fills, reads
+    # past that count
+    from linewiener import graphs
+
+    monkeypatch.setattr(graphs, "_SWEEP_SOURCES", width)
+    rng = random.Random(24)
+    cases = [Graph(1), path(2), path(9), cycle(10), star(6), complete(5)]
+    # both connected
+    cases += [random_tree(rng, 20), random_graph(rng, 12, 0.5)]
+    for g in cases:
+        n = g.vertex_count
+        dist = _distances(g)
+        expected = n + sum(
+            max(1, max(dist[s][v] for s in range(first, min(first + width, n))))
+            for first in range(0, n, width)
+            for v in range(n)
+        )
+        reads = []
+
+        class CountedReads(tuple):
+            def __getitem__(self, v):
+                reads.append(v)
+                if len(reads) > expected:
+                    raise AssertionError(f"more than {expected} reads of {g}")
+                return tuple.__getitem__(self, v)
+
+        # Graph blocks plain assignment; this is how Graph stores its slots
+        object.__setattr__(g, "adjacency", CountedReads(g.adjacency))
+        assert wiener_index(g) == sum(map(sum, dist)) // 2
+        assert len(reads) == expected, g
 
 
 def test_wiener_sweep_past_one_block_of_sources():
