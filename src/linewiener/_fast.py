@@ -1,4 +1,4 @@
-"""Tree kernels for the sweeps over the free-tree stream.
+"""Tree kernels for the exhaustive sweeps over free trees.
 
 Two kinds live here. The closed-form ones read a tree straight off its
 preorder level sequence: `wiener_tree_layout` gives W(T) and
@@ -7,12 +7,13 @@ levels that keeps one running sum per level for the vertex still open
 there, so neither decodes a parent array. The bitmask ones hold a graph
 on n vertices as a list of n ints, where bit u of ``masks[v]`` says u and
 v are adjacent, so BFS layers become mask operations and distance sums
-come from ``int.bit_count``. The min-R_2 search scores its trees from
-the summaries of one table of branches and forests and runs both kinds
-only to confirm its final argmins; the `buckley` and `thm1` checks of
-`verify` (k = 1) run one lane-parallel BFS per chunk of trees
-(line_wiener_lanes), and the mask BFS on each chunk's first and last
-tree only. General-purpose code
+come from ``int.bit_count``. The min-R_2 search and the `buckley` and
+`thm1` checks of `verify` (k = 1) read their trees and their W from the
+summaries of one table of branches and forests; the search runs both
+kinds only to confirm its final argmins, and the k = 1 checks run one
+lane-parallel BFS per chunk of trees (line_wiener_lanes), which decodes
+the parents of the whole chunk from its level columns at once, and the
+mask BFS on each chunk's first and last tree only. General-purpose code
 goes through graphs.Graph instead, whose wiener_index runs bitset sweeps
 from up to 4096 sources at once over the adjacency lists.
 """
@@ -150,37 +151,57 @@ def line_masks(masks: list[int]) -> list[int]:
     return [incident[u] ^ incident[v] for u, v in ends]
 
 
-def line_wiener_lanes(layouts: list[list[int]]) -> list[int]:
+def line_wiener_lanes(layouts) -> list[int]:
     """W(L(T)) of each tree of a chunk of same-order layouts, by one BFS.
 
-    Bit t of every mask stands for tree t. Edge j (1 <= j < n) joins
-    vertex j to its parent; (x, j, lanes) in pairs holds the trees in which
-    x is j's parent. From each source edge the BFS runs in every lane at
-    once: a round steps the reached edges to their ends (at) and back, one
-    step of L(T), after every lane has added the edges it has not reached
-    to its bit-sliced counter. A round that reaches nothing new while some
-    lane has gaps left raises CrossCheckError.
+    Layouts may be lists or bytes, of orders up to 256, since the levels
+    travel as bytes. Bit t of every mask stands for tree t.
+    Edge j (1 <= j < n) joins vertex j to its parent, the nearest earlier
+    vertex one level up; (x, j, lanes) in pairs holds the trees in which x
+    is j's parent, found for all lanes at once from the level columns. From
+    each source edge s the BFS runs in every lane at once: a round steps
+    the reached edges to their ends (at) and back, one step of L(T), after
+    every lane has added the edges j > s it has not reached to its
+    bit-sliced counter; so each unordered pair of edges is counted once,
+    and the BFS stops once every edge after s is reached. A round that
+    reaches nothing new while some lane has gaps left raises
+    CrossCheckError: an edge with no parent, in a lane whose levels jump,
+    is never reached from edge 1.
     """
     k, n = len(layouts), len(layouts[0])
     if any(len(t) != n for t in layouts):
         raise ParameterError("lane BFS needs layouts of one order")
     ones = (1 << k) - 1
-    # byte t * (n - 1) + j - 1 is the parent of vertex j in tree t
-    parents = b"".join(bytes(layout_parents(t)[1:]) for t in layouts)
+    # byte t * n + x is the level of vertex x in tree t
+    levels = b"".join(map(bytes, layouts))
+    # hit[v] maps byte v to "1" and every other byte to "0"
+    hit = [b"0" * v + b"1" + b"0" * (255 - v) for v in range(n)]
+    # at_level[x][v]: the trees in which vertex x sits at level v
+    at_level = []
+    for x in range(n):
+        # reversed, so that tree t is bit t of int(..., 2)
+        column = levels[x::n][::-1]
+        at_level.append({
+            v: int(column.translate(hit[v]), 2) for v in range(n) if v in column
+        })
     pairs = []
     for j in range(1, n):
-        # reversed, so that tree t is bit t of int(..., 2)
-        column = parents[j - 1 :: n - 1][::-1]
-        for x in set(column):
-            # the table that maps byte x to "1" and every other to "0"
-            hit = b"0" * x + b"1" + b"0" * (255 - x)
-            pairs.append((x, j, int(column.translate(hit), 2)))
+        parents = {}
+        for v, todo in at_level[j].items():
+            # the lanes in todo still look for j's parent at level v - 1
+            for x in range(j - 1, -1, -1):
+                if lanes := todo & at_level[x].get(v - 1, 0):
+                    parents[x] = parents.get(x, 0) | lanes
+                    todo ^= lanes
+                    if not todo:
+                        break
+        pairs += [(x, j, lanes) for x, lanes in parents.items()]
     # bit t of slices[b] is bit b of tree t's running distance sum
     slices = [0]
-    for s in range(1, n):
+    for s in range(1, n - 1):
         reached = [0] * n
         reached[s] = ones
-        while gaps := [ones ^ r for r in reached[1:] if r != ones]:
+        while gaps := [ones ^ r for r in reached[s + 1 :] if r != ones]:
             for carry in gaps:
                 for b, bits in enumerate(slices):
                     slices[b] = bits ^ carry
@@ -200,4 +221,4 @@ def line_wiener_lanes(layouts: list[list[int]]) -> list[int]:
                 raise CrossCheckError(f"lane BFS stalls at order {n}")
             reached = grown
     rows = [format(bits, f"0{k}b") for bits in reversed(slices)]
-    return [int("".join(bits), 2) // 2 for bits in zip(*rows)][::-1]
+    return [int("".join(bits), 2) for bits in zip(*rows)][::-1]

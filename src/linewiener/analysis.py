@@ -18,12 +18,7 @@ from typing import Optional
 
 from . import _fast
 from ._record import Record
-from .enumeration import (
-    canonical_code,
-    free_tree_count,
-    free_tree_layouts,
-    layout_graph,
-)
+from .enumeration import canonical_code, free_tree_count, layout_graph
 from .errors import CrossCheckError, ParameterError, SearchLimitError
 from .families import BalancedQuipu, Path, Spider, Star, SubdividedQuipu, build
 from .formulas import (
@@ -183,25 +178,35 @@ def ratio_rk(g: Graph, k_max: int, budget: int = DEFAULT_BUDGET) -> RatioReport:
     )
 
 
-def _w_w2(g: Graph, budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
-    """(W, W2) of a connected graph, both by direct BFS."""
-    w = wiener_index(g)
-    w2 = wiener_index(iterated_line_graph(g, 2, budget))
-    return w, w2
+def _bfs(g: Graph, swept: dict) -> int:
+    """W of g by BFS, once per distinct graph: `swept` maps each graph
+    already swept to its W."""
+    w = swept.get(g)
+    if w is None:
+        w = swept[g] = wiener_index(g)
+    return w
 
 
-def beats_path(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
+def _w_w2(g: Graph, budget: int, swept: dict) -> tuple[int, int]:
+    """(W, W2) of a connected graph, both by direct BFS (_bfs)."""
+    return _bfs(g, swept), _bfs(iterated_line_graph(g, 2, budget), swept)
+
+
+def beats_path(
+    g: Graph, budget: int = DEFAULT_BUDGET, swept: Optional[dict] = None
+) -> bool:
     """Exact test of R2(G) < R2(P_n) at n = |V(G)|.
 
     Defined for any connected graph of order >= 3; the inequality is the
     tree comparison, so callers handing in non-trees should surface that
-    (RatioReport.is_tree carries the flag).
+    (RatioReport.is_tree carries the flag). `swept`, when given, carries
+    the W of each graph already swept by BFS (_bfs).
     """
     if g.vertex_count < 3:
         raise ParameterError(
             f"path comparison needs order >= 3, got {g.vertex_count}"
         )
-    w, w2 = _w_w2(g, budget)
+    w, w2 = _w_w2(g, budget, {} if swept is None else swept)
     return Fraction(w2, w) < r2_path(g.vertex_count)
 
 
@@ -237,7 +242,7 @@ def subdivided_quipu_beats_path(
     confirmed by BFS on the built U_a: the one BFS of U_a left."""
     g = build(SubdividedQuipu(a))
     w, d2 = w_ua(a), d2_ua(a)
-    bfs_w, bfs_w2 = _w_w2(g, budget)
+    bfs_w, bfs_w2 = _w_w2(g, budget, {})
     if (bfs_w, bfs_w - bfs_w2) != (w, d2):
         raise CrossCheckError(
             f"U_{a}: W = {bfs_w} and D2 = {bfs_w - bfs_w2} by BFS, "
@@ -318,36 +323,85 @@ _CHUNK = 4096
 
 
 def _tree_scores(n: int):
-    """(layout, W(T), W(L(T))) of each free tree of order n, in stream order.
+    """(layout, W(T), W(L(T))) of each free tree of order n, layout as bytes.
 
-    W comes from _fast.wiener_tree_layout, one reversed pass over the
-    layout, and W(L(T)) from _fast.line_wiener_lanes, one lane-parallel
-    BFS per chunk of up to _CHUNK trees. The first and last tree of each
-    chunk are scored again by the mask BFS on their own line graphs
-    (_masks_wk), which pins both ends of the lane order. The W kernel is
-    looked up in _fast once, when the sweep starts. Once the stream is
-    exhausted, it checks its own count of trees (_check_tree_count).
+    The trees are those of _table_trees, with W from the table sums, and
+    W(L(T)) comes from _fast.line_wiener_lanes, one lane-parallel BFS per
+    chunk of up to _CHUNK trees. The first and last tree of each chunk are
+    scored again by the mask BFS on their own line graphs (_masks_wk),
+    which pins both ends of the lane order. Once the table is exhausted,
+    it checks its own count of trees (_check_tree_count).
     """
-    tree_w = _fast.wiener_tree_layout
     scanned = 0
-    stream = free_tree_layouts(n)
-    while chunk := list(islice(stream, _CHUNK)):
-        lanes = _fast.line_wiener_lanes(chunk)
+    trees = _table_trees(n)
+    while chunk := list(islice(trees, _CHUNK)):
+        layouts = [layout for layout, _ in chunk]
+        lanes = _fast.line_wiener_lanes(layouts)
         for t in {0, len(chunk) - 1}:
-            if (w1 := _masks_wk(chunk[t], 1)) != lanes[t]:
+            if (w1 := _masks_wk(layouts[t], 1)) != lanes[t]:
                 raise CrossCheckError(
                     f"W_1 = {w1} by mask BFS, {lanes[t]} by the lanes "
-                    f"for layout {chunk[t]}"
+                    f"for layout {list(layouts[t])}"
                 )
-        for layout, w1 in zip(chunk, lanes):
-            w = tree_w(layout)
+        for (layout, w), w1 in zip(chunk, lanes):
             if w <= 0 or w1 < 0:
                 raise CrossCheckError(
-                    f"W = {w}, W_1 = {w1} for layout {layout}"
+                    f"W = {w}, W_1 = {w1} for layout {list(layout)}"
                 )
             yield layout, w, w1
         scanned += len(chunk)
     _check_tree_count(n, scanned)
+
+
+def _table_trees(n: int):
+    """(level bytes, W) of each free tree of order n, read off _tables.
+
+    The trees are those _scan_block scores: each row i beside each forest
+    _beside gives it, with W = w_i + the forest's W, as in _scan_block,
+    and the level sequence the root's, row i's raised one level and the
+    forest's (_level_bytes), one concatenation per tree.
+    """
+    rows, forests = _tables(n, None, None)
+    raised, spelled = _level_bytes(rows, forests)
+    for i, (size, w, *_) in enumerate(rows):
+        made, p = _beside(n, i, rows, forests)
+        head = b"\x00" + raised[i]
+        yield from zip(
+            map(head.__add__, spelled[n - 1 - size][:p]),
+            [w + tree[3] for tree in made[:p]],
+        )
+
+
+# the bytes.translate table that adds 1 to every level
+_UP = bytes(range(1, 256)) + b"\xff"
+
+
+def _level_bytes(rows, forests) -> tuple[list[bytes], list[list[bytes]]]:
+    """The level sequences of a _tables pair, as bytes.
+
+    raised[i] is row i's, raised one level to hang below a root: the
+    row's root over its kids' forest. spelled[m][e] is entry e of
+    forests[m]'s, its rows at level 1: its largest row raised, then the
+    rest of the forest. Both are made smallest first, as _tables makes
+    them, each by one concatenation of earlier ones. The entries of each
+    size are those over the rows made so far, which in a whole table is
+    all of them; a table that lost a row still spells every tree it
+    holds, so the sweep's count check sees the loss.
+    """
+    raised: list[bytes] = []
+    spelled = [[b""]]
+    for m in range(1, len(forests)):
+        raised += [
+            (b"\x00" + spelled[m - 1][j]).translate(_UP)
+            for size, *_, j in rows
+            if size == m
+        ]
+        made = forests[m]
+        made = made[: bisect_right(made, len(raised) - 1, key=_largest)]
+        spelled.append([
+            raised[r] + spelled[m - rows[r][0]][j] for r, j, *_ in made
+        ])
+    return raised, spelled
 
 
 def _tables(
@@ -429,22 +483,33 @@ def _tables(
 _largest = itemgetter(0)
 
 
+def _beside(n: int, i: int, rows, forests) -> tuple[list[tuple], int]:
+    """(made, p): the forests that row i hangs beside at the root of a free
+    tree of order n are made[:p], one tree each. Either:
+    - the root is the tree's centroid, i its largest branch, of size at
+      most (n - 1)/2, and the forest's rows are <= i: a prefix of the
+      forests of that size;
+    - for even n, the tree has two centroids a and b, joined by an edge,
+      whose branches away from each other have n/2 vertices each, a <= b.
+      The root is a, i is b and the forest is a's kids: since the rows of
+      size n/2 were made in the order of forests[n/2 - 1], a <= b holds
+      for the entries up to b's own, another prefix.
+    """
+    size, *_, j = rows[i]
+    made = forests[n - 1 - size]
+    if 2 * size == n:
+        return made, j + 1
+    return made, bisect_right(made, i, key=_largest)
+
+
 def _scan_block(args):
     """One job's share of the min W_2/W sweep, scored by centroid.
 
     args is (n, min_max_degree, min_degree3_count, rows, forests, index,
     jobs), with rows and forests the _tables of the search's bounds, built
     once by the search. Every free tree of order n, n >= 2, is a root
-    over one row i and a forest of size n - 1 - size_i, one of:
-    - the root is its centroid, i its largest branch, of size at most
-      (n - 1)/2, and the forest's rows are <= i: a prefix of the forests
-      of that size;
-    - for even n, the tree has two centroids a and b, joined by an edge,
-      whose branches away from each other have n/2 vertices each, a <= b.
-      The root is a, i is b and the forest is a's kids: since the rows of
-      size n/2 were made in the order of forests[n/2 - 1], a <= b holds
-      for the entries up to b's own, another prefix.
-    At a root with branches j, in a tree of order n,
+    over one row i and one of the forests _beside gives it. At a root
+    with branches j, in a tree of order n,
 
         W = sum w_j,
         W(L^2) = S * (sum a_j - n + 2 + S) - sum a2_j,
@@ -486,14 +551,9 @@ def _scan_block(args):
         ]
 
     for i in range(len(rows) - 1 - index, -1, -jobs):
-        size, w, s, a, a2, d3, top, j = rows[i]
-        made = forests[n - 1 - size]
-        if 2 * size == n:
-            # i is the far side of two centroids, the forest the near one's
-            # kids, up to i's own
-            group = made[: j + 1]
-        else:
-            group = made[: bisect_right(made, i, key=_largest)]
+        size, w, s, a, a2, d3, top, _ = rows[i]
+        made, p = _beside(n, i, rows, forests)
+        group = made[:p]
         if filtered:
             group = [
                 tree for tree in group
@@ -512,16 +572,18 @@ def _scan_block(args):
     return (scanned, *best)
 
 
-def _confirmed_code(layout: list[int], w: int, checks: list) -> bytes:
-    """The canonical code of a swept argmin, once each (name, swept,
-    value, method) in checks and then W by BFS on its graph agree with the
-    sweep; else CrossCheckError."""
+def _confirmed_code(
+    layout: list[int], w: int, checks: list, swept: dict
+) -> bytes:
+    """The canonical code of a swept argmin, once each (name, by_sweep,
+    value, method) in checks and then W by BFS on its graph (_bfs) agree
+    with the sweep; else CrossCheckError."""
     g = layout_graph(layout)
-    checks = [*checks, ("W", w, wiener_index(g), "BFS")]
-    for name, swept, value, method in checks:
-        if value != swept:
+    checks = [*checks, ("W", w, _bfs(g, swept), "BFS")]
+    for name, by_sweep, value, method in checks:
+        if value != by_sweep:
             raise CrossCheckError(
-                f"{name} = {value} by {method}, {swept} by the sweep "
+                f"{name} = {value} by {method}, {by_sweep} by the sweep "
                 f"for layout {layout}"
             )
     return canonical_code(g)
@@ -534,7 +596,7 @@ def _witness_code(layout: list[int], w: int, wk: int) -> bytes:
         ("W", w, _fast.wiener_tree_layout(layout), "edge cuts"),
         ("W_2", wk, _fast.wiener2_tree_layout(layout), "formula"),
         ("W_2", wk, _masks_wk(layout, 2), "mask BFS"),
-    ])
+    ], {})
 
 
 def _relayed_error(exc: Exception, index: int, jobs: int) -> bytes:
@@ -751,36 +813,46 @@ def _k1_sweep(n: int, sweeps: Optional[dict]) -> tuple:
     shift = comb(n, 2)
     holds = True
     best = [None, None, []]
+    # the running minimum best_w1 / best_w; 1/0 lies above every ratio
+    best_w1, best_w = 1, 0
     for layout, w, w1 in _tree_scores(n):
         if w1 != w - shift:
             holds = False
-        _keep_min(best, w1, w, lambda: [layout])
+        if w1 * best_w <= best_w1 * w:
+            _keep_min(best, w1, w, lambda: [list(layout)])
+            best_w1, best_w = best[0], best[1]
     summary = (holds, *best)
     if sweeps is not None:
         sweeps[n] = summary
     return summary
 
 
-def star_minimizes_r1(n: int, sweeps: Optional[dict] = None) -> bool:
+def star_minimizes_r1(
+    n: int, sweeps: Optional[dict] = None, swept: Optional[dict] = None
+) -> bool:
     """Is the star the unique R1 minimizer among trees of order n?
 
-    One sweep of the free-tree stream (_k1_sweep, read from `sweeps` when
-    it holds order n) takes the exact minimum of W(L(T))/W(T) and all its
+    One sweep of the free trees (_k1_sweep, read from `sweeps` when it
+    holds order n) takes the exact minimum of W(L(T))/W(T) and all its
     argmins; each argmin's W(L(T)) and W are confirmed by BFS on its line
     graph and on its graph. The star's own ratio and code are computed
     independently of the sweep (direct build and BFS) and compared with
-    that minimum and the full witness list, exactly.
-    Raises CrossCheckError unless the sweep saw free_tree_count(n) trees.
+    that minimum and the full witness list, exactly. Each distinct graph
+    is swept by BFS once (_bfs), so the star argmin's graphs give the
+    star's ratio; `swept`, when given, carries the W of graphs swept
+    before. Raises CrossCheckError unless the sweep saw free_tree_count(n)
+    trees.
     """
     _check_search_bounds(n, DEFAULT_SEARCH_LIMIT)
+    swept = {} if swept is None else swept
     _, best_w1, best_w, layouts = _k1_sweep(n, sweeps)
     codes = []
     for layout in layouts:
-        w1 = wiener_index(line_graph(layout_graph(layout)))
+        w1 = _bfs(line_graph(layout_graph(layout)), swept)
         checks = [("W_1", best_w1, w1, "BFS")]
-        codes.append(_confirmed_code(layout, best_w, checks))
+        codes.append(_confirmed_code(layout, best_w, checks, swept))
     star = build(Star(n))
-    star_ratio = Fraction(wiener_index(line_graph(star)), wiener_index(star))
+    star_ratio = Fraction(_bfs(line_graph(star), swept), _bfs(star, swept))
     ratio = Fraction(best_w1, best_w)
     return star_ratio == ratio and codes == [canonical_code(star)]
 
@@ -804,7 +876,10 @@ def _check(name: str, ok: bool, detail: str) -> CheckResult:
 
 
 def closed_form_oracle_checks(
-    max_a: int = 8, max_path_n: int = 60, budget: int = DEFAULT_BUDGET
+    max_a: int = 8,
+    max_path_n: int = 60,
+    budget: int = DEFAULT_BUDGET,
+    swept: Optional[dict] = None,
 ) -> list[CheckResult]:
     """Every closed form against direct build-then-BFS evaluation.
 
@@ -813,30 +888,25 @@ def closed_form_oracle_checks(
     2 <= a <= max_a, and the path forms over n up to max_path_n. Every
     L^2 is built within `budget`.
 
-    Each distinct graph is swept once, its W kept by the graph itself:
-    L^2(P_n) is P_{n-2} vertex for vertex, so the path R2 check reads the
-    W of a path swept before, while an L^2 that differs from every graph
-    seen so far is swept on its own.
+    Each distinct graph is swept once (_bfs), its W kept by the graph
+    itself: L^2(P_n) is P_{n-2} vertex for vertex, so the path R2 check
+    reads the W of a path swept before, while an L^2 that differs from
+    every graph seen so far is swept on its own. `swept`, when given,
+    carries the W of graphs swept before this call.
     """
     if max_a < 2:
         raise ParameterError(f"oracle check needs max_a >= 2, got {max_a}")
-    swept: dict[Graph, int] = {}
-
-    def bfs(g: Graph) -> int:
-        w = swept.get(g)
-        if w is None:
-            w = swept[g] = wiener_index(g)
-        return w
+    swept = {} if swept is None else swept
 
     def bfs_l2(g: Graph) -> int:
-        return bfs(iterated_line_graph(g, 2, budget))
+        return _bfs(iterated_line_graph(g, 2, budget), swept)
 
     out = []
     arm_triples = list(combinations_with_replacement(range(1, max_a + 1), 3))
     bad_w = bad_d2 = d2_combos = 0
     for arms in arm_triples:
         spider = build(Spider(*arms))
-        w = bfs(spider)
+        w = _bfs(spider, swept)
         # d2_spider needs every arm >= 2; arms[0] is the shortest
         if arms[0] >= 2:
             d2_combos += 1
@@ -861,7 +931,7 @@ def closed_form_oracle_checks(
     bad_w = bad_d2 = 0
     for a in range(2, max_a + 1):
         quipu = build(BalancedQuipu(a))
-        w = bfs(quipu)
+        w = _bfs(quipu, swept)
         if w_quipu(a) != w:
             bad_w += 1
         if d2_quipu(a) != w - bfs_l2(quipu):
@@ -875,7 +945,7 @@ def closed_form_oracle_checks(
     bad_w = bad_r2 = 0
     for n in range(1, max_path_n + 1):
         path = build(Path(n))
-        w = bfs(path)
+        w = _bfs(path, swept)
         if w_path(n) != w:
             bad_w += 1
         if n >= 3:
@@ -917,11 +987,16 @@ def line_identity_checks(
 
 
 def near_balanced_checks(
-    a_lo: int = 2, a_hi: int = 30, budget: int = DEFAULT_BUDGET
+    a_lo: int = 2,
+    a_hi: int = 30,
+    budget: int = DEFAULT_BUDGET,
+    swept: Optional[dict] = None,
 ) -> list[CheckResult]:
     """Near-balanced spider cases: closed forms against BFS for small a
-    (each L^2 built within `budget`), sign pattern of the gap, and the
+    (each L^2 built within `budget`, each distinct graph swept once, as
+    in closed_form_oracle_checks), sign pattern of the gap, and the
     realized crossover at a = 7."""
+    swept = {} if swept is None else swept
     out = []
     for case in CASES:
         report = threshold_scan(case, a_lo, a_hi)
@@ -945,7 +1020,8 @@ def near_balanced_checks(
         oracle_ok = True
         for a in range(max(2, a_lo), min(8, a_hi) + 1):
             values = balanced_spider_case(a, case)
-            w, w2 = _w_w2(build(Spider(*spider_case_arms(a, case))), budget)
+            spider = build(Spider(*spider_case_arms(a, case)))
+            w, w2 = _w_w2(spider, budget, swept)
             if values.w != w or values.d2 != w - w2:
                 oracle_ok = False
             if values.one_minus_r2_tree != Fraction(w - w2, w):
@@ -1000,13 +1076,17 @@ WORKED_EXAMPLE_SPECS = (
 )
 
 
-def worked_example_checks(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
+def worked_example_checks(
+    budget: int = DEFAULT_BUDGET, swept: Optional[dict] = None
+) -> list[CheckResult]:
     """The frozen worked numbers: every headline constant recomputed from
-    scratch (closed form where one exists, BFS oracle everywhere)."""
+    scratch (closed form where one exists, BFS oracle everywhere, each
+    distinct graph swept once, as in closed_form_oracle_checks)."""
+    swept = {} if swept is None else swept
     spider777, spider666, spider345, quipu2 = map(build, WORKED_EXAMPLE_SPECS)
     out = []
     out.append(
-        _check("W(P_22) = 1771", w_path(22) == 1771 == wiener_index(build(Path(22))), "closed form and BFS")
+        _check("W(P_22) = 1771", w_path(22) == 1771 == _bfs(build(Path(22)), swept), "closed form and BFS")
     )
     out.append(
         _check(
@@ -1015,7 +1095,7 @@ def worked_example_checks(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
             "closed form, reduced",
         )
     )
-    w, w2 = _w_w2(spider777, budget)
+    w, w2 = _w_w2(spider777, budget, swept)
     out.append(
         _check(
             "W(T_{7,7,7}) = 1428",
@@ -1040,7 +1120,7 @@ def worked_example_checks(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     out.append(
         _check(
             "T_{7,7,7} beats P_22",
-            beats_path(spider777, budget)
+            beats_path(spider777, budget, swept)
             and Fraction(1, 4) > Fraction(126, 506),
             "exact comparison at order 22",
         )
@@ -1048,11 +1128,11 @@ def worked_example_checks(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     out.append(
         _check(
             "T_{6,6,6} does not beat P_19",
-            not beats_path(spider666, budget),
+            not beats_path(spider666, budget, swept),
             "exact comparison at order 19",
         )
     )
-    w345, w345_2 = _w_w2(spider345, budget)
+    w345, w345_2 = _w_w2(spider345, budget, swept)
     out.append(
         _check(
             "W(T_{3,4,5}) = 304 and D2 = 113",
@@ -1064,11 +1144,11 @@ def worked_example_checks(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     out.append(
         _check(
             "W of the order-4 star = 9",
-            w_spider(1, 1, 1) == 9 == wiener_index(build(Star(4))),
+            w_spider(1, 1, 1) == 9 == _bfs(build(Star(4)), swept),
             "closed form and BFS",
         )
     )
-    wq, wq2 = _w_w2(quipu2, budget)
+    wq, wq2 = _w_w2(quipu2, budget, swept)
     out.append(
         _check(
             "W(Q_2) = 68 and D2(Q_2) = 22",

@@ -35,8 +35,9 @@ from .graphs import Graph, is_tree
 # A layout is a preorder level sequence: layout[i] is the depth of vertex i,
 # and each vertex's parent is the most recent earlier vertex one level up.
 # Outside this module a layout is decoded through layout_parents or
-# layout_graph, except by the two O(n) kernels of _fast, which read the
-# levels directly.
+# layout_graph, except by the kernels of _fast that read the levels
+# directly: the two O(n) ones and the lane BFS, which decodes a whole
+# chunk of layouts at once.
 
 
 def _next_rooted_layout(layout: list[int], p: int):

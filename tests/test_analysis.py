@@ -766,15 +766,23 @@ def test_star_minimizes_r1_at_small_orders():
         assert star_minimizes_r1(n)
 
 
-def test_star_check_confirms_the_w_of_each_argmin_by_bfs(monkeypatch):
-    # a wrong edge-cut W shifts every R1 alike, so only the BFS on the
-    # kept trees can see it
-    from linewiener import _fast
+def w_one_too_large(tables):
+    """_tables whose rows carry w + 1, so that the W of every tree a sweep
+    reads off them is one too large."""
 
-    cuts = _fast.wiener_tree_layout
-    monkeypatch.setattr(
-        _fast, "wiener_tree_layout", lambda layout: cuts(layout) + 1
-    )
+    def faulty(n, most, need):
+        rows, forests = tables(n, most, need)
+        return [(size, w + 1, *rest) for size, w, *rest in rows], forests
+
+    return faulty
+
+
+def test_star_check_confirms_the_w_of_each_argmin_by_bfs(monkeypatch):
+    # a W one too large in the table shifts every R1 alike, so only the BFS
+    # on the kept trees can see it
+    from linewiener import analysis
+
+    monkeypatch.setattr(analysis, "_tables", w_one_too_large(analysis._tables))
     with pytest.raises(CrossCheckError, match=r"^W = \d+ by BFS"):
         star_minimizes_r1(7)
 
@@ -806,13 +814,12 @@ def test_line_wiener_tree_identity():
 def test_unfiltered_sweeps_check_the_tree_count(monkeypatch, fault, jobs):
     # a walk that drops or repeats a tree has the wrong free-tree count,
     # whichever tree it is, and also when only a worker's share is wrong:
-    # the centroid scan loses or doubles a branch or a forest (here the
-    # forest of n - 2 leaves beside a leaf, which makes the star), the
-    # stream a layout
+    # the centroid scan, and the k = 1 sweeps that read the same table,
+    # lose or double a branch or a forest (here the forest of n - 2 leaves
+    # beside a leaf, which makes the star)
     from linewiener import analysis
 
     tables = analysis._tables
-    layouts = analysis.free_tree_layouts
 
     def faulty_rows(n, most, need):
         rows, forests = tables(n, most, need)
@@ -823,12 +830,6 @@ def test_unfiltered_sweeps_check_the_tree_count(monkeypatch, fault, jobs):
         made = forests[n - 2]
         made[:1] = [] if fault == "drop" else made[:1] * 2
         return rows, forests
-
-    def faulty(n, **kwargs):
-        stream = layouts(n, **kwargs)
-        first = next(stream)
-        yield from [first, first] if fault == "repeat" else []
-        yield from stream
 
     for table in (faulty_rows, faulty_forests):
         with monkeypatch.context() as patch:
@@ -844,11 +845,10 @@ def test_unfiltered_sweeps_check_the_tree_count(monkeypatch, fault, jobs):
                     CrossCheckError, match="trees scanned at order 8"
                 ):
                     min_r2_search(8, jobs=jobs, **bounds)
-    monkeypatch.setattr(analysis, "free_tree_layouts", faulty)
-    with pytest.raises(CrossCheckError, match="trees scanned at order 7"):
-        star_minimizes_r1(7)
-    with pytest.raises(CrossCheckError, match="trees scanned at order 6"):
-        line_wiener_tree_identity(6)
+            with pytest.raises(CrossCheckError, match="trees scanned at order 7"):
+                star_minimizes_r1(7)
+            with pytest.raises(CrossCheckError, match="trees scanned at order 6"):
+                line_wiener_tree_identity(6)
 
 
 def test_tree_kernel_rejects_an_impossible_wiener_value(monkeypatch):
@@ -898,32 +898,24 @@ def test_tree_scores_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     assert [list(analysis._tree_scores(n)) for n in range(2, 11)] == expected
 
 
-def test_lane_kernel_raises_when_a_lane_stalls(monkeypatch):
-    # vertex 3 as its own parent in tree 1 cuts edge 3 off there; the BFS
-    # must stop with an error, so an alarm fails the test if it spins
+def test_lane_kernel_raises_when_a_lane_stalls():
+    # tree 1's levels jump from 2 to 4, so vertex 3 has no parent there and
+    # edge 3 is cut off; the BFS must stop with an error, so an alarm fails
+    # the test if it spins
     import signal
 
     from linewiener import _fast
 
-    parents_of = _fast.layout_parents
-    calls = []
-
-    def faulty(layout):
-        parents = parents_of(layout)
-        if len(calls) == 1:
-            parents[3] = 3
-        calls.append(layout)
-        return parents
-
     def spins(signum, frame):
         raise TimeoutError("lane BFS still running after 10 s")
 
-    monkeypatch.setattr(_fast, "layout_parents", faulty)
     previous = signal.signal(signal.SIGALRM, spins)
     signal.alarm(10)
     try:
         with pytest.raises(CrossCheckError, match="lane BFS stalls"):
-            _fast.line_wiener_lanes([[0, 1, 2, 3, 4]] * 3)
+            _fast.line_wiener_lanes(
+                [[0, 1, 2, 3, 4], bytes([0, 1, 2, 4, 3]), [0, 1, 2, 3, 4]]
+            )
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -950,15 +942,35 @@ def test_buckley_sweep_runs_the_mask_bfs_on_chunk_ends_alone(monkeypatch):
     assert chunks <= len(calls) <= 2 * chunks
 
 
-def test_buckley_check_takes_w_from_edge_cuts(monkeypatch):
+def test_buckley_check_takes_w_from_the_table_sums(monkeypatch):
     # W(T) and W(L(T)) come from different methods, so a fault in the
-    # edge-cut sum alone breaks the identity
-    from linewiener import _fast
+    # table's W sums alone breaks the identity
+    from linewiener import analysis
 
-    cuts = _fast.wiener_tree_layout
-    monkeypatch.setattr(_fast, "wiener_tree_layout", lambda t: cuts(t) + 1)
+    monkeypatch.setattr(analysis, "_tables", w_one_too_large(analysis._tables))
     [result] = line_identity_checks(max_n=8)
     assert not result.ok
+
+
+def test_tree_scores_read_every_free_tree_once_off_the_table():
+    # the table's trees are the stream's, up to isomorphism, each once, and
+    # each is scored as the per-tree kernels score its own layout
+    from linewiener._fast import wiener_tree_layout
+    from linewiener.analysis import _masks_wk, _tree_scores
+    from linewiener.enumeration import canonical_code, free_tree_layouts
+
+    for n in range(2, 13):
+        scores = list(_tree_scores(n))
+        codes = [canonical_code(layout_graph(t)) for t, _, _ in scores]
+        assert len(set(codes)) == len(codes), n
+        assert sorted(codes) == sorted(
+            canonical_code(layout_graph(t)) for t in free_tree_layouts(n)
+        ), n
+        for layout, w, w1 in scores:
+            assert (w, w1) == (
+                wiener_tree_layout(layout),
+                _masks_wk(layout, 1),
+            ), (n, list(layout))
 
 
 def all_ok(results):

@@ -367,6 +367,25 @@ def test_verify_sweeps_each_order_once_per_command(capsys, monkeypatch):
         assert len(orders) == len(set(orders)), argv
 
 
+def test_verify_sweeps_each_graph_once_per_command(capsys, monkeypatch):
+    # 301 distinct graphs go through the BFS oracle in `verify --a 30`:
+    # spiders shared by paper-numbers, lemmas and thm4, and the star that
+    # thm1 confirms as the argmin and measures again, are swept once; the
+    # next command sweeps afresh
+    from linewiener import analysis
+
+    swept = []
+    bfs = analysis.wiener_index
+    monkeypatch.setattr(
+        analysis, "wiener_index", lambda g: swept.append(g) or bfs(g)
+    )
+    for _ in range(2):
+        swept.clear()
+        code, out, _ = run(capsys, "verify", "--a", "30")
+        assert code == 0, out
+        assert len(swept) == len(set(swept)) == 301
+
+
 def test_verify_confirms_a_reused_sweep_by_bfs(capsys, monkeypatch):
     # a lane value wrong inside a chunk of three or more, where the mask
     # BFS of the chunk's ends does not look: buckley reports its identity
@@ -395,7 +414,7 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     monkeypatch.setattr(
         cli.analysis,
         "worked_example_checks",
-        lambda budget: [CheckResult("rigged", False, "synthetic failure")],
+        lambda budget, swept: [CheckResult("rigged", False, "synthetic failure")],
     )
     code, out, _ = run(capsys, "verify", "paper-numbers")
     assert code == 1
@@ -704,6 +723,12 @@ GOLDEN_STDOUT = {
         "02b3f85768f0db5a002193e3c33e4f5c2ea00e32bc81ba92c8585970960925b1",
     "verify --a 30 --format json":
         "a8b243a06bfc09899d5ca185111a031cb08afb47689600c7ddb37689698b073e",
+    # the k = 1 sweeps over several chunks per order (15..17), and thm1's
+    # argmins of every order it takes by default and beyond
+    "verify buckley --max-n 17":
+        "f7f1729f6256f6ff215044dd81ce4590160d7608278a95cd3a057fb33b87464c",
+    "verify thm1 --max-n 14 --format json":
+        "314177d44092dfee9f5da0b9e9f44697ca33056899a902c12cc4219d216393f5",
 }
 
 

@@ -11,12 +11,14 @@ and CSV is made in one place. And no module imports `multiprocessing`:
 `--jobs` workers are bare forks over pipes. And the two O(n) kernels of
 `_fast`, `wiener_tree_layout` and `wiener2_tree_layout`, never call
 `layout_parents`: the k = 1 sweeps of `verify` take W of every tree from
-the first, the min-R_2 search confirms its argmins with both, and each
-reads the level sequence in one reversed pass with no parent decode. And
-`enumeration` has one generator that walks layouts: plain and filtered
-streams both take its one skip rule, and stripes slice it. And the
-free-tree count is checked in two places only: the k = 1 stream sweep
-`_tree_scores`, which counts its own trees, and `min_r2_search`.
+the table sums of `analysis._tables`, the min-R_2 search confirms its
+argmins with both, and each reads the level sequence in one reversed pass
+with no parent decode. And `enumeration` has one generator that walks
+layouts: plain and filtered streams both take its one skip rule, and
+stripes slice it. And no function in `analysis` walks that stream: every
+exhaustive sweep reads `_tables`. And the free-tree count is checked in
+two places only: the k = 1 table sweep `_tree_scores`, which counts its
+own trees, and `min_r2_search`.
 """
 
 from __future__ import annotations
@@ -155,6 +157,21 @@ def test_enumeration_has_one_layout_walker():
     ]
     walkers = [name for name in generators if name != "free_trees"]
     assert len(walkers) == 1, walkers
+
+
+def test_analysis_walks_no_free_tree_stream():
+    # the search and the k = 1 sweeps read one table, so a stream walk in
+    # analysis would be a second tree source to keep in step with it
+    streams = {"free_tree_layouts", "free_trees"}
+    found = sorted(
+        f"{function.name}: {name}"
+        for function in ast.walk(parsed(PACKAGE / "analysis.py"))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        for name in sorted(set(names_in(node.func)) & streams)
+    )
+    assert found == []
 
 
 def test_tree_count_is_checked_by_the_two_sweeps_alone():
