@@ -7,7 +7,6 @@ never wrap no matter how large the graph gets.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
@@ -24,8 +23,9 @@ from .errors import (
 DEFAULT_BUDGET = 10**6
 
 # Sources per sweep of wiener_index. A sweep holds two lists of n ints of
-# this many bits, so memory grows as n rather than n^2; graphs of up to this
-# order, L^2(U_a) for a <= 62 among them, take a single sweep.
+# this many bits and one small tuple per vertex, its row, so memory grows as
+# n rather than n^2; graphs of up to this order, L^2(U_a) for a <= 62 among
+# them, take a single sweep.
 _SWEEP_SOURCES = 4096
 
 
@@ -64,6 +64,18 @@ class Graph:
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "adjacency", tuple(tuple(nbrs) for nbrs in adj))
         object.__setattr__(self, "edge_count", len(seen))
+
+    @classmethod
+    def _trusted(
+        cls, vertex_count: int, adjacency: tuple[tuple[int, ...], ...], edge_count: int
+    ) -> Graph:
+        """A graph from sorted neighbor tuples its maker vouches for, with no
+        range check, de-duplication or sort."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertex_count", vertex_count)
+        object.__setattr__(g, "adjacency", adjacency)
+        object.__setattr__(g, "edge_count", edge_count)
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -135,15 +147,24 @@ def wiener_index(g: Graph) -> int:
     of the sources in S within distance d of v. Round d adds |S| - |reach[v]|,
     the sources still farther than d from v, for each v; summed over all
     rounds, each pair (s, v) is counted d(s, v) times. Round 0 is the closed
-    form n|S| - |S|: each source reaches only itself. Each later round is one
-    pass over the vertices whose reach is not yet full: it ORs the round-d
-    reaches of v's neighbors into v's round-(d + 1) reach, written to a copy
-    so that no round-d reach is overwritten while it is still read, adds
-    that reach's term, and keeps v for the next round only while it is not
-    full. A round costs at most n + 2m ORs of |S|-bit ints, so a graph of
-    diameter D costs about D * (n + 2m) of them per block: far below one BFS
-    per vertex when D << n, and worst on paths. Memory stays at two lists of
-    n such ints.
+    form n|S| - |S|: each source reaches only itself. Round 1 ORs each
+    source's own bit into its neighbors' reaches, in place, and then visits
+    every vertex once for its term.
+
+    From round 2 on, v's reach is the union of its neighbors' reaches alone.
+    This is exact for d >= 1: v lies within d of each neighbor, and any other
+    source within d + 1 of v lies within d of the neighbor that starts a
+    shortest path to it. A round visits the vertices whose reach is not yet
+    full, kept as rows split by degree, each class in its own loop:
+    (v, a, c) for degree 2 costs one OR, (v, a) for a leaf none, and
+    (v, nbrs) for any other degree one OR per neighbor. The new reach goes
+    to a copy, so that no round-d reach is overwritten while it is still
+    read. Each visit takes one popcount, which gives v's term and tells
+    whether v is full; a row is kept for the next round only while it is
+    not. A round costs at most 2m ORs of |S|-bit ints, so a graph of
+    diameter D costs about D * 2m of them per block: far below one BFS per
+    vertex when D << n, and worst on paths. Memory stays at two lists of n
+    such ints and one small row per vertex.
 
     Raises EmptyGraphError for 0 vertices and DisconnectedGraphError when any
     distance is infinite; neither case has a defined value here.
@@ -156,29 +177,64 @@ def wiener_index(g: Graph) -> int:
             "Wiener index is undefined for disconnected graphs"
         )
     adj = g.adjacency
+    chains, leaves, hubs = [], [], []
+    for v, nbrs in enumerate(adj):
+        if len(nbrs) == 2:
+            chains.append((v, *nbrs))
+        elif len(nbrs) == 1:
+            leaves.append((v, *nbrs))
+        else:
+            hubs.append((v, nbrs))
     total = 0
     for first in range(0, n, _SWEEP_SOURCES):
         width = min(_SWEEP_SOURCES, n - first)
-        full = (1 << width) - 1
         reach = [0] * n
         for i in range(width):
-            reach[first + i] = 1 << i
+            reach[first + i] |= 1 << i
+            for u in adj[first + i]:
+                reach[u] |= 1 << i
         total += n * width - width
+        # round 1's visits: the term of each vertex, and the rows still open
+        chain, leaf, hub = rows = [], [], []
+        for kept, every in zip(rows, (chains, leaves, hubs)):
+            for row in every:
+                k = width - reach[row[0]].bit_count()
+                if k:
+                    total += k
+                    kept.append(row)
         # connected, so every reach fills within D rounds
-        todo = range(n)
-        while todo:
+        while chain or leaf or hub:
             grown = reach[:]
-            left = []
-            for v in todo:
-                b = reach[v]
-                for u in adj[v]:
+            rows, chain = chain, []
+            for row in rows:
+                v, a, c = row
+                b = reach[a] | reach[c]
+                grown[v] = b
+                k = width - b.bit_count()
+                if k:
+                    total += k
+                    chain.append(row)
+            rows, leaf = leaf, []
+            for row in rows:
+                v, a = row
+                b = reach[a]
+                grown[v] = b
+                k = width - b.bit_count()
+                if k:
+                    total += k
+                    leaf.append(row)
+            rows, hub = hub, []
+            for row in rows:
+                v, nbrs = row
+                b = 0
+                for u in nbrs:
                     b |= reach[u]
                 grown[v] = b
-                if b != full:
-                    total += width - b.bit_count()
-                    left.append(v)
+                k = width - b.bit_count()
+                if k:
+                    total += k
+                    hub.append(row)
             reach = grown
-            todo = left
     return total // 2
 
 
@@ -186,16 +242,26 @@ def line_graph(g: Graph) -> Graph:
     """Line graph L(g): one vertex per edge of g, ordered lexicographically
     by endpoint pair; vertices adjacent iff the edges share an endpoint.
 
-    The empty graph and edgeless graphs map to the empty graph. Edges
-    sharing an endpoint form cliques; every adjacent pair shares exactly one
-    endpoint in a simple graph, so each line-graph edge is generated once.
+    The empty graph and edgeless graphs map to the empty graph. The
+    neighbors of edge e = uv are the edges at u and at v other than e; two
+    edges of a simple graph share at most one endpoint, so merging the two
+    sorted lists of incident edges and dropping e's two copies gives e's
+    sorted neighbor tuple with no repeats, and L(g) needs none of the
+    general constructor's checks.
     """
+    ends = list(g.edges())
     incident: list[list[int]] = [[] for _ in g.adjacency]
-    for e, (u, v) in enumerate(g.edges()):
+    for e, (u, v) in enumerate(ends):
         incident[u].append(e)
         incident[v].append(e)
-    pairs = (pair for ids in incident for pair in combinations(ids, 2))
-    return Graph(g.edge_count, pairs)
+    adjacency = []
+    for e, (u, v) in enumerate(ends):
+        nbrs = incident[u] + incident[v]
+        nbrs.sort()
+        nbrs.remove(e)
+        nbrs.remove(e)
+        adjacency.append(tuple(nbrs))
+    return Graph._trusted(len(ends), tuple(adjacency), predicted_line_edge_count(g))
 
 
 def predicted_line_edge_count(g: Graph) -> int:

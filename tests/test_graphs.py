@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -12,8 +15,10 @@ from linewiener import (
     EmptyGraphError,
     Graph,
     GraphFormatError,
+    SubdividedQuipu,
     build,
     check_line_budget,
+    d2_ua,
     degree_sequence,
     is_connected,
     is_tree,
@@ -21,6 +26,7 @@ from linewiener import (
     line_graph,
     parse_family,
     predicted_line_edge_count,
+    w_ua,
     wiener_index,
 )
 
@@ -175,7 +181,7 @@ def test_wiener_sweep_blocks_of_sources(monkeypatch, width):
     from linewiener import graphs
 
     monkeypatch.setattr(graphs, "_SWEEP_SOURCES", width)
-    for g in _wiener_sweep_cases()[:40] + [path(23), cycle(30), complete(9)]:
+    for g in _wiener_sweep_cases() + [path(23), cycle(30), complete(9)]:
         _assert_wiener_matches_oracle(g)
     assert wiener_index(Graph(1)) == 0
     disconnected = [
@@ -189,6 +195,21 @@ def test_wiener_sweep_blocks_of_sources(monkeypatch, width):
     for g in disconnected:
         with pytest.raises(DisconnectedGraphError):
             wiener_index(g)
+
+
+@pytest.mark.parametrize("width", [1, 3, 7, 4096])
+def test_wiener_sweep_on_the_subdivided_quipus_and_their_l2(monkeypatch, width):
+    # the shapes thm5 sweeps: leaves, long degree-2 arms and hubs, in U_a
+    # and in L^2(U_a), whose rows cross block boundaries at narrow widths
+    from linewiener import graphs
+
+    monkeypatch.setattr(graphs, "_SWEEP_SOURCES", width)
+    for a in range(2, 11):
+        g = build(SubdividedQuipu(a))
+        l2 = iterated_line_graph(g, 2)
+        w, w2 = wiener_index(g), wiener_index(l2)
+        assert (w, w2) == (naive_wiener(g), naive_wiener(l2)), a
+        assert (w, w - w2) == (w_ua(a), d2_ua(a)), a
 
 
 def _distances(g):
@@ -214,15 +235,17 @@ def _distances(g):
 def test_wiener_sweep_reads_each_vertex_once_per_round_until_it_fills(
     monkeypatch, width
 ):
-    # is_connected reads each neighbor tuple once. Then each block of
-    # sources S reads v's in one pass per round, round 1 for every v and
-    # round d > 1 while v's reach of round d - 1 is not full, so as many
-    # times as max(1, the distance from v to its farthest source in S):
-    # a vertex read again in a round, or kept once its reach fills, reads
-    # past that count
+    # Each visit of a vertex takes one popcount, of the reach it computed.
+    # Each block of sources S visits v in round 1 and in round d > 1 while
+    # v's reach of round d - 1 is not full, so max(1, the distance from v to
+    # its farthest source in S) times, and its visit of round d sees the
+    # sources within d of v. A vertex visited again in a round, or kept once
+    # its reach fills, makes a visit past that multiset. The popcounts are
+    # read as the profiler's calls of int.bit_count in wiener_index's frame.
     from linewiener import graphs
 
     monkeypatch.setattr(graphs, "_SWEEP_SOURCES", width)
+    code = graphs.wiener_index.__code__
     rng = random.Random(24)
     cases = [Graph(1), path(2), path(9), cycle(10), star(6), complete(5)]
     # both connected
@@ -230,24 +253,41 @@ def test_wiener_sweep_reads_each_vertex_once_per_round_until_it_fills(
     for g in cases:
         n = g.vertex_count
         dist = _distances(g)
-        expected = n + sum(
-            max(1, max(dist[s][v] for s in range(first, min(first + width, n))))
-            for first in range(0, n, width)
-            for v in range(n)
-        )
-        reads = []
+        blocks = []
+        for first in range(0, n, width):
+            sources = range(first, min(first + width, n))
+            visits = Counter()
+            for v in range(n):
+                farthest = max(dist[s][v] for s in sources)
+                for d in range(1, max(1, farthest) + 1):
+                    ball = sum(1 << s - first for s in sources if dist[s][v] <= d)
+                    visits[ball] += 1
+            blocks.append(visits)
+        expected = sum(block.total() for block in blocks)
+        seen = []
 
-        class CountedReads(tuple):
-            def __getitem__(self, v):
-                reads.append(v)
-                if len(reads) > expected:
-                    raise AssertionError(f"more than {expected} reads of {g}")
-                return tuple.__getitem__(self, v)
+        def popcounts(frame, event, arg):
+            if (
+                event == "c_call"
+                and frame.f_code is code
+                and getattr(arg, "__name__", None) == "bit_count"
+            ):
+                seen.append(arg.__self__)
+                if len(seen) > expected:
+                    raise AssertionError(f"more than {expected} visits in {g}")
 
-        # Graph blocks plain assignment; this is how Graph stores its slots
-        object.__setattr__(g, "adjacency", CountedReads(g.adjacency))
-        assert wiener_index(g) == sum(map(sum, dist)) // 2
-        assert len(reads) == expected, g
+        previous = sys.getprofile()
+        sys.setprofile(popcounts)
+        try:
+            w = wiener_index(g)
+        finally:
+            sys.setprofile(previous)
+        assert w == sum(map(sum, dist)) // 2
+        for block in blocks:
+            size = block.total()
+            assert Counter(seen[:size]) == block, g
+            del seen[:size]
+        assert seen == [], g
 
 
 def test_wiener_sweep_past_one_block_of_sources():
@@ -291,11 +331,48 @@ def test_line_graph_small_cases():
     assert is_connected(lc)
 
 
+def _assert_same_graph(got, expected):
+    # a trusted construction must match the checked one in every slot
+    assert got.vertex_count == expected.vertex_count
+    assert got.adjacency == expected.adjacency
+    assert got.edge_count == expected.edge_count
+    assert hash(got) == hash(expected)
+
+
 def test_line_graph_matches_oracle_on_random_inputs():
     rng = random.Random(7)
     for _ in range(50):
         g = random_graph(rng, rng.randrange(1, 12), rng.uniform(0.1, 0.9))
-        assert line_graph(g) == naive_line_graph(g)
+        _assert_same_graph(line_graph(g), naive_line_graph(g))
+
+
+def test_line_graph_equals_the_checked_construction_on_verify_graphs(
+    monkeypatch, capsys
+):
+    # every line graph `verify --a 12` builds, against Graph(n, pairs) with
+    # one pair per two edges at a vertex
+    from linewiener import analysis, cli, graphs
+
+    built = []
+    trusted = graphs.line_graph
+
+    def recorded(g):
+        h = trusted(g)
+        built.append((g, h))
+        return h
+
+    monkeypatch.setattr(graphs, "line_graph", recorded)
+    monkeypatch.setattr(analysis, "line_graph", recorded)
+    assert cli.main(["verify", "--a", "12"]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+    assert len(built) > 300
+    for g, h in built:
+        incident = [[] for _ in g.adjacency]
+        for e, (u, v) in enumerate(g.edges()):
+            incident[u].append(e)
+            incident[v].append(e)
+        pairs = (pair for ids in incident for pair in combinations(ids, 2))
+        _assert_same_graph(h, Graph(g.edge_count, pairs))
 
 
 def test_predicted_line_edge_count():

@@ -18,7 +18,8 @@ layouts: plain and filtered streams both take its one skip rule, and
 stripes slice it. And no function in `analysis` walks that stream: every
 exhaustive sweep reads `_tables`. And the free-tree count is checked in
 two places only: the k = 1 table sweep `_tree_scores`, which counts its
-own trees, and `min_r2_search`.
+own trees, and `min_r2_search`. And `graphs`, home of the BFS oracle,
+imports no module of the package but `errors`.
 """
 
 from __future__ import annotations
@@ -116,6 +117,40 @@ def imported_modules(tree):
                 yield node.lineno, alias.name
         elif isinstance(node, ast.ImportFrom) and node.module is not None:
             yield node.lineno, node.module
+
+
+def package_modules(tree):
+    """(line, module) of every module of this package an import names:
+    `from .x import y` and `from linewiener.x import y` name x, and
+    `from . import x` and `from linewiener import x` name x itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "linewiener":
+                    yield node.lineno, rest.partition(".")[0] or top
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                top, _, module = module.partition(".")
+                if top != "linewiener":
+                    continue
+            if module:
+                yield node.lineno, module.partition(".")[0]
+            else:
+                for alias in node.names:
+                    yield node.lineno, alias.name
+
+
+def test_graphs_imports_no_package_module_but_errors():
+    # wiener_index is the BFS oracle that _fast, formulas and the tree
+    # kernels are checked against, so it may never come to depend on them
+    found = [
+        f"graphs.py:{line}: {module}"
+        for line, module in package_modules(parsed(PACKAGE / "graphs.py"))
+        if module != "errors"
+    ]
+    assert found == []
 
 
 def test_no_module_imports_multiprocessing():
