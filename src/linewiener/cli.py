@@ -48,24 +48,17 @@ VERIFY_CHECKS = (
 )
 
 
-def _parse_pair(text: str, sep: str, what: str, example: str) -> tuple[int, int]:
-    """Two ints joined by `sep`, as in `example` ("2..30", "0/4")."""
-    first, found, second = text.partition(sep)
-    try:
-        if not found:
-            raise ValueError
-        return int(first), int(second)
-    except ValueError:
-        raise ParameterError(
-            f"{what} must look like {example}, got {text!r}"
-        ) from None
-
-
 def _a_range(args, default_hi: int) -> tuple[int, int]:
     """--a-range, or 2..default_hi when it is not given."""
     if not args.a_range:
         return 2, default_hi
-    return _parse_pair(args.a_range, "..", "range", "2..30")
+    try:
+        lo, hi = map(int, args.a_range.split(".."))
+    except ValueError:
+        raise ParameterError(
+            f"range must look like 2..30, got {args.a_range!r}"
+        ) from None
+    return lo, hi
 
 
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:
@@ -206,11 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, required=True, help="tree order")
     _add_degree_filters(p, "keep")
-    p.add_argument(
-        "--stripe",
-        metavar="I/K",
-        help="emit only stream positions congruent to I mod K",
-    )
 
     p = sub.add_parser(
         "scan",
@@ -297,9 +285,8 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    stripe = _parse_pair(args.stripe, "/", "stripe", "0/4") if args.stripe else None
     out = sys.stdout.buffer
-    for t in free_trees(args.n, **_degree_filters(args), stripe=stripe):
+    for t in free_trees(args.n, **_degree_filters(args)):
         out.write(write_graph(t, "graph6"))
     return 0
 

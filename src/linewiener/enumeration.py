@@ -7,16 +7,18 @@ Beyer-Hedetniemi). Each step does O(n) list work: the successor is a
 slice of the layout plus a repeated slice, and the free-tree test reads the
 root's first subtree with one index and two max calls. These are C-level
 list operations, so a step costs a few microseconds up to order 20. Only
-one layout per class is ever built, which is what makes order-20-plus
-sweeps feasible; generating labeled trees and de-duplicating dies around
-order 12.
+one layout per class is ever built; generating labeled trees and
+de-duplicating dies around order 12. The stream serves `enumerate` and
+the tests: the exhaustive sweeps of `analysis` read their own table of
+rooted forests instead.
 
-One walker takes every unstriped stream, one layout per step, and has
-one skip rule: the run of layouts that share a prefix is left in one
-step. A degree filter names such a prefix once it rules out every layout
-sharing it (a vertex's degree above a bound, or too much degree waste to
-leave room for the required degree-3 vertices). Striped streams count
-positions in the unfiltered stream and do not skip.
+One walker takes every stream, one layout per step, and has one skip
+rule: the run of layouts that share a prefix is left in one step. A
+degree filter names such a prefix once it rules out every layout sharing
+it (a vertex's degree above a bound, or too much degree waste to leave
+room for the required degree-3 vertices). A stream is sharded by slicing
+its output by position, as in
+`linewiener enumerate --n 22 | awk '(NR-1) % 8 == 3'`.
 
 `canonical_code` gives a relabeling-invariant byte encoding (equal codes
 iff isomorphic), used to de-duplicate search witnesses and to cross-check
@@ -25,7 +27,6 @@ the enumerator against independent generators.
 
 from __future__ import annotations
 
-from itertools import filterfalse, islice
 from math import factorial
 from typing import Iterator, Optional
 
@@ -212,7 +213,6 @@ def free_tree_layouts(
     max_degree: Optional[int] = None,
     min_max_degree: Optional[int] = None,
     min_degree3_count: Optional[int] = None,
-    stripe: Optional[tuple[int, int]] = None,
 ) -> Iterator[list[int]]:
     """Level sequences of all free trees on n vertices, one per class.
 
@@ -225,31 +225,18 @@ def free_tree_layouts(
     and `min_degree3_count` keeps trees with at least that many vertices
     of degree exactly 3.
 
-    `stripe=(index, step)` yields only trees whose position in the
-    unfiltered stream is congruent to index mod step. Stripes are disjoint,
-    cover everything, and apply before filtering, so parallel consumers can
-    run one stripe each and merge by position.
+    The walk skips in one step every run of layouts that share a prefix
+    which already rules the filters out: a vertex there above
+    `max_degree`, or too many vertices of degree other than 3 to leave
+    room for `min_degree3_count` of them. The layouts yielded are the
+    same; only fewer are walked.
 
-    Without a stripe, the walk skips in one step every run of layouts that
-    share a prefix which already rules the filters out: a vertex there
-    above `max_degree`, or too many vertices of degree other than 3 to
-    leave room for `min_degree3_count` of them. The layouts yielded are the
-    same; only fewer are walked. A striped stream walks every layout.
-
-    Arguments are checked at the call, before the first layout.
+    `n` is checked at the call, before the first layout.
     """
-    index, step = (0, 1) if stripe is None else stripe
-    if step < 1 or not 0 <= index < step:
-        raise ParameterError(
-            f"stripe must be (index, step) with 0 <= index < step, got {stripe}"
-        )
     if n < 1:
         raise ParameterError(f"free_tree_layouts needs n >= 1, got {n}")
     cut = _degree_filter(n, max_degree, min_max_degree, min_degree3_count)
-    if step == 1:
-        return _walk(n, cut)
-    layouts = islice(_walk(n, None), index, None, step)
-    return layouts if cut is None else filterfalse(cut, layouts)
+    return _walk(n, cut)
 
 
 def free_tree_count(n: int) -> int:
@@ -274,25 +261,11 @@ def free_tree_count(n: int) -> int:
     return r[n] - pairs // 2
 
 
-def free_trees(
-    n: int,
-    *,
-    max_degree: Optional[int] = None,
-    min_max_degree: Optional[int] = None,
-    min_degree3_count: Optional[int] = None,
-    stripe: Optional[tuple[int, int]] = None,
-) -> Iterator[Graph]:
+def free_trees(n: int, **filters: Optional[int]) -> Iterator[Graph]:
     """All free trees on n vertices, one per isomorphism class: the
-    `free_tree_layouts` stream, with the same filters and stripe, decoded
-    into graphs."""
-    layouts = free_tree_layouts(
-        n,
-        max_degree=max_degree,
-        min_max_degree=min_max_degree,
-        min_degree3_count=min_degree3_count,
-        stripe=stripe,
-    )
-    yield from map(layout_graph, layouts)
+    `free_tree_layouts` stream, with the same keyword filters, decoded into
+    graphs."""
+    return map(layout_graph, free_tree_layouts(n, **filters))
 
 
 # ------------------------------------------------------- canonical codes

@@ -12,6 +12,7 @@ from typing import Iterable, Iterator
 
 from .errors import (
     BudgetExceededError,
+    CrossCheckError,
     DisconnectedGraphError,
     EmptyGraphError,
     GraphFormatError,
@@ -167,7 +168,9 @@ def wiener_index(g: Graph) -> int:
     such ints and one small row per vertex.
 
     Raises EmptyGraphError for 0 vertices and DisconnectedGraphError when any
-    distance is infinite; neither case has a defined value here.
+    distance is infinite; neither case has a defined value here. A block
+    still open after n rounds, more than any connected graph needs, raises
+    CrossCheckError instead of looping forever.
     """
     n = g.vertex_count
     if n == 0:
@@ -202,8 +205,14 @@ def wiener_index(g: Graph) -> int:
                 if k:
                     total += k
                     kept.append(row)
-        # connected, so every reach fills within D rounds
+        # connected, so every reach fills within D < n rounds
+        rounds = 1
         while chain or leaf or hub:
+            rounds += 1
+            if rounds > n:
+                raise CrossCheckError(
+                    f"Wiener sweep of {g!r} still open after {n} rounds"
+                )
             grown = reach[:]
             rows, chain = chain, []
             for row in rows:

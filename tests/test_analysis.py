@@ -675,6 +675,15 @@ def test_search_result_at_twenty_is_the_path():
     assert report.witnesses == (canonical_code(tree("path:20")),)
 
 
+def test_path_is_the_lone_min_r2_tree_below_order_22():
+    # with criterion 10's spider at order 22, this makes 22 the least order
+    # where the path fails to minimize R_2
+    for n in range(4, 22):
+        report = min_r2_search(n, limit=21)
+        assert report.min_ratio == r2_path(n), n
+        assert report.witnesses == (canonical_code(tree(f"path:{n}")),), n
+
+
 def brute_force_min_r2(n, keep=lambda g: True):
     best = None
     witnesses = []

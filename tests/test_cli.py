@@ -101,14 +101,10 @@ def test_stdin_input(capsys, monkeypatch):
     assert out.strip() == "4"
 
 
-def test_enumerate_counts_and_stripe(capsys):
+def test_enumerate_counts(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", "7")
     assert code == 0
-    full = out.splitlines()
-    assert len(full) == 11
-    code, out, _ = run(capsys, "enumerate", "--n", "7", "--stripe", "1/3")
-    assert code == 0
-    assert out.splitlines() == full[1::3]
+    assert len(out.splitlines()) == 11
 
 
 def test_enumerate_filters(capsys):
@@ -129,10 +125,19 @@ def test_scan_reports_thresholds(capsys):
     assert out.count("a=") == 999
 
 
-@pytest.mark.parametrize("flag", [["--budget", "1000"], ["--stop-at-first"]])
+# each argv carries an option that its command does not take: scan never
+# took a budget or a stop flag, and enumerate no longer takes --stripe
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["scan", "--case", "ua", "--a-range", "2..12", "--budget", "1000"],
+        ["scan", "--case", "ua", "--a-range", "2..12", "--stop-at-first"],
+        ["enumerate", "--n", "7", "--stripe", "1/3"],
+    ],
+)
 def test_scan_takes_no_budget_or_stop_flag(capsys, flag):
     with pytest.raises(SystemExit) as exc:
-        main(["scan", "--case", "ua", "--a-range", "2..12", *flag])
+        main(flag)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -448,8 +453,9 @@ def test_bad_inputs_exit_two(capsys, tmp_path):
     assert "error:" in err
     code, _, err = run(capsys, "wiener", "--file", str(tmp_path / "missing.g6"))
     assert code == 2
-    code, _, err = run(capsys, "enumerate", "--n", "7", "--stripe", "3/3")
+    code, _, err = run(capsys, "enumerate", "--n", "0")
     assert code == 2
+    assert "n >= 1" in err
 
 
 @pytest.mark.parametrize(
@@ -704,8 +710,8 @@ GOLDEN_STDOUT = {
         "0e7a1c1dd2041f0fdbc639c440321813909bc5438bba28296bde7b5d278ea7ff",
     "verify thm5 thm1 --a 12 --max-n 7 --format json":
         "877291ef43527560569eae980e47038fe5e90037c127aedc4ebf500b62ad8e07",
-    "enumerate --n 9 --max-degree 3 --stripe 1/3":
-        "1087b3f5cdee5c46ebe73b725fe8e0df47bd039c38adecc81c8ee4f161657304",
+    "enumerate --n 9 --max-degree 3":
+        "498a33496d0864457b58244d3e3ea6ae8a9b4c14d7f34a33070e400d9268fd4a",
     "search min-r2 --n 10":
         "981fed46df344c212c572714659c984d2472c47149936fcd7d0c43cfa824dcf0",
     "search min-r2 --n 12 --min-degree3 2 --jobs 2 --format json":

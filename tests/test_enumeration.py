@@ -42,7 +42,7 @@ def decoded_layouts(n, **kwargs):
     return map(layout_graph, free_tree_layouts(n, **kwargs))
 
 
-# the stream contract (stripes, filters, validation) holds for the graphs
+# the stream contract (filters, validation) holds for the graphs
 # and for the raw layouts they are decoded from
 STREAMS = (free_trees, decoded_layouts)
 
@@ -117,56 +117,12 @@ def test_layout_stream_is_pinned():
     for n, pinned in PINNED_STREAMS.items():
         assert stream_digest(free_tree_layouts(n)) == pinned, n
     assert sum(1 for _ in free_tree_layouts(18)) == 123867
-    # the filtered search workload's stripes: position mod K, then the filter
-    assert stream_digest(
-        free_tree_layouts(18, min_degree3_count=7, stripe=(0, 2))
-    ) == (140, "da29d878149a1a2970c0eab47a7f438b8afb65fdffa4b22c8183376fd890de77")
-    assert stream_digest(
-        free_tree_layouts(18, min_degree3_count=7, stripe=(1, 3))
-    ) == (102, "c311371ec204ade807eb7599c0f28b2f8288bfe38d2cad7beac87856315eccf1")
-
-
-def test_stripes_partition_the_stream():
-    for stream in STREAMS:
-        for n in (1, 2, 9):
-            full = [write_graph(g, "graph6") for g in stream(n)]
-            for step in (2, 3, 5):
-                for index in range(step):
-                    part = [
-                        write_graph(g, "graph6")
-                        for g in stream(n, stripe=(index, step))
-                    ]
-                    assert part == full[index::step], (stream, n, index, step)
-
-
-def test_stripe_applies_before_filters():
-    full = list(free_trees(9))
-    expected = [
-        write_graph(g, "graph6")
-        for pos, g in enumerate(full)
-        if pos % 3 == 1 and max(g.degree(v) for v in range(9)) <= 3
-    ]
-    for stream in STREAMS:
-        got = [
-            write_graph(g, "graph6")
-            for g in stream(9, max_degree=3, stripe=(1, 3))
-        ]
-        assert got == expected, stream
-        # the lone tree of orders 1 and 2 sits at position 0 of the stream
-        for n in (1, 2):
-            assert len(list(stream(n, max_degree=1, stripe=(0, 2)))) == 1
-            assert list(stream(n, max_degree=1, stripe=(1, 2))) == []
-
-
-def test_stripe_validation():
-    for stream in STREAMS:
-        for stripe in ((0, 0), (-1, 2), (2, 2), (5, 3)):
-            with pytest.raises(ParameterError):
-                list(stream(5, stripe=stripe))
-            with pytest.raises(ParameterError):
-                list(stream(1, stripe=stripe))
-        with pytest.raises(ParameterError):
-            list(stream(0))
+    # the filtered search workload's class, which the walk reaches by
+    # skipping runs of layouts
+    assert stream_digest(free_tree_layouts(18, min_degree3_count=7)) == (
+        294,
+        "2c0497ba20a8c9ca2067e0380e0b58b21526e79479d96f737319467cdea25fdf",
+    )
 
 
 # filter sets of the stream contract: one filter at a time, then all three
@@ -200,14 +156,12 @@ def test_degree_filters():
             only = list(stream(n, min_max_degree=n - 1))
             assert len(only) == 1
             assert canonical_code(only[0]) == canonical_code(build(parse_family(f"star:{n}")))
-        # order 1 has degree 0 and order 2 degree 1, whatever the stripe
+        # order 1 has degree 0 and order 2 degree 1
         for n, top in ((1, 0), (2, 1)):
-            for stripe in (None, (0, 3)):
-                assert len(list(stream(n, max_degree=top, stripe=stripe))) == 1
-                assert list(stream(n, min_max_degree=top + 1, stripe=stripe)) == []
-                assert list(stream(n, min_degree3_count=1, stripe=stripe)) == []
-                assert len(list(stream(n, min_degree3_count=0, stripe=stripe))) == 1
-            assert list(stream(n, max_degree=top, stripe=(1, 3))) == []
+            assert len(list(stream(n, max_degree=top))) == 1
+            assert list(stream(n, min_max_degree=top + 1)) == []
+            assert list(stream(n, min_degree3_count=1)) == []
+            assert len(list(stream(n, min_degree3_count=0))) == 1
     # every filter against the degrees of the decoded graph, one filter at
     # a time and then all three mixed
     for n in range(1, 13):
@@ -317,6 +271,9 @@ def test_free_tree_count_is_the_stream_size():
     assert enumeration.free_tree_count(24) == 39299897
     with pytest.raises(ParameterError):
         enumeration.free_tree_count(0)
+    for stream in STREAMS:
+        with pytest.raises(ParameterError):
+            list(stream(0))
 
 
 def test_canonical_code_shape():

@@ -11,6 +11,7 @@ import pytest
 
 from linewiener import (
     BudgetExceededError,
+    CrossCheckError,
     DisconnectedGraphError,
     EmptyGraphError,
     Graph,
@@ -112,6 +113,28 @@ def test_wiener_undefined_cases():
         wiener_index(Graph(2))
     with pytest.raises(DisconnectedGraphError):
         wiener_index(Graph(4, [(0, 1), (2, 3)]))
+
+
+def test_wiener_sweep_raises_when_a_reach_never_fills(monkeypatch):
+    # past a connectivity check that lies, vertex 2's reach stays empty;
+    # the sweep must stop with an error, so an alarm fails the test if it
+    # spins
+    import signal
+
+    from linewiener import graphs
+
+    def spins(signum, frame):
+        raise TimeoutError("Wiener sweep still running after 10 s")
+
+    monkeypatch.setattr(graphs, "is_connected", lambda g: True)
+    previous = signal.signal(signal.SIGALRM, spins)
+    signal.alarm(10)
+    try:
+        with pytest.raises(CrossCheckError, match="still open after 3 rounds"):
+            wiener_index(Graph(3, [(0, 1)]))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_wiener_matches_oracle_on_random_inputs():

@@ -14,11 +14,11 @@ and CSV is made in one place. And no module imports `multiprocessing`:
 the table sums of `analysis._tables`, the min-R_2 search confirms its
 argmins with both, and each reads the level sequence in one reversed pass
 with no parent decode. And `enumeration` has one generator that walks
-layouts: plain and filtered streams both take its one skip rule, and
-stripes slice it. And no function in `analysis` walks that stream: every
-exhaustive sweep reads `_tables`. And the free-tree count is checked in
-two places only: the k = 1 table sweep `_tree_scores`, which counts its
-own trees, and `min_r2_search`. And `graphs`, home of the BFS oracle,
+layouts: plain and filtered streams both take its one skip rule. And no
+function in `analysis` walks that stream: every exhaustive sweep reads
+`_tables`. And the free-tree count is checked in two places only: the
+k = 1 table sweep `_tree_scores`, which counts its own trees, and
+`min_r2_search`. And `graphs`, home of the BFS oracle,
 imports no module of the package but `errors`.
 """
 
