@@ -125,6 +125,19 @@ def test_layout_stream_is_pinned():
     )
 
 
+def test_stripe_validation():
+    for stream in STREAMS:
+        # a bad order is refused at the call, before the first tree
+        for n in (0, -1):
+            with pytest.raises(ParameterError):
+                stream(n)
+        # the stream is never sliced: a stripe= keyword is refused, not
+        # ignored, so no caller gets the whole stream for a slice of it
+        for n in (1, 5):
+            with pytest.raises(TypeError):
+                list(stream(n, stripe=(0, 2)))
+
+
 # filter sets of the stream contract: one filter at a time, then all three
 DEGREE_FILTERS = (
     [{"max_degree": d} for d in (2, 3, 4)]
@@ -271,9 +284,6 @@ def test_free_tree_count_is_the_stream_size():
     assert enumeration.free_tree_count(24) == 39299897
     with pytest.raises(ParameterError):
         enumeration.free_tree_count(0)
-    for stream in STREAMS:
-        with pytest.raises(ParameterError):
-            list(stream(0))
 
 
 def test_canonical_code_shape():
