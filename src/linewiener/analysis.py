@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement, islice
 from math import comb
 from operator import itemgetter
@@ -19,7 +20,8 @@ from typing import Optional
 from . import _fast
 from ._record import Record
 from .enumeration import canonical_code, free_tree_count, layout_graph
-from .errors import CrossCheckError, ParameterError, SearchLimitError
+from .errors import BudgetExceededError, CrossCheckError, ParameterError
+from .errors import SearchLimitError
 from .families import BalancedQuipu, Path, Spider, Star, SubdividedQuipu, build
 from .formulas import (
     CASES,
@@ -140,8 +142,9 @@ def ratio_rk(g: Graph, k_max: int, budget: int = DEFAULT_BUDGET) -> RatioReport:
     """Exact W(L^k)/W for k = 0..k_max, plus the equal-order path benchmark.
 
     The graph must be connected with at least 2 vertices. Iterates are
-    grown one step at a time under the same size budget as
-    iterated_line_graph; once an iterate vanishes, later slots are None.
+    grown one step at a time under the same size budget, and with the
+    same errors, as iterated_line_graph(g, k_max); once an iterate
+    vanishes, later slots are None.
     """
     if g.vertex_count < 2:
         raise ParameterError(
@@ -153,9 +156,12 @@ def ratio_rk(g: Graph, k_max: int, budget: int = DEFAULT_BUDGET) -> RatioReport:
     wiener_k: list[Optional[int]] = [w]
     r_k: list[Optional[Fraction]] = [Fraction(1)]
     h = g
-    for _ in range(k_max):
+    for step in range(1, k_max + 1):
         # the line graph of an empty iterate is empty again
-        h = iterated_line_graph(h, 1, budget)
+        try:
+            h = iterated_line_graph(h, 1, budget)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(exc.predicted, budget, step) from None
         wk = wiener_index(h) if h.vertex_count else None
         wiener_k.append(wk)
         r_k.append(None if wk is None else Fraction(wk, w))
@@ -296,18 +302,18 @@ def _describe_class(max_degree, min_max_degree, min_degree3_count) -> str:
     return "trees with " + ", ".join(parts)
 
 
-def _keep_min(best: list, wk: int, w: int, layouts) -> None:
-    """Fold the ratio wk/w into best = [best_wk, best_w, argmin layouts].
+def _keep_min(best: list, wk: int, w: int, argmins: list) -> None:
+    """Fold the ratio wk/w into best = [best_wk, best_w, argmins kept],
+    which starts as [1, 0, []]: 1/0 lies above every ratio.
 
-    A smaller ratio replaces the argmins with layouts(), an equal one
-    adds layouts() to them. layouts is called only then, so a sweep
-    builds the layouts of its running argmins alone.
+    A smaller ratio replaces the argmins kept with `argmins`, an equal one
+    adds them.
     """
-    best_wk, best_w, argmins = best
-    if best_w is None or wk * best_w < best_wk * w:
-        best[:] = wk, w, list(layouts())
+    best_wk, best_w, kept = best
+    if wk * best_w < best_wk * w:
+        best[:] = wk, w, argmins
     elif wk * best_w == best_wk * w:
-        argmins.extend(layouts())
+        kept.extend(argmins)
 
 
 def _masks_wk(layout: list[int], k: int) -> int:
@@ -325,15 +331,23 @@ _CHUNK = 4096
 def _tree_scores(n: int):
     """(layout, W(T), W(L(T))) of each free tree of order n, layout as bytes.
 
-    The trees are those of _table_trees, with W from the table sums, and
-    W(L(T)) comes from _fast.line_wiener_lanes, one lane-parallel BFS per
-    chunk of up to _CHUNK trees. The first and last tree of each chunk are
-    scored again by the mask BFS on their own line graphs (_masks_wk),
-    which pins both ends of the lane order. Once the table is exhausted,
-    it checks its own count of trees (_check_tree_count).
+    The trees are those _scan_block scores: each row i of _tables beside
+    each forest _beside gives it, spelled by _speller, with W = w_i + the
+    forest's W, as in _scan_block. W(L(T)) comes from
+    _fast.line_wiener_lanes, one lane-parallel BFS per chunk of up to
+    _CHUNK trees. The first and last tree of each chunk are scored again
+    by the mask BFS on their own line graphs (_masks_wk), which pins both
+    ends of the lane order. Once the table is exhausted, it checks its own
+    count of trees (_check_tree_count).
     """
+    rows, forests = _tables(n, None, None)
+    raised, spelled = _speller(rows, forests)
+    trees = (
+        (b"\x00" + raised(i) + spelled(n - 1 - size, e), w + tree[3])
+        for i, (size, w, *_) in enumerate(rows)
+        for e, tree in enumerate(_beside(n, i, rows, forests))
+    )
     scanned = 0
-    trees = _table_trees(n)
     while chunk := list(islice(trees, _CHUNK)):
         layouts = [layout for layout, _ in chunk]
         lanes = _fast.line_wiener_lanes(layouts)
@@ -353,54 +367,33 @@ def _tree_scores(n: int):
     _check_tree_count(n, scanned)
 
 
-def _table_trees(n: int):
-    """(level bytes, W) of each free tree of order n, read off _tables.
-
-    The trees are those _scan_block scores: each row i beside each forest
-    _beside gives it, with W = w_i + the forest's W, as in _scan_block,
-    and the level sequence the root's, row i's raised one level and the
-    forest's (_level_bytes), one concatenation per tree.
-    """
-    rows, forests = _tables(n, None, None)
-    raised, spelled = _level_bytes(rows, forests)
-    for i, (size, w, *_) in enumerate(rows):
-        made, p = _beside(n, i, rows, forests)
-        head = b"\x00" + raised[i]
-        yield from zip(
-            map(head.__add__, spelled[n - 1 - size][:p]),
-            [w + tree[3] for tree in made[:p]],
-        )
-
-
 # the bytes.translate table that adds 1 to every level
 _UP = bytes(range(1, 256)) + b"\xff"
 
 
-def _level_bytes(rows, forests) -> tuple[list[bytes], list[list[bytes]]]:
-    """The level sequences of a _tables pair, as bytes.
+def _speller(rows, forests):
+    """(raised, spelled): the level sequences of a _tables pair, as bytes,
+    read off its links.
 
-    raised[i] is row i's, raised one level to hang below a root: the
-    row's root over its kids' forest. spelled[m][e] is entry e of
+    raised(i) is row i's, raised one level to hang below a root: the
+    row's root over its kids' forest. spelled(m, e) is entry e of
     forests[m]'s, its rows at level 1: its largest row raised, then the
-    rest of the forest. Both are made smallest first, as _tables makes
-    them, each by one concatenation of earlier ones. The entries of each
-    size are those over the rows made so far, which in a whole table is
-    all of them; a table that lost a row still spells every tree it
-    holds, so the sweep's count check sees the loss.
+    rest of the forest. Each is spelled at most once, by one
+    concatenation of earlier ones, and kept while the two functions live.
     """
-    raised: list[bytes] = []
-    spelled = [[b""]]
-    for m in range(1, len(forests)):
-        raised += [
-            (b"\x00" + spelled[m - 1][j]).translate(_UP)
-            for size, *_, j in rows
-            if size == m
-        ]
-        made = forests[m]
-        made = made[: bisect_right(made, len(raised) - 1, key=_largest)]
-        spelled.append([
-            raised[r] + spelled[m - rows[r][0]][j] for r, j, *_ in made
-        ])
+
+    @cache
+    def raised(i):
+        size, *_, j = rows[i]
+        return (b"\x00" + spelled(size - 1, j)).translate(_UP)
+
+    @cache
+    def spelled(m, e):
+        if not m:
+            return b""
+        r, j = forests[m][e][:2]
+        return raised(r) + spelled(m - rows[r][0], j)
+
     return raised, spelled
 
 
@@ -483,9 +476,9 @@ def _tables(
 _largest = itemgetter(0)
 
 
-def _beside(n: int, i: int, rows, forests) -> tuple[list[tuple], int]:
-    """(made, p): the forests that row i hangs beside at the root of a free
-    tree of order n are made[:p], one tree each. Either:
+def _beside(n: int, i: int, rows, forests) -> list[tuple]:
+    """The forests that row i hangs beside at the root of a free tree of
+    order n, one tree each: a prefix of forests[n - 1 - size_i]. Either:
     - the root is the tree's centroid, i its largest branch, of size at
       most (n - 1)/2, and the forest's rows are <= i: a prefix of the
       forests of that size;
@@ -498,8 +491,8 @@ def _beside(n: int, i: int, rows, forests) -> tuple[list[tuple], int]:
     size, *_, j = rows[i]
     made = forests[n - 1 - size]
     if 2 * size == n:
-        return made, j + 1
-    return made, bisect_right(made, i, key=_largest)
+        return made[: j + 1]
+    return made[: bisect_right(made, i, key=_largest)]
 
 
 def _scan_block(args):
@@ -522,38 +515,24 @@ def _scan_block(args):
 
     The top-level choices are the rows i, largest first; this share takes
     those numbered index mod jobs. Returns (scanned, best_wk, best_w,
-    layouts): the level sequences of the share's argmins, rebuilt from the
-    links only for its running argmins and ties, and best values None
-    when no tree passes the filters. The degree filters are those of
-    free_tree_layouts, None when unset, and are checked per tree;
+    argmins), with best values 1 and 0 when no tree passes the filters. Each
+    argmin is the int triple (i, r, j) of its tree: a root over row i,
+    beside row r over entry j of the forests of the size left; the search
+    spells them (_speller) once the shares merge. The degree filters are
+    those of free_tree_layouts, None when unset, and are checked per tree;
     max_degree and the reach of min_degree3_count are already applied in
     the tables.
     """
     n, least, need, rows, forests, index, jobs = args
-    best = [None, None, []]
-    # the running minimum best_wk / best_w; 1/0 lies above every ratio
-    best_wk, best_w = 1, 0
+    best = [1, 0, []]
+    best_wk, best_w = best[:2]
     scanned = 0
     least = least or 0
     need = need or 0
     filtered = least > 0 or need > 0
-
-    def layout(m, j, picks):
-        # a root over the rows picks and those of entry j of forests[m]
-        while m:
-            r, j = forests[m][j][:2]
-            picks.append(r)
-            m -= rows[r][0]
-        return [0] + [
-            level + 1
-            for i in picks
-            for level in layout(rows[i][0] - 1, rows[i][7], [])
-        ]
-
     for i in range(len(rows) - 1 - index, -1, -jobs):
         size, w, s, a, a2, d3, top, _ = rows[i]
-        made, p = _beside(n, i, rows, forests)
-        group = made[:p]
+        group = _beside(n, i, rows, forests)
         if filtered:
             group = [
                 tree for tree in group
@@ -566,8 +545,7 @@ def _scan_block(args):
             S += s
             wk = S * (A + a + S) - A2 - a2
             if wk * best_w <= best_wk * W:
-                rest = n - 1 - size - rows[r][0]
-                _keep_min(best, wk, W, lambda: [layout(rest, j, [i, r])])
+                _keep_min(best, wk, W, [(i, r, j)])
                 best_wk, best_w = best[0], best[1]
     return (scanned, *best)
 
@@ -757,14 +735,16 @@ def min_r2_search(
 
     The scan is split into `jobs` shares, its top-level choices numbered
     i mod jobs. Share 0 runs in this process, the others in forked
-    workers (_scan_in_workers), and each returns the layouts of its own
-    argmins. Merging their exact minima is associative and the witnesses
-    are sorted, so any job count gives identical results. An unfiltered
-    search must have scanned exactly free_tree_count(n) trees, or it
-    raises CrossCheckError before any argmin is confirmed; so must one
-    whose bounds exclude no tree. The rows and forests (_tables) are built
-    here, once, and reach the workers through the fork; each row is one
-    top-level choice, so there are no more shares than rows.
+    workers (_scan_in_workers), and each returns its own argmins as
+    coordinates in the tables, ints alone; the merged argmins are spelled
+    once (_speller) before they are confirmed. Merging their exact minima
+    is associative and the witnesses are sorted, so any job count gives
+    identical results. An unfiltered search must have scanned exactly
+    free_tree_count(n) trees, or it raises CrossCheckError before any
+    argmin is confirmed; so must one whose bounds exclude no tree. The
+    rows and forests (_tables) are built here, once, and reach the
+    workers through the fork; each row is one top-level choice, so there
+    are no more shares than rows.
     """
     _check_search_bounds(n, limit)
     if jobs < 1:
@@ -777,23 +757,28 @@ def min_r2_search(
     ]
     results = [_scan_block(args[0])] if jobs == 1 else _scan_in_workers(args)
     scanned = 0
-    best = [None, None, []]
-    for part_scanned, part_wk, part_w, part_layouts in results:
+    best = [1, 0, []]
+    for part_scanned, part_wk, part_w, part_argmins in results:
         scanned += part_scanned
-        if part_w is not None:
-            _keep_min(best, part_wk, part_w, lambda: part_layouts)
+        _keep_min(best, part_wk, part_w, part_argmins)
     # bounds that exclude no tree: at n >= 4 max degrees lie in 2..n - 1
     if max_degree is None or max_degree >= n - 1:
         if (min_max_degree or 0) <= 2 and (min_degree3_count or 0) <= 0:
             _check_tree_count(n, scanned)
-    best_wk, best_w, layouts = best
-    codes = [_witness_code(layout, best_w, best_wk) for layout in layouts]
+    best_wk, best_w, argmins = best
+    raised, spelled = _speller(rows, forests)
+    layouts = [
+        b"\x00" + raised(i) + raised(r)
+        + spelled(n - 1 - rows[i][0] - rows[r][0], j)
+        for i, r, j in argmins
+    ]
+    codes = [_witness_code(list(t), best_w, best_wk) for t in layouts]
     return MinimizerReport(
         order=n,
         class_description=_describe_class(
             max_degree, min_max_degree, min_degree3_count
         ),
-        min_ratio=None if best_w is None else Fraction(best_wk, best_w),
+        min_ratio=Fraction(best_wk, best_w) if best_w else None,
         witnesses=tuple(sorted(codes)),
         trees_scanned=scanned,
     )
@@ -812,14 +797,13 @@ def _k1_sweep(n: int, sweeps: Optional[dict]) -> tuple:
         return sweeps[n]
     shift = comb(n, 2)
     holds = True
-    best = [None, None, []]
-    # the running minimum best_w1 / best_w; 1/0 lies above every ratio
-    best_w1, best_w = 1, 0
+    best = [1, 0, []]
+    best_w1, best_w = best[:2]
     for layout, w, w1 in _tree_scores(n):
         if w1 != w - shift:
             holds = False
         if w1 * best_w <= best_w1 * w:
-            _keep_min(best, w1, w, lambda: [list(layout)])
+            _keep_min(best, w1, w, [list(layout)])
             best_w1, best_w = best[0], best[1]
     summary = (holds, *best)
     if sweeps is not None:
@@ -992,11 +976,12 @@ def near_balanced_checks(
     budget: int = DEFAULT_BUDGET,
     swept: Optional[dict] = None,
 ) -> list[CheckResult]:
-    """Near-balanced spider cases: closed forms against BFS for small a
-    (each L^2 built within `budget`, each distinct graph swept once, as
-    in closed_form_oracle_checks), sign pattern of the gap, and the
-    realized crossover at a = 7."""
+    """Near-balanced spider cases: closed forms against BFS for each a of
+    the scan in 2..8, failing if there is none (each L^2 built within
+    `budget`, each distinct graph swept once, as in closed_form_oracle_checks),
+    sign pattern of the gap, and the realized crossover at a = 7."""
     swept = {} if swept is None else swept
+    lo, hi = max(2, a_lo), min(8, a_hi)
     out = []
     for case in CASES:
         report = threshold_scan(case, a_lo, a_hi)
@@ -1017,8 +1002,8 @@ def near_balanced_checks(
                 f"scan a = {a_lo}..{a_hi}",
             )
         )
-        oracle_ok = True
-        for a in range(max(2, a_lo), min(8, a_hi) + 1):
+        oracle_ok = lo <= hi
+        for a in range(lo, hi + 1):
             values = balanced_spider_case(a, case)
             spider = build(Spider(*spider_case_arms(a, case)))
             w, w2 = _w_w2(spider, budget, swept)
@@ -1032,7 +1017,8 @@ def near_balanced_checks(
             _check(
                 f"case {case}: case record = BFS on built spider",
                 oracle_ok,
-                "a = 2..8",
+                f"a = {lo}..{hi}" if lo <= hi
+                else "no spider built: the scan misses a = 2..8",
             )
         )
     return out

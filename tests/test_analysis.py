@@ -108,6 +108,15 @@ def test_ratio_respects_budget():
     k40 = Graph(40, [(u, v) for u in range(40) for v in range(u + 1, 40)])
     with pytest.raises(BudgetExceededError):
         ratio_rk(k40, 2, budget=100)
+    # L(K_10) has 45 vertices and 360 edges, L^2(K_10) 5400 edges: the
+    # second iteration is past the budget, as iterated_line_graph says
+    k10 = tree("complete:10")
+    with pytest.raises(BudgetExceededError) as grown:
+        ratio_rk(k10, 2, budget=400)
+    assert (grown.value.step, grown.value.predicted) == (2, 5400)
+    with pytest.raises(BudgetExceededError) as direct:
+        iterated_line_graph(k10, 2, budget=400)
+    assert str(grown.value) == str(direct.value)
 
 
 def test_beats_path_crossover():
@@ -375,8 +384,8 @@ def test_search_confirms_the_w_of_each_argmin_by_bfs(monkeypatch, jobs):
 
 
 def test_search_builds_the_branch_table_once(monkeypatch):
-    # each share rebuilds its argmins' layouts from the tables it inherits,
-    # so the merge needs no table a second time
+    # the shares send back their argmins as table coordinates, which the
+    # merge spells from the tables it built, so none is built a second time
     from linewiener import analysis
 
     builds = []
@@ -443,8 +452,9 @@ def test_search_forks_no_more_shares_than_top_level_choices(monkeypatch):
 def test_search_keeps_every_tied_tree(monkeypatch, jobs):
     # with C(d, 2) = 0 no vertex carries a wedge, so the walk scores
     # W(L^2) = 0 on every tree: each tree ties the running minimum 0/W and
-    # must reach _keep_min, survive the merge and keep the layout its
-    # share built; that layout's code stands in for its confirmation
+    # must reach _keep_min, survive the merge and be spelled from the
+    # coordinates its share found; that layout's code stands in for its
+    # confirmation
     from linewiener import analysis
 
     monkeypatch.setattr(analysis, "comb", lambda n, k: 0)
@@ -519,6 +529,26 @@ def row_layout(rows, forests, i):
         for kid in forest_rows(rows, forests, size - 1, j)
         for level in row_layout(rows, forests, kid)
     ]
+
+
+@pytest.mark.parametrize("most, need", [(None, None), (3, None), (None, 4)])
+def test_speller_spells_each_row_and_forest_as_its_links_read(most, need):
+    # the search's argmins and the k = 1 sweeps' trees are all spelled by
+    # _speller; here it is pinned to the walks above, entry by entry, the
+    # order of a forest's rows included
+    from linewiener.analysis import _speller, _tables
+
+    rows, forests = _tables(16, most, need)
+    raised, spelled = _speller(rows, forests)
+    hung = [
+        bytes(level + 1 for level in row_layout(rows, forests, i))
+        for i in range(len(rows))
+    ]
+    assert [raised(i) for i in range(len(rows))] == hung
+    for m, made in enumerate(forests):
+        for e in range(len(made)):
+            run = forest_rows(rows, forests, m, e)
+            assert spelled(m, e) == b"".join(hung[r] for r in run), (m, e)
 
 
 # rooted trees on m vertices, m = 1..10 (OEIS A000081)

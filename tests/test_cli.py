@@ -426,6 +426,27 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     assert "[FAIL] rigged" in out
 
 
+@pytest.mark.parametrize(
+    "a_range, verdict, detail",
+    [
+        ("5..6", "PASS", "(a = 5..6)"),
+        ("9..12", "FAIL", "(no spider built: the scan misses a = 2..8)"),
+    ],
+    ids=["5..6", "9..12"],
+)
+def test_thm4_oracle_names_the_spiders_it_built(
+    capsys, a_range, verdict, detail
+):
+    # neither range holds a = 7, so the crossover check fails either way
+    code, out, _ = run(capsys, "verify", "thm4", "--a-range", a_range)
+    assert code == 1
+    records = [line for line in out.splitlines() if "case record" in line]
+    assert records == [
+        f"[{verdict}] case {case}: case record = BFS on built spider {detail}"
+        for case in ("i", "ii", "iii")
+    ]
+
+
 def test_budget_flag_and_env(capsys, monkeypatch):
     code, _, err = run(
         capsys, "ratio", "--family", "complete:10", "-k", "2", "--budget", "50"
@@ -435,6 +456,16 @@ def test_budget_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("LINEWIENER_BUDGET", "50")
     code, _, err = run(capsys, "ratio", "--family", "complete:10", "-k", "2")
     assert code == 2
+    # ratio grows one iterate at a time, yet names the iteration that is
+    # past the budget as line does
+    argv = ["--family", "complete:10", "-k", "2", "--budget", "400"]
+    code, out, err = run(capsys, "ratio", *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: line graph iteration 2 would need 5400 vertices, "
+        "budget is 400\n"
+    )
+    assert run(capsys, "line", *argv) == (2, "", err)
     # an explicit flag wins over the environment; L^2(K_10) needs 5400 edges
     code, out, _ = run(
         capsys, "ratio", "--family", "complete:10", "-k", "2", "--budget", "6000"
@@ -658,6 +689,7 @@ def test_consumer_closing_early_is_not_an_error():
         [sys.executable, "-m", "linewiener.cli", "enumerate", "--n", "16"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=child_env(),
     )
     proc.stdout.readline()
     proc.stdout.close()

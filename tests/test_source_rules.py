@@ -19,7 +19,10 @@ function in `analysis` walks that stream: every exhaustive sweep reads
 `_tables`. And the free-tree count is checked in two places only: the
 k = 1 table sweep `_tree_scores`, which counts its own trees, and
 `min_r2_search`. And `graphs`, home of the BFS oracle,
-imports no module of the package but `errors`.
+imports no module of the package but `errors`. And every child process a
+test starts through `subprocess.Popen` or `subprocess.run` is handed its
+environment: the package reaches it only through `PYTHONPATH`, which
+pytest's own `pythonpath` setting does not set.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "linewiener"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "linewiener"
 
 
 def parsed(path):
@@ -222,3 +226,24 @@ def test_tree_count_is_checked_by_the_two_sweeps_alone():
         and "_check_tree_count" in names_in(node.func)
     )
     assert found == ["analysis._tree_scores", "analysis.min_r2_search"]
+
+
+def test_tests_hand_every_child_process_its_environment():
+    # a child started without env= finds the package only when the caller
+    # happens to export PYTHONPATH
+    calls = [
+        (path.name, node)
+        for path in sorted(TESTS.rglob("*.py"))
+        for node in ast.walk(parsed(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("Popen", "run")
+        and getattr(node.func.value, "id", None) == "subprocess"
+    ]
+    assert calls
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in calls
+        if "env" not in {keyword.arg for keyword in node.keywords}
+    ]
+    assert found == []
