@@ -20,7 +20,7 @@ from typing import Optional
 from . import _fast
 from ._record import Record
 from .enumeration import canonical_code, free_tree_count, layout_graph
-from .errors import BudgetExceededError, CrossCheckError, ParameterError
+from .errors import CrossCheckError, ParameterError
 from .errors import SearchLimitError
 from .families import BalancedQuipu, Path, Spider, Star, SubdividedQuipu, build
 from .formulas import (
@@ -44,6 +44,7 @@ from .graphs import (
     is_tree,
     iterated_line_graph,
     line_graph,
+    line_iterates,
     wiener_index,
 )
 
@@ -141,10 +142,10 @@ class CheckResult(Record):
 def ratio_rk(g: Graph, k_max: int, budget: int = DEFAULT_BUDGET) -> RatioReport:
     """Exact W(L^k)/W for k = 0..k_max, plus the equal-order path benchmark.
 
-    The graph must be connected with at least 2 vertices. Iterates are
-    grown one step at a time under the same size budget, and with the
-    same errors, as iterated_line_graph(g, k_max); once an iterate
-    vanishes, later slots are None.
+    The graph must be connected with at least 2 vertices. The iterates
+    are line_iterates(g, k_max, budget), so a budget overrun stops at the
+    step, with the message, that iterated_line_graph(g, k_max, budget)
+    gives; once an iterate vanishes, later slots are None.
     """
     if g.vertex_count < 2:
         raise ParameterError(
@@ -153,18 +154,12 @@ def ratio_rk(g: Graph, k_max: int, budget: int = DEFAULT_BUDGET) -> RatioReport:
     if k_max < 1:
         raise ParameterError(f"ratio report needs k_max >= 1, got {k_max}")
     w = wiener_index(g)
-    wiener_k: list[Optional[int]] = [w]
-    r_k: list[Optional[Fraction]] = [Fraction(1)]
-    h = g
-    for step in range(1, k_max + 1):
-        # the line graph of an empty iterate is empty again
-        try:
-            h = iterated_line_graph(h, 1, budget)
-        except BudgetExceededError as exc:
-            raise BudgetExceededError(exc.predicted, budget, step) from None
-        wk = wiener_index(h) if h.vertex_count else None
-        wiener_k.append(wk)
-        r_k.append(None if wk is None else Fraction(wk, w))
+    # the line graph of an empty iterate is empty again
+    wiener_k = [w] + [
+        wiener_index(h) if h.vertex_count else None
+        for h in line_iterates(g, k_max, budget)
+    ]
+    r_k = [None if wk is None else Fraction(wk, w) for wk in wiener_k]
     d2 = None
     if k_max >= 2 and wiener_k[2] is not None:
         d2 = w - wiener_k[2]

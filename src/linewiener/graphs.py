@@ -7,7 +7,6 @@ never wrap no matter how large the graph gets.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -282,46 +281,49 @@ def predicted_line_edge_count(g: Graph) -> int:
     return sum(d * (d - 1) // 2 for d in map(len, g.adjacency))
 
 
-def check_line_budget(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> None:
-    """Raise the BudgetExceededError that iterated_line_graph(g, k, budget)
-    would raise, without building a line graph; k is 0, 1 or 2.
+def _check_step(degrees: list[int], step: int, budget: int) -> None:
+    """Raise BudgetExceededError unless L of a graph with these degrees,
+    step `step` counted from the input, fits `budget`: first its
+    sum(degrees) / 2 vertices, then its sum C(d, 2) edges."""
+    for predicted in (sum(degrees) // 2, sum(d * (d - 1) // 2 for d in degrees)):
+        if predicted > budget:
+            raise BudgetExceededError(predicted, budget, step)
 
-    Every size comes from the degrees of g. L(g) has |E| vertices and
-    sum C(deg v, 2) edges. The edge uv of g becomes a vertex of degree
-    deg u + deg v - 2 in L(g), so L^2(g) has sum over the edges of
-    C(deg u + deg v - 2, 2) edges.
+
+def check_line_budget(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> None:
+    """Raise the BudgetExceededError that line_iterates(g, k, budget)
+    would raise, by its rule but without building a line graph; k is 0, 1
+    or 2. The edge uv of g is a vertex of degree deg u + deg v - 2 in L(g).
     """
     if not 0 <= k <= 2:
         raise ValueError("check_line_budget predicts k = 0, 1 or 2")
-    # sizes[i] is the vertex count of L^(i+1)(g), the edge count of L^i(g)
-    sizes = [g.edge_count, predicted_line_edge_count(g)]
+    degrees = [len(nbrs) for nbrs in g.adjacency]
+    if k >= 1:
+        _check_step(degrees, 1, budget)
     if k == 2:
-        deg = [len(nbrs) for nbrs in g.adjacency]
-        sizes.append(sum(comb(deg[u] + deg[v] - 2, 2) for u, v in g.edges()))
+        _check_step([degrees[u] + degrees[v] - 2 for u, v in g.edges()], 2, budget)
+
+
+def line_iterates(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> Iterator[Graph]:
+    """L(g), ..., L^k(g), each the line graph of the one before. Before
+    line_graph builds step i, counted from g, the step's predicted size
+    must pass `budget` (_check_step): an overrun raises BudgetExceededError
+    in place of a runaway allocation. `k` is checked at the call."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return _grow(g, k, budget)
+
+
+def _grow(g: Graph, k: int, budget: int) -> Iterator[Graph]:
     for step in range(1, k + 1):
-        for predicted in sizes[step - 1 : step + 1]:
-            if predicted > budget:
-                raise BudgetExceededError(predicted, budget, step)
+        _check_step([len(nbrs) for nbrs in g.adjacency], step, budget)
+        g = line_graph(g)
+        yield g
 
 
 def iterated_line_graph(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> Graph:
-    """k-fold line graph L^k(g); k = 0 returns g unchanged.
-
-    Before each application the predicted size of the result is checked
-    against `budget` (a vertex limit): the result has |E(g)| vertices and
-    sum C(deg, 2) edges, and the latter is the vertex count one application
-    later. Exceeding either raises BudgetExceededError rather than
-    attempting a runaway allocation.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    current = g
-    for step in range(1, k + 1):
-        predicted_vertices = current.edge_count
-        predicted_edges = predicted_line_edge_count(current)
-        if predicted_vertices > budget:
-            raise BudgetExceededError(predicted_vertices, budget, step)
-        if predicted_edges > budget:
-            raise BudgetExceededError(predicted_edges, budget, step)
-        current = line_graph(current)
-    return current
+    """k-fold line graph L^k(g), the last of line_iterates(g, k, budget);
+    k = 0 returns g unchanged."""
+    for g in line_iterates(g, k, budget):
+        pass
+    return g
