@@ -19,7 +19,12 @@ from typing import Optional
 
 from . import _fast
 from ._record import Record
-from .enumeration import canonical_code, free_tree_count, layout_graph
+from .enumeration import (
+    canonical_code,
+    check_degree_bounds,
+    free_tree_count,
+    layout_graph,
+)
 from .errors import CrossCheckError, ParameterError
 from .errors import SearchLimitError
 from .families import BalancedQuipu, Path, Spider, Star, SubdividedQuipu, build
@@ -744,6 +749,7 @@ def min_r2_search(
     _check_search_bounds(n, limit)
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    check_degree_bounds(max_degree, min_max_degree, min_degree3_count)
     rows, forests = _tables(n, max_degree, min_degree3_count)
     jobs = min(jobs, max(1, len(rows)))
     args = [

@@ -22,7 +22,7 @@ from typing import Optional
 from . import analysis, reporting
 from .enumeration import free_trees
 from .errors import BudgetExceededError, LineWienerError, ParameterError
-from .families import BalancedQuipu, Path, Spider, build, parse_family
+from .families import BalancedQuipu, Path, Spider, Star, build, parse_family
 from .graphio import read_graph, sniff_format, write_graph
 from .graphs import (
     DEFAULT_BUDGET,
@@ -344,7 +344,7 @@ def _check_l2_budget(specs, budget: int) -> None:
 def _verify_bundle(name: str, args, budget: int, sweeps: dict, swept: dict):
     """The runner of one verify bundle, once its bounds have passed, so
     that a bad bound fails before any bundle's work is spent. The budget
-    is such a bound: each bundle that builds L^2 iterates checks its
+    is such a bound: each bundle that builds line graphs checks its
     largest first. `sweeps` carries the k = 1 sweeps of each order from
     buckley to thm1 (or back), and `swept` the W of each graph swept by
     BFS from one bundle to the next, within this command alone."""
@@ -396,6 +396,9 @@ def _verify_bundle(name: str, args, budget: int, sweeps: dict, swept: dict):
         return thm5
     if name == "thm1":
         top = _max_n(args, 12, 4, "thm1")
+        # the star has the largest L of any tree of its order: n - 1
+        # vertices, as every tree, and the most edges, C(n - 1, 2)
+        check_line_budget(build(Star(top)), 1, budget)
 
         def thm1():
             failures = [

@@ -207,6 +207,24 @@ def _walk(n: int, cut) -> Iterator[list[int]]:
         candidate = _next_rooted_layout(layout, p)
 
 
+def check_degree_bounds(
+    max_degree: Optional[int],
+    min_max_degree: Optional[int],
+    min_degree3_count: Optional[int],
+) -> None:
+    """Raise ParameterError, naming the keyword, for a negative degree
+    bound: it would describe an empty or unfiltered class while a report
+    named it as a filter."""
+    bounds = {
+        "max_degree": max_degree,
+        "min_max_degree": min_max_degree,
+        "min_degree3_count": min_degree3_count,
+    }
+    for name, value in bounds.items():
+        if value is not None and value < 0:
+            raise ParameterError(f"{name} must be >= 0, got {value}")
+
+
 def free_tree_layouts(
     n: int,
     *,
@@ -231,10 +249,11 @@ def free_tree_layouts(
     room for `min_degree3_count` of them. The layouts yielded are the
     same; only fewer are walked.
 
-    `n` is checked at the call, before the first layout.
+    `n` and the bounds are checked at the call, before the first layout.
     """
     if n < 1:
         raise ParameterError(f"free_tree_layouts needs n >= 1, got {n}")
+    check_degree_bounds(max_degree, min_max_degree, min_degree3_count)
     cut = _degree_filter(n, max_degree, min_max_degree, min_degree3_count)
     return _walk(n, cut)
 

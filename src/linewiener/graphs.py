@@ -15,6 +15,7 @@ from .errors import (
     DisconnectedGraphError,
     EmptyGraphError,
     GraphFormatError,
+    ParameterError,
 )
 
 #: Vertex budget applied by iterated_line_graph when none is given. Line
@@ -296,7 +297,7 @@ def check_line_budget(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> None:
     or 2. The edge uv of g is a vertex of degree deg u + deg v - 2 in L(g).
     """
     if not 0 <= k <= 2:
-        raise ValueError("check_line_budget predicts k = 0, 1 or 2")
+        raise ParameterError(f"check_line_budget predicts k = 0, 1 or 2, got {k}")
     degrees = [len(nbrs) for nbrs in g.adjacency]
     if k >= 1:
         _check_step(degrees, 1, budget)
@@ -310,7 +311,7 @@ def line_iterates(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> Iterator[Gr
     must pass `budget` (_check_step): an overrun raises BudgetExceededError
     in place of a runaway allocation. `k` is checked at the call."""
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise ParameterError(f"k must be nonnegative, got {k}")
     return _grow(g, k, budget)
 
 

@@ -20,6 +20,7 @@ from .analysis import (
     ThresholdReport,
     WienerReport,
 )
+from .errors import ParameterError
 
 JSON_SCHEMA = "linewiener/1"
 CSV_SCHEMA = "linewiener-csv/1"
@@ -261,4 +262,4 @@ def render(obj, fmt: str) -> str:
         return checks_csv(obj) if checks else report_csv(obj)
     if fmt == "text":
         return checks_text(obj) if checks else report_text(obj)
-    raise ValueError(f"unknown report format {fmt!r}")
+    raise ParameterError(f"unknown report format {fmt!r}")

@@ -757,6 +757,26 @@ def test_search_with_filters():
     assert report.trees_scanned == sum(1 for g in free_trees(9) if keep(g))
 
 
+@pytest.mark.parametrize(
+    "keyword", ["max_degree", "min_max_degree", "min_degree3_count"]
+)
+def test_negative_degree_bounds_are_refused_at_the_call(monkeypatch, keyword):
+    # a negative bound would name an empty or unfiltered class; the library
+    # refuses it before any stream walk or table build, as the CLI does
+    import linewiener.analysis as analysis
+    import linewiener.enumeration as enumeration
+    from linewiener.enumeration import free_tree_layouts
+
+    def refuse(*args):
+        raise AssertionError(f"walked the stream or built the tables: {args}")
+
+    monkeypatch.setattr(analysis, "_tables", refuse)
+    monkeypatch.setattr(enumeration, "_walk", refuse)
+    for call in (min_r2_search, free_tree_layouts, free_trees):
+        with pytest.raises(ParameterError, match=f"^{keyword} must be >= 0, got -1$"):
+            call(10, **{keyword: -1})
+
+
 def test_search_jobs_do_not_change_the_report():
     lone = min_r2_search(10)
     multi = min_r2_search(10, jobs=3)

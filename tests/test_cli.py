@@ -165,6 +165,74 @@ def test_ua_past_the_budget_fails_without_being_built(capsys, monkeypatch):
     )
 
 
+def test_every_iteration_path_stops_at_the_same_step(capsys, tmp_path):
+    # line, ratio, iterated_line_graph, line_iterates and check_line_budget
+    # hold each step to one rule: at, below and above every step's size,
+    # each stops at the same step with the same message, the one the
+    # sizes of the iterates themselves give
+    from linewiener import Graph, build, parse_family
+    from linewiener.errors import BudgetExceededError
+    from linewiener.graphs import (
+        check_line_budget,
+        iterated_line_graph,
+        line_graph,
+        line_iterates,
+    )
+
+    def error(call, *args):
+        try:
+            call(*args)
+        except BudgetExceededError as exc:
+            return str(exc)
+        return None
+
+    cycle = tmp_path / "c5.txt"
+    cycle.write_text("".join(f"{i} {(i + 1) % 5}\n" for i in range(5)))
+    sources = {
+        ("--family", "complete:5"): build(parse_family("complete:5")),
+        ("--file", str(cycle)): Graph(5, [(i, (i + 1) % 5) for i in range(5)]),
+        ("--family", "spider:3,3,3"): build(parse_family("spider:3,3,3")),
+        ("--family", "path:6"): build(parse_family("path:6")),
+    }
+    for source, g in sources.items():
+        iterates = [g]
+        for _ in range(3):
+            iterates.append(line_graph(iterates[-1]))
+        # step i builds L^i: |E(L^(i-1))| vertices, |E(L^i)| edges
+        sizes = [(h.edge_count, l.edge_count) for h, l in zip(iterates, iterates[1:])]
+        for k in (1, 2, 3):
+            budgets = {b for step in sizes[:k] for s in step for b in (s - 1, s, s + 1)}
+            for budget in sorted(b for b in budgets if b >= 1):
+                over = [
+                    (step, s)
+                    for step, sizes_at in enumerate(sizes[:k], 1)
+                    for s in sizes_at
+                    if s > budget
+                ]
+                expected = None
+                if over:
+                    step, s = over[0]
+                    expected = (
+                        f"line graph iteration {step} would need {s} "
+                        f"vertices, budget is {budget}"
+                    )
+                case = (source, k, budget)
+                assert error(iterated_line_graph, g, k, budget) == expected, case
+                assert error(lambda: list(line_iterates(g, k, budget))) == expected
+                if k <= 2:
+                    assert error(check_line_budget, g, k, budget) == expected, case
+                for command in ("line", "ratio"):
+                    code, out, err = run(
+                        capsys, command, *source, "-k", str(k), "--budget", str(budget)
+                    )
+                    if expected is None:
+                        assert (code, err) == (0, ""), (command, case)
+                    else:
+                        assert (code, out, err) == (2, "", f"error: {expected}\n"), (
+                            command, case
+                        )
+
+
 def test_ua_budget_check_predicts_the_line_graph_sizes():
     # the check reads the sizes of L(U_a) and L^2(U_a) off a alone; it
     # must fail exactly where check_line_budget on the built U_a fails,
@@ -330,6 +398,8 @@ def test_verify_rejects_bounds_it_cannot_run(capsys, argv):
         ("thm4", "--budget", "5"),
         ("buckley", "lemmas", "--budget", "5"),
         ("buckley", "thm4", "--budget", "5"),
+        ("thm1", "--budget", "5"),
+        ("buckley", "thm1", "--budget", "5"),
     ],
 )
 def test_verify_checks_every_bound_before_any_bundle_runs(

@@ -16,6 +16,7 @@ from linewiener import (
     EmptyGraphError,
     Graph,
     GraphFormatError,
+    LineWienerError,
     SubdividedQuipu,
     build,
     check_line_budget,
@@ -25,6 +26,7 @@ from linewiener import (
     is_tree,
     iterated_line_graph,
     line_graph,
+    line_iterates,
     parse_family,
     predicted_line_edge_count,
     w_ua,
@@ -412,6 +414,14 @@ def test_iterated_line_graph_basics():
     assert iterated_line_graph(g, 5) == path(1)
     with pytest.raises(ValueError):
         iterated_line_graph(g, -1)
+    # bad input is a package error, and line_iterates refuses it at the
+    # call, before any iterate is asked for
+    with pytest.raises(LineWienerError):
+        iterated_line_graph(g, -1)
+    with pytest.raises(LineWienerError):
+        line_iterates(g, -1)
+    assert list(line_iterates(g, 0)) == []
+    assert list(line_iterates(g, 3)) == [path(5), path(4), path(3)]
 
 
 def test_iterates_of_short_paths_vanish():
@@ -479,4 +489,6 @@ def test_check_line_budget_matches_iterated_line_graph():
                 got = budget_error(lambda: check_line_budget(g, k, budget))
                 assert got == expected, (g, k, budget)
     with pytest.raises(ValueError):
+        check_line_budget(path(4), 3)
+    with pytest.raises(LineWienerError):
         check_line_budget(path(4), 3)

@@ -9,6 +9,7 @@ import pytest
 
 from linewiener import (
     CheckResult,
+    LineWienerError,
     WienerReport,
     build,
     min_r2_search,
@@ -152,4 +153,6 @@ def test_render_dispatches_to_the_per_kind_renderers():
     }
     assert render(scans, "csv") == "".join(map(report_csv, scans))
     with pytest.raises(ValueError):
+        render(checks, "xml")
+    with pytest.raises(LineWienerError):
         render(checks, "xml")

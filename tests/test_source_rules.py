@@ -19,7 +19,11 @@ function in `analysis` walks that stream: every exhaustive sweep reads
 `_tables`. And the free-tree count is checked in two places only: the
 k = 1 table sweep `_tree_scores`, which counts its own trees, and
 `min_r2_search`. And `graphs`, home of the BFS oracle,
-imports no module of the package but `errors`. And every child process a
+imports no module of the package but `errors`. And no module but
+`graphs` constructs a `BudgetExceededError`, save `cli._check_ua_budget`,
+which reads the sizes of `L^2(U_a)` off `a`: every other overrun comes
+from the one rule `graphs.line_iterates` grows by, so its step numbering
+holds everywhere. And every child process a
 test starts through `subprocess.Popen` or `subprocess.run` is handed its
 environment: the package reaches it only through `PYTHONPATH`, which
 pytest's own `pythonpath` setting does not set.
@@ -155,6 +159,21 @@ def test_graphs_imports_no_package_module_but_errors():
         if module != "errors"
     ]
     assert found == []
+
+
+def test_budget_errors_are_raised_by_graphs_alone():
+    # a second place that builds one could number the steps its own way,
+    # as a re-raise in ratio_rk once did
+    found = sorted(
+        f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "graphs"
+        for top in parsed(path).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and "BudgetExceededError" in names_in(node.func)
+    )
+    assert found == ["cli._check_ua_budget"]
 
 
 def test_no_module_imports_multiprocessing():
