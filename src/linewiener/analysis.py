@@ -10,12 +10,14 @@ a verdict.
 from __future__ import annotations
 
 from bisect import bisect_right
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, islice
 from math import comb
 from operator import itemgetter
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import _fast
 from ._record import Record
@@ -46,6 +48,7 @@ from .formulas import (
 from .graphs import (
     DEFAULT_BUDGET,
     Graph,
+    check_line_budget,
     is_tree,
     iterated_line_graph,
     line_graph,
@@ -150,7 +153,8 @@ def ratio_rk(g: Graph, k_max: int, budget: int = DEFAULT_BUDGET) -> RatioReport:
     The graph must be connected with at least 2 vertices. The iterates
     are line_iterates(g, k_max, budget), so a budget overrun stops at the
     step, with the message, that iterated_line_graph(g, k_max, budget)
-    gives; once an iterate vanishes, later slots are None.
+    gives, and at steps 1 and 2 before g is swept; once an iterate
+    vanishes, later slots are None.
     """
     if g.vertex_count < 2:
         raise ParameterError(
@@ -158,6 +162,7 @@ def ratio_rk(g: Graph, k_max: int, budget: int = DEFAULT_BUDGET) -> RatioReport:
         )
     if k_max < 1:
         raise ParameterError(f"ratio report needs k_max >= 1, got {k_max}")
+    check_line_budget(g, min(k_max, 2), budget)
     w = wiener_index(g)
     # the line graph of an empty iterate is empty again
     wiener_k = [w] + [
@@ -184,35 +189,54 @@ def ratio_rk(g: Graph, k_max: int, budget: int = DEFAULT_BUDGET) -> RatioReport:
     )
 
 
-def _bfs(g: Graph, swept: dict) -> int:
-    """W of g by BFS, once per distinct graph: `swept` maps each graph
-    already swept to its W."""
-    w = swept.get(g)
+#: The memo of the open sweep_once scope: W by graph (_bfs), and the k = 1
+#: summary by order (_k1_sweep).
+_SWEPT: ContextVar[dict] = ContextVar("swept")
+
+
+@contextmanager
+def sweep_once() -> Iterator[None]:
+    """A scope that sweeps each distinct graph by BFS, and the trees of each
+    order at k = 1, once; a scope opened inside another reuses it. Each
+    verification bundle runs in one (decorated with sweep_once()), so the
+    bundles run inside one scope share their sweeps, as `verify` runs them."""
+    token = _SWEPT.set(_SWEPT.get({}))
+    try:
+        yield
+    finally:
+        _SWEPT.reset(token)
+
+
+def _bfs(g: Graph) -> int:
+    """W of g by BFS, read from the open sweep_once scope when it has
+    swept g; with no scope open, g is swept each time."""
+    memo = _SWEPT.get({})
+    w = memo.get(g)
     if w is None:
-        w = swept[g] = wiener_index(g)
+        w = memo[g] = wiener_index(g)
     return w
 
 
-def _w_w2(g: Graph, budget: int, swept: dict) -> tuple[int, int]:
-    """(W, W2) of a connected graph, both by direct BFS (_bfs)."""
-    return _bfs(g, swept), _bfs(iterated_line_graph(g, 2, budget), swept)
+def _w_w2(g: Graph, budget: int) -> tuple[int, int]:
+    """(W, W2) of a connected graph, both by direct BFS (_bfs). L^2 is
+    built first, so a budget overrun raises before any sweep."""
+    l2 = iterated_line_graph(g, 2, budget)
+    return _bfs(g), _bfs(l2)
 
 
-def beats_path(
-    g: Graph, budget: int = DEFAULT_BUDGET, swept: Optional[dict] = None
-) -> bool:
+@sweep_once()
+def beats_path(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
     """Exact test of R2(G) < R2(P_n) at n = |V(G)|.
 
     Defined for any connected graph of order >= 3; the inequality is the
     tree comparison, so callers handing in non-trees should surface that
-    (RatioReport.is_tree carries the flag). `swept`, when given, carries
-    the W of each graph already swept by BFS (_bfs).
+    (RatioReport.is_tree carries the flag).
     """
     if g.vertex_count < 3:
         raise ParameterError(
             f"path comparison needs order >= 3, got {g.vertex_count}"
         )
-    w, w2 = _w_w2(g, budget, {} if swept is None else swept)
+    w, w2 = _w_w2(g, budget)
     return Fraction(w2, w) < r2_path(g.vertex_count)
 
 
@@ -248,7 +272,7 @@ def subdivided_quipu_beats_path(
     confirmed by BFS on the built U_a: the one BFS of U_a left."""
     g = build(SubdividedQuipu(a))
     w, d2 = w_ua(a), d2_ua(a)
-    bfs_w, bfs_w2 = _w_w2(g, budget, {})
+    bfs_w, bfs_w2 = _w_w2(g, budget)
     if (bfs_w, bfs_w - bfs_w2) != (w, d2):
         raise CrossCheckError(
             f"U_{a}: W = {bfs_w} and D2 = {bfs_w - bfs_w2} by BFS, "
@@ -550,14 +574,12 @@ def _scan_block(args):
     return (scanned, *best)
 
 
-def _confirmed_code(
-    layout: list[int], w: int, checks: list, swept: dict
-) -> bytes:
+def _confirmed_code(layout: list[int], w: int, checks: list) -> bytes:
     """The canonical code of a swept argmin, once each (name, by_sweep,
     value, method) in checks and then W by BFS on its graph (_bfs) agree
     with the sweep; else CrossCheckError."""
     g = layout_graph(layout)
-    checks = [*checks, ("W", w, _bfs(g, swept), "BFS")]
+    checks = [*checks, ("W", w, _bfs(g), "BFS")]
     for name, by_sweep, value, method in checks:
         if value != by_sweep:
             raise CrossCheckError(
@@ -574,7 +596,7 @@ def _witness_code(layout: list[int], w: int, wk: int) -> bytes:
         ("W", w, _fast.wiener_tree_layout(layout), "edge cuts"),
         ("W_2", wk, _fast.wiener2_tree_layout(layout), "formula"),
         ("W_2", wk, _masks_wk(layout, 2), "mask BFS"),
-    ], {})
+    ])
 
 
 def _relayed_error(exc: Exception, index: int, jobs: int) -> bytes:
@@ -785,17 +807,17 @@ def min_r2_search(
     )
 
 
-def _k1_sweep(n: int, sweeps: Optional[dict]) -> tuple:
+def _k1_sweep(n: int) -> tuple:
     """(identity holds, best W_1, best W, argmin layouts) of order n.
 
     One pass of _tree_scores gives both k = 1 facts: whether W(L(T)) =
     W(T) - C(n,2) for every tree, and the exact minimum of W(L(T))/W(T)
-    with all its argmins (_keep_min). `sweeps`, when given, maps each order
-    already swept to its summary: checks handed the same dict sweep each
-    order once, and the summaries go when the caller drops the dict.
+    with all its argmins (_keep_min). Within a sweep_once scope each order
+    is swept once.
     """
-    if sweeps is not None and n in sweeps:
-        return sweeps[n]
+    memo = _SWEPT.get({})
+    if n in memo:
+        return memo[n]
     shift = comb(n, 2)
     holds = True
     best = [1, 0, []]
@@ -806,51 +828,46 @@ def _k1_sweep(n: int, sweeps: Optional[dict]) -> tuple:
         if w1 * best_w <= best_w1 * w:
             _keep_min(best, w1, w, [list(layout)])
             best_w1, best_w = best[0], best[1]
-    summary = (holds, *best)
-    if sweeps is not None:
-        sweeps[n] = summary
+    memo[n] = summary = (holds, *best)
     return summary
 
 
-def star_minimizes_r1(
-    n: int, sweeps: Optional[dict] = None, swept: Optional[dict] = None
-) -> bool:
+@sweep_once()
+def star_minimizes_r1(n: int) -> bool:
     """Is the star the unique R1 minimizer among trees of order n?
 
-    One sweep of the free trees (_k1_sweep, read from `sweeps` when it
-    holds order n) takes the exact minimum of W(L(T))/W(T) and all its
-    argmins; each argmin's W(L(T)) and W are confirmed by BFS on its line
-    graph and on its graph. The star's own ratio and code are computed
-    independently of the sweep (direct build and BFS) and compared with
-    that minimum and the full witness list, exactly. Each distinct graph
-    is swept by BFS once (_bfs), so the star argmin's graphs give the
-    star's ratio; `swept`, when given, carries the W of graphs swept
-    before. Raises CrossCheckError unless the sweep saw free_tree_count(n)
-    trees.
+    One sweep of the free trees (_k1_sweep) takes the exact minimum of
+    W(L(T))/W(T) and all its argmins; each argmin's W(L(T)) and W are
+    confirmed by BFS on its line graph and on its graph. The star's own
+    ratio and code are computed independently of the sweep (direct build
+    and BFS) and compared with that minimum and the full witness list,
+    exactly. Each distinct graph is swept by BFS once (_bfs), so the star
+    argmin's graphs give the star's ratio. Raises CrossCheckError unless
+    the sweep saw free_tree_count(n) trees.
     """
     _check_search_bounds(n, DEFAULT_SEARCH_LIMIT)
-    swept = {} if swept is None else swept
-    _, best_w1, best_w, layouts = _k1_sweep(n, sweeps)
+    _, best_w1, best_w, layouts = _k1_sweep(n)
     codes = []
     for layout in layouts:
-        w1 = _bfs(line_graph(layout_graph(layout)), swept)
+        w1 = _bfs(line_graph(layout_graph(layout)))
         checks = [("W_1", best_w1, w1, "BFS")]
-        codes.append(_confirmed_code(layout, best_w, checks, swept))
+        codes.append(_confirmed_code(layout, best_w, checks))
     star = build(Star(n))
-    star_ratio = Fraction(_bfs(line_graph(star), swept), _bfs(star, swept))
+    star_ratio = Fraction(_bfs(line_graph(star)), _bfs(star))
     ratio = Fraction(best_w1, best_w)
     return star_ratio == ratio and codes == [canonical_code(star)]
 
 
-def line_wiener_tree_identity(n: int, sweeps: Optional[dict] = None) -> bool:
+@sweep_once()
+def line_wiener_tree_identity(n: int) -> bool:
     """W(L(T)) = W(T) - C(n,2) for every tree of order n, from one sweep
-    (_k1_sweep, read from `sweeps` when it holds order n).
+    (_k1_sweep).
 
     Raises CrossCheckError unless the sweep saw free_tree_count(n) trees.
     """
     if n < 2:
         raise ParameterError(f"identity check needs n >= 2, got {n}")
-    return _k1_sweep(n, sweeps)[0]
+    return _k1_sweep(n)[0]
 
 
 # ------------------------------------------------- verification bundles
@@ -860,11 +877,9 @@ def _check(name: str, ok: bool, detail: str) -> CheckResult:
     return CheckResult(name=name, ok=bool(ok), detail=detail)
 
 
+@sweep_once()
 def closed_form_oracle_checks(
-    max_a: int = 8,
-    max_path_n: int = 60,
-    budget: int = DEFAULT_BUDGET,
-    swept: Optional[dict] = None,
+    max_a: int = 8, max_path_n: int = 60, budget: int = DEFAULT_BUDGET
 ) -> list[CheckResult]:
     """Every closed form against direct build-then-BFS evaluation.
 
@@ -876,22 +891,20 @@ def closed_form_oracle_checks(
     Each distinct graph is swept once (_bfs), its W kept by the graph
     itself: L^2(P_n) is P_{n-2} vertex for vertex, so the path R2 check
     reads the W of a path swept before, while an L^2 that differs from
-    every graph seen so far is swept on its own. `swept`, when given,
-    carries the W of graphs swept before this call.
+    every graph seen so far is swept on its own.
     """
     if max_a < 2:
         raise ParameterError(f"oracle check needs max_a >= 2, got {max_a}")
-    swept = {} if swept is None else swept
 
     def bfs_l2(g: Graph) -> int:
-        return _bfs(iterated_line_graph(g, 2, budget), swept)
+        return _bfs(iterated_line_graph(g, 2, budget))
 
     out = []
     arm_triples = list(combinations_with_replacement(range(1, max_a + 1), 3))
     bad_w = bad_d2 = d2_combos = 0
     for arms in arm_triples:
         spider = build(Spider(*arms))
-        w = _bfs(spider, swept)
+        w = _bfs(spider)
         # d2_spider needs every arm >= 2; arms[0] is the shortest
         if arms[0] >= 2:
             d2_combos += 1
@@ -916,7 +929,7 @@ def closed_form_oracle_checks(
     bad_w = bad_d2 = 0
     for a in range(2, max_a + 1):
         quipu = build(BalancedQuipu(a))
-        w = _bfs(quipu, swept)
+        w = _bfs(quipu)
         if w_quipu(a) != w:
             bad_w += 1
         if d2_quipu(a) != w - bfs_l2(quipu):
@@ -930,7 +943,7 @@ def closed_form_oracle_checks(
     bad_w = bad_r2 = 0
     for n in range(1, max_path_n + 1):
         path = build(Path(n))
-        w = _bfs(path, swept)
+        w = _bfs(path)
         if w_path(n) != w:
             bad_w += 1
         if n >= 3:
@@ -949,18 +962,12 @@ def closed_form_oracle_checks(
     return out
 
 
-def line_identity_checks(
-    max_n: int = 14, sweeps: Optional[dict] = None
-) -> list[CheckResult]:
-    """W(L(T)) = W(T) - C(n,2) over every tree of each order up to max_n;
-    `sweeps` as in line_wiener_tree_identity."""
+@sweep_once()
+def line_identity_checks(max_n: int = 14) -> list[CheckResult]:
+    """W(L(T)) = W(T) - C(n,2) over every tree of each order up to max_n."""
     if max_n < 2:
         raise ParameterError(f"identity check needs max_n >= 2, got {max_n}")
-    bad = [
-        n
-        for n in range(2, max_n + 1)
-        if not line_wiener_tree_identity(n, sweeps)
-    ]
+    bad = [n for n in range(2, max_n + 1) if not line_wiener_tree_identity(n)]
     return [
         _check(
             "W(L(T)) = W(T) - C(n,2) for all trees",
@@ -971,17 +978,14 @@ def line_identity_checks(
     ]
 
 
+@sweep_once()
 def near_balanced_checks(
-    a_lo: int = 2,
-    a_hi: int = 30,
-    budget: int = DEFAULT_BUDGET,
-    swept: Optional[dict] = None,
+    a_lo: int = 2, a_hi: int = 30, budget: int = DEFAULT_BUDGET
 ) -> list[CheckResult]:
     """Near-balanced spider cases: closed forms against BFS for each a of
     the scan in 2..8, failing if there is none (each L^2 built within
     `budget`, each distinct graph swept once, as in closed_form_oracle_checks),
     sign pattern of the gap, and the realized crossover at a = 7."""
-    swept = {} if swept is None else swept
     lo, hi = max(2, a_lo), min(8, a_hi)
     out = []
     for case in CASES:
@@ -1007,7 +1011,7 @@ def near_balanced_checks(
         for a in range(lo, hi + 1):
             values = balanced_spider_case(a, case)
             spider = build(Spider(*spider_case_arms(a, case)))
-            w, w2 = _w_w2(spider, budget, swept)
+            w, w2 = _w_w2(spider, budget)
             if values.w != w or values.d2 != w - w2:
                 oracle_ok = False
             if values.one_minus_r2_tree != Fraction(w - w2, w):
@@ -1063,17 +1067,15 @@ WORKED_EXAMPLE_SPECS = (
 )
 
 
-def worked_example_checks(
-    budget: int = DEFAULT_BUDGET, swept: Optional[dict] = None
-) -> list[CheckResult]:
+@sweep_once()
+def worked_example_checks(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     """The frozen worked numbers: every headline constant recomputed from
     scratch (closed form where one exists, BFS oracle everywhere, each
     distinct graph swept once, as in closed_form_oracle_checks)."""
-    swept = {} if swept is None else swept
     spider777, spider666, spider345, quipu2 = map(build, WORKED_EXAMPLE_SPECS)
     out = []
     out.append(
-        _check("W(P_22) = 1771", w_path(22) == 1771 == _bfs(build(Path(22)), swept), "closed form and BFS")
+        _check("W(P_22) = 1771", w_path(22) == 1771 == _bfs(build(Path(22))), "closed form and BFS")
     )
     out.append(
         _check(
@@ -1082,7 +1084,7 @@ def worked_example_checks(
             "closed form, reduced",
         )
     )
-    w, w2 = _w_w2(spider777, budget, swept)
+    w, w2 = _w_w2(spider777, budget)
     out.append(
         _check(
             "W(T_{7,7,7}) = 1428",
@@ -1107,7 +1109,7 @@ def worked_example_checks(
     out.append(
         _check(
             "T_{7,7,7} beats P_22",
-            beats_path(spider777, budget, swept)
+            beats_path(spider777, budget)
             and Fraction(1, 4) > Fraction(126, 506),
             "exact comparison at order 22",
         )
@@ -1115,11 +1117,11 @@ def worked_example_checks(
     out.append(
         _check(
             "T_{6,6,6} does not beat P_19",
-            not beats_path(spider666, budget, swept),
+            not beats_path(spider666, budget),
             "exact comparison at order 19",
         )
     )
-    w345, w345_2 = _w_w2(spider345, budget, swept)
+    w345, w345_2 = _w_w2(spider345, budget)
     out.append(
         _check(
             "W(T_{3,4,5}) = 304 and D2 = 113",
@@ -1131,11 +1133,11 @@ def worked_example_checks(
     out.append(
         _check(
             "W of the order-4 star = 9",
-            w_spider(1, 1, 1) == 9 == _bfs(build(Star(4)), swept),
+            w_spider(1, 1, 1) == 9 == _bfs(build(Star(4))),
             "closed form and BFS",
         )
     )
-    wq, wq2 = _w_w2(quipu2, budget, swept)
+    wq, wq2 = _w_w2(quipu2, budget)
     out.append(
         _check(
             "W(Q_2) = 68 and D2(Q_2) = 22",

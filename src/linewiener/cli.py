@@ -341,28 +341,24 @@ def _check_l2_budget(specs, budget: int) -> None:
         check_line_budget(build(spec), 2, budget)
 
 
-def _verify_bundle(name: str, args, budget: int, sweeps: dict, swept: dict):
+def _verify_bundle(name: str, args, budget: int):
     """The runner of one verify bundle, once its bounds have passed, so
     that a bad bound fails before any bundle's work is spent. The budget
     is such a bound: each bundle that builds line graphs checks its
-    largest first. `sweeps` carries the k = 1 sweeps of each order from
-    buckley to thm1 (or back), and `swept` the W of each graph swept by
-    BFS from one bundle to the next, within this command alone."""
+    largest first."""
     if name == "paper-numbers":
         _check_l2_budget(analysis.WORKED_EXAMPLE_SPECS, budget)
-        return lambda: analysis.worked_example_checks(budget, swept)
+        return lambda: analysis.worked_example_checks(budget)
     if name == "buckley":
         max_n = _max_n(args, 14, 2, "buckley")
-        return lambda: analysis.line_identity_checks(max_n, sweeps)
+        return lambda: analysis.line_identity_checks(max_n)
     if name == "lemmas":
         max_a = _bound(args.max_a, 8, 2, "lemmas needs --max-a")
         # the path loop runs to closed_form_oracle_checks' max_path_n, 60
         _check_l2_budget(
             (Spider(max_a, max_a, max_a), BalancedQuipu(max_a), Path(60)), budget
         )
-        return lambda: analysis.closed_form_oracle_checks(
-            max_a, budget=budget, swept=swept
-        )
+        return lambda: analysis.closed_form_oracle_checks(max_a, budget=budget)
     if name == "thm4":
         lo, hi = _a_range(args, 30)
         if lo < 2 or hi < lo:
@@ -374,7 +370,7 @@ def _verify_bundle(name: str, args, budget: int, sweeps: dict, swept: dict):
         top = min(8, hi)
         if lo <= top:
             _check_l2_budget((Spider(top, top + 1, top + 1),), budget)
-        return lambda: analysis.near_balanced_checks(lo, hi, budget, swept)
+        return lambda: analysis.near_balanced_checks(lo, hi, budget)
     if name == "limits":
         return lambda: analysis.limit_quotient_checks()
     if name == "thm5":
@@ -404,7 +400,7 @@ def _verify_bundle(name: str, args, budget: int, sweeps: dict, swept: dict):
             failures = [
                 n
                 for n in range(4, top + 1)
-                if not analysis.star_minimizes_r1(n, sweeps, swept)
+                if not analysis.star_minimizes_r1(n)
             ]
             return [
                 analysis.CheckResult(
@@ -427,12 +423,10 @@ def _cmd_verify(args) -> int:
     if repeated:
         raise ParameterError(f"check named twice: {', '.join(repeated)}")
     budget = _budget_of(args)
-    sweeps: dict = {}
-    swept: dict = {}
-    runners = [
-        _verify_bundle(name, args, budget, sweeps, swept) for name in selected
-    ]
-    checks = [check for run in runners for check in run()]
+    runners = [_verify_bundle(name, args, budget) for name in selected]
+    # the bundles share their sweeps, within this command alone
+    with analysis.sweep_once():
+        checks = [check for run in runners for check in run()]
     sys.stdout.write(reporting.render(checks, args.format))
     return 0 if all(c.ok for c in checks) else 1
 

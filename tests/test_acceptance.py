@@ -174,11 +174,10 @@ def test_criterion_10_exhaustive_search_at_22():
         assert report.trees_scanned == 5623756
         assert report.min_ratio < r2_path(22)
     spider_code = canonical_code(build(parse_family("spider:7,7,7")))
-    if report.witnesses == (spider_code,):
-        finding = "the order-22 minimizer is exactly the balanced spider"
-    else:
-        finding = (
-            f"the balanced spider is not the unique minimizer: "
-            f"min ratio {report.min_ratio}, {len(report.witnesses)} witnesses"
-        )
-    verdict(10, 1800, watch, f"min R_2 over all order-22 trees beats the path; {finding}")
+    assert report.min_ratio == Fraction(3, 4)
+    assert report.witnesses == (spider_code,)
+    verdict(
+        10, 1800, watch,
+        "min R_2 over all order-22 trees beats the path; "
+        "the order-22 minimizer is exactly the balanced spider",
+    )

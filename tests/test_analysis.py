@@ -119,6 +119,31 @@ def test_ratio_respects_budget():
     assert str(grown.value) == str(direct.value)
 
 
+@pytest.mark.parametrize(
+    "call, family, budget",
+    [
+        (lambda g, budget: subdivided_quipu_beats_path(30, budget), "ua:30", 1000),
+        (beats_path, "spider:7,7,7", 10),
+        (lambda g, budget: ratio_rk(g, 2, budget), "spider:7,7,7", 10),
+    ],
+    ids=["subdivided_quipu_beats_path", "beats_path", "ratio_rk"],
+)
+def test_budget_overruns_raise_before_any_sweep(monkeypatch, call, family, budget):
+    # each call checks the budget of the line graphs it grows before it
+    # sweeps g, and raises what iterated_line_graph(g, 2, budget) raises
+    from linewiener import analysis
+
+    g = tree(family)
+    swept = []
+    monkeypatch.setattr(analysis, "wiener_index", swept.append)
+    with pytest.raises(BudgetExceededError) as raised:
+        call(g, budget)
+    with pytest.raises(BudgetExceededError) as direct:
+        iterated_line_graph(g, 2, budget)
+    assert swept == []
+    assert str(raised.value) == str(direct.value)
+
+
 def test_beats_path_crossover():
     assert beats_path(tree("spider:7,7,7"))
     assert not beats_path(tree("spider:6,6,6"))
@@ -1064,6 +1089,41 @@ def test_oracle_checks_sweep_each_distinct_graph_once(monkeypatch):
     all_ok(closed_form_oracle_checks(8))
     assert len(swept) == len(set(swept)) == 120 + 84 + 2 * 7 + 60
     assert {build(Path(n)) for n in range(1, 61)} <= set(swept)
+
+
+def test_bundles_in_one_scope_share_their_sweeps(monkeypatch):
+    # paper-numbers and thm4 at a = 7 both build T_{7,7,7} and its L^2,
+    # and thm1 at order 8 reads buckley's k = 1 sweep of that order: inside
+    # one sweep_once scope each is swept once, and with no scope open each
+    # bundle sweeps them for itself
+    from linewiener import analysis
+
+    swept, orders = [], []
+    bfs, scores = analysis.wiener_index, analysis._tree_scores
+    monkeypatch.setattr(
+        analysis, "wiener_index", lambda g: swept.append(g) or bfs(g)
+    )
+    monkeypatch.setattr(
+        analysis, "_tree_scores", lambda n: orders.append(n) or scores(n)
+    )
+    spider = tree("spider:7,7,7")
+    shared = {spider, iterated_line_graph(spider, 2)}
+
+    def bundles():
+        swept.clear()
+        orders.clear()
+        all_ok(worked_example_checks())
+        all_ok(near_balanced_checks(7, 7))
+        all_ok(line_identity_checks(8))
+        assert star_minimizes_r1(8)
+        return Counter(swept), Counter(orders)
+
+    with analysis.sweep_once():
+        graphs, k1 = bundles()
+    assert set(graphs.values()) == set(k1.values()) == {1}
+    assert shared <= set(graphs) and sorted(k1) == list(range(2, 9))
+    graphs, k1 = bundles()
+    assert {graphs[g] for g in shared} == {2} and k1[8] == 2
 
 
 def test_path_r2_check_sweeps_the_l2_it_builds(monkeypatch):

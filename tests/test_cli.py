@@ -489,7 +489,7 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     monkeypatch.setattr(
         cli.analysis,
         "worked_example_checks",
-        lambda budget, swept: [CheckResult("rigged", False, "synthetic failure")],
+        lambda budget: [CheckResult("rigged", False, "synthetic failure")],
     )
     code, out, _ = run(capsys, "verify", "paper-numbers")
     assert code == 1

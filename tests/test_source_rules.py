@@ -26,7 +26,10 @@ from the one rule `graphs.line_iterates` grows by, so its step numbering
 holds everywhere. And every child process a
 test starts through `subprocess.Popen` or `subprocess.run` is handed its
 environment: the package reaches it only through `PYTHONPATH`, which
-pytest's own `pythonpath` setting does not set.
+pytest's own `pythonpath` setting does not set. And no function takes a
+`swept` or `sweeps` parameter: the bundles of `verify` share their BFS
+and k = 1 sweeps through one `analysis.sweep_once()` scope, not through a
+memo handed from call to call.
 """
 
 from __future__ import annotations
@@ -264,5 +267,15 @@ def test_tests_hand_every_child_process_its_environment():
         f"{name}:{node.lineno}"
         for name, node in calls
         if "env" not in {keyword.arg for keyword in node.keywords}
+    ]
+    assert found == []
+
+
+def test_no_function_takes_a_sweep_memo():
+    found = [
+        f"{path.name}:{node.lineno} {node.arg}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(parsed(path))
+        if isinstance(node, ast.arg) and node.arg in ("swept", "sweeps")
     ]
     assert found == []
