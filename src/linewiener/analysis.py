@@ -27,7 +27,7 @@ from .enumeration import (
     free_tree_count,
     layout_graph,
 )
-from .errors import CrossCheckError, ParameterError
+from .errors import BudgetExceededError, CrossCheckError, ParameterError
 from .errors import SearchLimitError
 from .families import BalancedQuipu, Path, Spider, Star, SubdividedQuipu, build
 from .formulas import (
@@ -265,12 +265,27 @@ def threshold_scan(case: str, a_lo: int, a_hi: int) -> ThresholdReport:
     return _gap_scan(case, a_lo, a_hi, gap_at)
 
 
+def _check_ua_budget(a: int, budget: int) -> None:
+    """Raise the BudgetExceededError that L^2(U_a) would raise, as
+    check_line_budget would, without building U_a. U_a has a hubs of
+    degree 3 in a row, a + 2 leaves and every other vertex of degree 2, so
+    L(U_a) has a^2 + 3a - 1 vertices and a^2 + 4a - 2 edges, and L^2(U_a)
+    has a^2 + 9a - 4 edges."""
+    sizes = (a * a + 3 * a - 1, a * a + 4 * a - 2, a * a + 9 * a - 4)
+    for step, predicted in zip((1, 1, 2), sizes):
+        if predicted > budget:
+            raise BudgetExceededError(predicted, budget, step)
+
+
 def subdivided_quipu_beats_path(
     a: int, budget: int = DEFAULT_BUDGET
 ) -> SubdividedQuipuCheck:
     """Compare R2(U_a) with R2(P_n) at n = a^2 + 3a by the closed forms,
-    confirmed by BFS on the built U_a: the one BFS of U_a left."""
-    g = build(SubdividedQuipu(a))
+    confirmed by BFS on the built U_a: the one BFS of U_a left. An a whose
+    L^2(U_a) is past `budget` is refused before U_a is built."""
+    spec = SubdividedQuipu(a)
+    _check_ua_budget(a, budget)
+    g = build(spec)
     w, d2 = w_ua(a), d2_ua(a)
     bfs_w, bfs_w2 = _w_w2(g, budget)
     if (bfs_w, bfs_w - bfs_w2) != (w, d2):
@@ -872,21 +887,51 @@ def line_wiener_tree_identity(n: int) -> bool:
 
 # ------------------------------------------------- verification bundles
 
+#: The verify bundles, in the order a bare `verify` runs them.
+VERIFY_BUNDLES = (
+    "paper-numbers", "buckley", "lemmas", "thm4", "limits", "thm5", "thm1"
+)
+
+# the defaults of the bundle functions, which verify_plan takes too
+_IDENTITY_MAX_N = 14
+_ORACLE_MAX_A, _ORACLE_PATH_N = 8, 60
+_CASE_LO, _CASE_HI = 2, 30
+
 
 def _check(name: str, ok: bool, detail: str) -> CheckResult:
     return CheckResult(name=name, ok=bool(ok), detail=detail)
 
 
+def _built_within(specs, budget: int) -> list[Graph]:
+    """build(spec) of each spec, in order, once its L^2 fits `budget`."""
+    graphs = []
+    for spec in specs:
+        graphs.append(build(spec))
+        check_line_budget(graphs[-1], 2, budget)
+    return graphs
+
+
+def _check_oracle_budget(max_a: int, max_path_n: int, budget: int) -> None:
+    """Check the budget of the largest L^2 closed_form_oracle_checks builds:
+    spider:a,a,a's and qa:a's at max_a, and the longest R2-checked path's."""
+    specs = [Spider(max_a, max_a, max_a), BalancedQuipu(max_a)]
+    if max_path_n >= 3:
+        specs.append(Path(max_path_n))
+    _built_within(specs, budget)
+
+
 @sweep_once()
 def closed_form_oracle_checks(
-    max_a: int = 8, max_path_n: int = 60, budget: int = DEFAULT_BUDGET
+    max_a: int = _ORACLE_MAX_A,
+    max_path_n: int = _ORACLE_PATH_N,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[CheckResult]:
     """Every closed form against direct build-then-BFS evaluation.
 
     Spider W over all 1 <= a <= b <= c <= max_a, spider D2 over the same
     range from 2 up (its formula needs arms >= 2), quipu forms over
     2 <= a <= max_a, and the path forms over n up to max_path_n. Every
-    L^2 is built within `budget`.
+    L^2 is built within `budget`, checked for the largest before any build.
 
     Each distinct graph is swept once (_bfs), its W kept by the graph
     itself: L^2(P_n) is P_{n-2} vertex for vertex, so the path R2 check
@@ -895,6 +940,7 @@ def closed_form_oracle_checks(
     """
     if max_a < 2:
         raise ParameterError(f"oracle check needs max_a >= 2, got {max_a}")
+    _check_oracle_budget(max_a, max_path_n, budget)
 
     def bfs_l2(g: Graph) -> int:
         return _bfs(iterated_line_graph(g, 2, budget))
@@ -963,7 +1009,7 @@ def closed_form_oracle_checks(
 
 
 @sweep_once()
-def line_identity_checks(max_n: int = 14) -> list[CheckResult]:
+def line_identity_checks(max_n: int = _IDENTITY_MAX_N) -> list[CheckResult]:
     """W(L(T)) = W(T) - C(n,2) over every tree of each order up to max_n."""
     if max_n < 2:
         raise ParameterError(f"identity check needs max_n >= 2, got {max_n}")
@@ -978,15 +1024,24 @@ def line_identity_checks(max_n: int = 14) -> list[CheckResult]:
     ]
 
 
+def _case_spiders(a_lo: int, a_hi: int, budget: int) -> tuple[int, int]:
+    """(lo, hi): the a in 2..8 whose case spiders near_balanced_checks
+    builds, once L^2 of the largest, case iii's at a = hi, fits `budget`."""
+    lo, hi = max(2, a_lo), min(8, a_hi)
+    if lo <= hi:
+        _built_within([Spider(*spider_case_arms(hi, "iii"))], budget)
+    return lo, hi
+
+
 @sweep_once()
 def near_balanced_checks(
-    a_lo: int = 2, a_hi: int = 30, budget: int = DEFAULT_BUDGET
+    a_lo: int = _CASE_LO, a_hi: int = _CASE_HI, budget: int = DEFAULT_BUDGET
 ) -> list[CheckResult]:
     """Near-balanced spider cases: closed forms against BFS for each a of
     the scan in 2..8, failing if there is none (each L^2 built within
     `budget`, each distinct graph swept once, as in closed_form_oracle_checks),
     sign pattern of the gap, and the realized crossover at a = 7."""
-    lo, hi = max(2, a_lo), min(8, a_hi)
+    lo, hi = _case_spiders(a_lo, a_hi, budget)
     out = []
     for case in CASES:
         report = threshold_scan(case, a_lo, a_hi)
@@ -1057,9 +1112,8 @@ def limit_quotient_checks() -> list[CheckResult]:
     return out
 
 
-#: The trees whose L^2 worked_example_checks builds, in the order it builds
-#: them, so that a caller can check their line-graph budget first.
-WORKED_EXAMPLE_SPECS = (
+# the trees whose L^2 worked_example_checks builds, in the order it builds them
+_WORKED_EXAMPLE_SPECS = (
     Spider(7, 7, 7),
     Spider(6, 6, 6),
     Spider(3, 4, 5),
@@ -1071,82 +1125,61 @@ WORKED_EXAMPLE_SPECS = (
 def worked_example_checks(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     """The frozen worked numbers: every headline constant recomputed from
     scratch (closed form where one exists, BFS oracle everywhere, each
-    distinct graph swept once, as in closed_form_oracle_checks)."""
-    spider777, spider666, spider345, quipu2 = map(build, WORKED_EXAMPLE_SPECS)
-    out = []
-    out.append(
-        _check("W(P_22) = 1771", w_path(22) == 1771 == _bfs(build(Path(22))), "closed form and BFS")
+    distinct graph swept once, as in closed_form_oracle_checks). The
+    budget of every L^2 it builds is checked before the first."""
+    spider777, spider666, spider345, quipu2 = _built_within(
+        _WORKED_EXAMPLE_SPECS, budget
     )
-    out.append(
+    w, w2 = _w_w2(spider777, budget)
+    w345, w345_2 = _w_w2(spider345, budget)
+    wq, wq2 = _w_w2(quipu2, budget)
+    case7 = balanced_spider_case(7, "i")
+    both = "closed form and BFS"
+    return [
+        _check(
+            "W(P_22) = 1771", w_path(22) == 1771 == _bfs(build(Path(22))), both
+        ),
         _check(
             "1 - R2(P_22) = 126/506",
             path_deficit(22) == Fraction(126, 506),
             "closed form, reduced",
-        )
-    )
-    w, w2 = _w_w2(spider777, budget)
-    out.append(
+        ),
+        _check("W(T_{7,7,7}) = 1428", w_spider(7, 7, 7) == 1428 == w, both),
         _check(
-            "W(T_{7,7,7}) = 1428",
-            w_spider(7, 7, 7) == 1428 == w,
-            "closed form and BFS",
-        )
-    )
-    out.append(
-        _check(
-            "D2(T_{7,7,7}) = 357",
-            d2_spider(7, 7, 7) == 357 == w - w2,
-            "closed form and BFS",
-        )
-    )
-    out.append(
+            "D2(T_{7,7,7}) = 357", d2_spider(7, 7, 7) == 357 == w - w2, both
+        ),
         _check(
             "1 - R2(T_{7,7,7}) = 1/4",
             Fraction(w - w2, w) == Fraction(1, 4),
             "BFS",
-        )
-    )
-    out.append(
+        ),
         _check(
             "T_{7,7,7} beats P_22",
             beats_path(spider777, budget)
             and Fraction(1, 4) > Fraction(126, 506),
             "exact comparison at order 22",
-        )
-    )
-    out.append(
+        ),
         _check(
             "T_{6,6,6} does not beat P_19",
             not beats_path(spider666, budget),
             "exact comparison at order 19",
-        )
-    )
-    w345, w345_2 = _w_w2(spider345, budget)
-    out.append(
+        ),
         _check(
             "W(T_{3,4,5}) = 304 and D2 = 113",
             w_spider(3, 4, 5) == 304 == w345
             and d2_spider(3, 4, 5) == 113 == w345 - w345_2,
-            "closed form and BFS",
-        )
-    )
-    out.append(
+            both,
+        ),
         _check(
             "W of the order-4 star = 9",
             w_spider(1, 1, 1) == 9 == _bfs(build(Star(4))),
-            "closed form and BFS",
-        )
-    )
-    wq, wq2 = _w_w2(quipu2, budget)
-    out.append(
+            both,
+        ),
         _check(
             "W(Q_2) = 68 and D2(Q_2) = 22",
             w_quipu(2) == 68 == wq and d2_quipu(2) == 22 == wq - wq2,
-            "closed form and BFS",
-        )
-    )
-    case7 = balanced_spider_case(7, "i")
-    out.append(
+            both,
+        ),
         _check(
             "case i at a=7: W=1428, D2=357, path deficit 126/506",
             case7.w == 1428
@@ -1154,13 +1187,91 @@ def worked_example_checks(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
             and case7.one_minus_r2_path == Fraction(126, 506)
             and case7.n == 22,
             "case record",
-        )
-    )
-    out.append(
+        ),
         _check(
             "deficit quotient of T_{7,7,7} vs P_22 = 253/252",
             deficit_quotient(7, "i") == Fraction(253, 252),
             "exact",
+        ),
+    ]
+
+
+def _bound(value, default: int, low: int, what: str, high=None) -> int:
+    """A verify bound: `value`, or `default` when it is None, at least
+    `low` and, when `high` is given, at most that search limit."""
+    value = default if value is None else value
+    if value < low:
+        raise ParameterError(f"{what} >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ParameterError(
+            f"{what} <= {high} (the search limit), got {value}"
         )
+    return value
+
+
+def verify_plan(
+    names, budget: int = DEFAULT_BUDGET, *,
+    max_n=None, max_a=None, a_range=None, a=None
+) -> list:
+    """The runners of the named VERIFY_BUNDLES, in order, each returning
+    its bundle's CheckResults, once every bundle has passed its checks: a
+    known name, named once; bounds in range (max_n of buckley and thm1,
+    max_a of lemmas, a_range (lo, hi) of thm4, a of thm5; None takes the
+    default; errors name the `verify` flags); and the budget of the
+    largest line graph the bundle builds. Run them in one sweep_once()."""
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ParameterError(f"check named twice: {', '.join(repeated)}")
+    return [_runner(name, budget, max_n, max_a, a_range, a) for name in names]
+
+
+def _runner(name: str, budget: int, max_n, max_a, a_range, a):
+    """The runner of one bundle of verify_plan, once it is checked."""
+    if name == "paper-numbers":
+        _built_within(_WORKED_EXAMPLE_SPECS, budget)
+        return lambda: worked_example_checks(budget)
+    if name == "buckley":
+        top = _bound(
+            max_n, _IDENTITY_MAX_N, 2, "buckley needs --max-n", DEFAULT_SEARCH_LIMIT
+        )
+        return lambda: line_identity_checks(top)
+    if name == "lemmas":
+        top = _bound(max_a, _ORACLE_MAX_A, 2, "lemmas needs --max-a")
+        _check_oracle_budget(top, _ORACLE_PATH_N, budget)
+        return lambda: closed_form_oracle_checks(top, budget=budget)
+    if name == "thm4":
+        lo, hi = a_range or (_CASE_LO, _CASE_HI)
+        if lo < 2 or hi < lo:
+            raise ParameterError(
+                f"thm4 needs --a-range 2 <= LO <= HI, got {lo}..{hi}"
+            )
+        _case_spiders(lo, hi, budget)
+        return lambda: near_balanced_checks(lo, hi, budget)
+    if name == "limits":
+        return lambda: limit_quotient_checks()
+    if name == "thm5":
+        a = _bound(a, 50, 2, "thm5 needs --a")
+        _check_ua_budget(a, budget)
+
+        def thm5():
+            r = subdivided_quipu_beats_path(a, budget)
+            line = f"R2(U_{a}) < R2(path of order {r.n})"
+            return [_check(line, r.holds, f"R2(U_a)={r.r2_ua} vs {r.r2_path}")]
+
+        return thm5
+    if name == "thm1":
+        top = _bound(max_n, 12, 4, "thm1 needs --max-n", DEFAULT_SEARCH_LIMIT)
+        # the star has the largest L of any tree of its order: n - 1
+        # vertices, as every tree, and the most edges, C(n - 1, 2)
+        check_line_budget(build(Star(top)), 1, budget)
+
+        def thm1():
+            bad = [n for n in range(4, top + 1) if not star_minimizes_r1(n)]
+            line = "star uniquely minimizes R1 among trees"
+            fails = f"; fails at {bad}" if bad else ""
+            return [_check(line, not bad, f"n = 4..{top}{fails}")]
+
+        return thm1
+    raise ParameterError(
+        f"unknown check {name!r}; pick from {', '.join(VERIFY_BUNDLES)}"
     )
-    return out

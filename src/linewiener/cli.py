@@ -21,37 +21,21 @@ from typing import Optional
 
 from . import analysis, reporting
 from .enumeration import free_trees
-from .errors import BudgetExceededError, LineWienerError, ParameterError
-from .families import BalancedQuipu, Path, Spider, Star, build, parse_family
+from .errors import LineWienerError, ParameterError
+from .families import build, parse_family
 from .graphio import read_graph, sniff_format, write_graph
-from .graphs import (
-    DEFAULT_BUDGET,
-    Graph,
-    check_line_budget,
-    iterated_line_graph,
-    wiener_index,
-)
+from .graphs import DEFAULT_BUDGET, Graph, iterated_line_graph, wiener_index
 
 BUDGET_ENV = "LINEWIENER_BUDGET"
 
 _GRAPH_FORMATS = ("edge-list", "graph6")
 _REPORT_FORMATS = ("text", "json", "csv")
 
-VERIFY_CHECKS = (
-    "paper-numbers",
-    "buckley",
-    "lemmas",
-    "thm4",
-    "limits",
-    "thm5",
-    "thm1",
-)
 
-
-def _a_range(args, default_hi: int) -> tuple[int, int]:
-    """--a-range, or 2..default_hi when it is not given."""
+def _a_range(args, default: Optional[tuple[int, int]]):
+    """--a-range as (LO, HI), or `default` when it is not given."""
     if not args.a_range:
-        return 2, default_hi
+        return default
     try:
         lo, hi = map(int, args.a_range.split(".."))
     except ValueError:
@@ -225,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         "checks",
         nargs="*",
         metavar="CHECK",
-        help=f"subset of {', '.join(VERIFY_CHECKS)} (default: all)",
+        help=f"subset of {', '.join(analysis.VERIFY_BUNDLES)} (default: all)",
     )
     p.add_argument("--max-n", type=int, help="buckley/thm1 order bound")
     p.add_argument("--max-a", type=int, help="lemmas parameter bound (default 8)")
@@ -291,139 +275,26 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _check_ua_budget(a: int, budget: int) -> None:
-    """Raise the BudgetExceededError that L^2(U_a) would raise, before any
-    work is spent and without building U_a, as check_line_budget would.
-    U_a has a hubs of degree 3 in a row, a + 2 leaves and every other
-    vertex of degree 2, so L(U_a) has a^2 + 3a - 1 vertices and
-    a^2 + 4a - 2 edges, and L^2(U_a) has a^2 + 9a - 4 edges."""
-    sizes = (a * a + 3 * a - 1, a * a + 4 * a - 2, a * a + 9 * a - 4)
-    for step, predicted in zip((1, 1, 2), sizes):
-        if predicted > budget:
-            raise BudgetExceededError(predicted, budget, step)
-
-
 def _cmd_scan(args) -> int:
     if args.case == "ua":
-        scanned = [analysis.subdivided_quipu_scan(*_a_range(args, 50))]
+        scanned = [analysis.subdivided_quipu_scan(*_a_range(args, (2, 50)))]
     else:
-        lo, hi = _a_range(args, 30)
+        lo, hi = _a_range(args, (2, 30))
         cases = ("i", "ii", "iii") if args.case == "all" else (args.case,)
         scanned = [analysis.threshold_scan(case, lo, hi) for case in cases]
     sys.stdout.write(reporting.render(scanned, args.format))
     return 0
 
 
-def _bound(value: Optional[int], default: int, low: int, what: str) -> int:
-    """A verify bound: the flag's value, or `default` when it is not given."""
-    value = default if value is None else value
-    if value < low:
-        raise ParameterError(f"{what} >= {low}, got {value}")
-    return value
-
-
-def _max_n(args, default: int, low: int, name: str) -> int:
-    """The --max-n of a bundle that sweeps every tree of each order up to
-    it, capped at the search limit as the search's own orders are."""
-    top = _bound(args.max_n, default, low, f"{name} needs --max-n")
-    if top > analysis.DEFAULT_SEARCH_LIMIT:
-        raise ParameterError(
-            f"{name} needs --max-n <= {analysis.DEFAULT_SEARCH_LIMIT} "
-            f"(the search limit), got {top}"
-        )
-    return top
-
-
-def _check_l2_budget(specs, budget: int) -> None:
-    """Raise the BudgetExceededError that L^2 of any tree in `specs`
-    would raise, before any bundle runs."""
-    for spec in specs:
-        check_line_budget(build(spec), 2, budget)
-
-
-def _verify_bundle(name: str, args, budget: int):
-    """The runner of one verify bundle, once its bounds have passed, so
-    that a bad bound fails before any bundle's work is spent. The budget
-    is such a bound: each bundle that builds line graphs checks its
-    largest first."""
-    if name == "paper-numbers":
-        _check_l2_budget(analysis.WORKED_EXAMPLE_SPECS, budget)
-        return lambda: analysis.worked_example_checks(budget)
-    if name == "buckley":
-        max_n = _max_n(args, 14, 2, "buckley")
-        return lambda: analysis.line_identity_checks(max_n)
-    if name == "lemmas":
-        max_a = _bound(args.max_a, 8, 2, "lemmas needs --max-a")
-        # the path loop runs to closed_form_oracle_checks' max_path_n, 60
-        _check_l2_budget(
-            (Spider(max_a, max_a, max_a), BalancedQuipu(max_a), Path(60)), budget
-        )
-        return lambda: analysis.closed_form_oracle_checks(max_a, budget=budget)
-    if name == "thm4":
-        lo, hi = _a_range(args, 30)
-        if lo < 2 or hi < lo:
-            raise ParameterError(
-                f"thm4 needs --a-range 2 <= LO <= HI, got {lo}..{hi}"
-            )
-        # near_balanced_checks builds the case spiders for a up to 8;
-        # case iii, arms (a, a + 1, a + 1), is the largest
-        top = min(8, hi)
-        if lo <= top:
-            _check_l2_budget((Spider(top, top + 1, top + 1),), budget)
-        return lambda: analysis.near_balanced_checks(lo, hi, budget)
-    if name == "limits":
-        return lambda: analysis.limit_quotient_checks()
-    if name == "thm5":
-        a = _bound(args.a, 50, 2, "thm5 needs --a")
-        # the budget is a bound too: L^2(U_a) must fit before any bundle runs
-        _check_ua_budget(a, budget)
-
-        def thm5():
-            result = analysis.subdivided_quipu_beats_path(a, budget)
-            return [
-                analysis.CheckResult(
-                    name=f"R2(U_{a}) < R2(path of order {result.n})",
-                    ok=result.holds,
-                    detail=f"R2(U_a)={reporting.rational_text(result.r2_ua)} "
-                    f"vs {reporting.rational_text(result.r2_path)}",
-                )
-            ]
-
-        return thm5
-    if name == "thm1":
-        top = _max_n(args, 12, 4, "thm1")
-        # the star has the largest L of any tree of its order: n - 1
-        # vertices, as every tree, and the most edges, C(n - 1, 2)
-        check_line_budget(build(Star(top)), 1, budget)
-
-        def thm1():
-            failures = [
-                n
-                for n in range(4, top + 1)
-                if not analysis.star_minimizes_r1(n)
-            ]
-            return [
-                analysis.CheckResult(
-                    name="star uniquely minimizes R1 among trees",
-                    ok=not failures,
-                    detail=f"n = 4..{top}"
-                    + (f"; fails at {failures}" if failures else ""),
-                )
-            ]
-
-        return thm1
-    raise ParameterError(
-        f"unknown check {name!r}; pick from {', '.join(VERIFY_CHECKS)}"
-    )
-
-
 def _cmd_verify(args) -> int:
-    selected = tuple(args.checks) if args.checks else VERIFY_CHECKS
-    repeated = sorted({name for name in selected if selected.count(name) > 1})
-    if repeated:
-        raise ParameterError(f"check named twice: {', '.join(repeated)}")
-    budget = _budget_of(args)
-    runners = [_verify_bundle(name, args, budget) for name in selected]
+    runners = analysis.verify_plan(
+        args.checks or analysis.VERIFY_BUNDLES,
+        _budget_of(args),
+        max_n=args.max_n,
+        max_a=args.max_a,
+        a_range=_a_range(args, None),
+        a=args.a,
+    )
     # the bundles share their sweeps, within this command alone
     with analysis.sweep_once():
         checks = [check for run in runners for check in run()]

@@ -40,6 +40,7 @@ from linewiener import (
     subdivided_quipu_deviation,
     subdivided_quipu_scan,
     threshold_scan,
+    verify_plan,
     w_quipu,
     w_spider,
     w_ua,
@@ -192,6 +193,23 @@ def test_ua_scan_and_deviation_build_no_graph(monkeypatch):
     assert len(report.per_a_gap) == 999
     row = subdivided_quipu_deviation(60)
     assert (row.w_ua, row.d2_ua) == (w_ua(60), d2_ua(60))
+
+
+def test_ua_past_the_budget_is_refused_before_it_is_built(monkeypatch):
+    # U_100000 has about 10^10 vertices: a library call refuses it by its
+    # order alone, as `verify thm5` does
+    import linewiener.analysis as analysis
+
+    def refuse(*args):
+        raise AssertionError(f"built {args} before the budget check")
+
+    monkeypatch.setattr(analysis, "build", refuse)
+    with pytest.raises(BudgetExceededError) as raised:
+        subdivided_quipu_beats_path(100000)
+    assert str(raised.value) == (
+        "line graph iteration 1 would need 10000299999 vertices, "
+        "budget is 1000000"
+    )
 
 
 def test_subdivided_quipu_beats_path_at_fifty():
@@ -1154,3 +1172,61 @@ def test_oracle_bundles_build_every_l2_within_the_budget():
     with pytest.raises(BudgetExceededError):
         near_balanced_checks(2, 8, budget=28)
     all_ok(near_balanced_checks(2, 8, budget=29))
+
+
+@pytest.mark.parametrize(
+    "call, budget",
+    [
+        (worked_example_checks, 23),
+        (lambda budget: closed_form_oracle_checks(8, budget=budget), 115),
+        (lambda budget: near_balanced_checks(2, 8, budget), 28),
+    ],
+    ids=["worked_example_checks", "closed_form_oracle_checks",
+         "near_balanced_checks"],
+)
+def test_bundles_check_their_budget_before_any_line_graph(
+    monkeypatch, call, budget
+):
+    # each budget fits the first L^2 the bundle builds but not its largest
+    from linewiener import graphs
+
+    built = []
+    monkeypatch.setattr(graphs, "line_graph", built.append)
+    with pytest.raises(BudgetExceededError):
+        call(budget)
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "name, bounds",
+    [
+        ("paper-numbers", {}),
+        ("lemmas", {"max_a": 3}),
+        ("thm4", {"a_range": (2, 3)}),
+        ("thm5", {"a": 4}),
+        ("thm1", {"max_n": 6}),
+    ],
+)
+def test_verify_plan_budget_is_exact(monkeypatch, name, bounds):
+    # the plan refuses exactly the budgets below the largest step of any
+    # line_graph call its bundle makes, sized as graphs._check_step sizes
+    # it: |E| vertices and sum C(deg, 2) edges
+    from linewiener import analysis, graphs
+    from linewiener.graphs import predicted_line_edge_count
+
+    steps = []
+    grow = graphs.line_graph
+
+    def measured(h):
+        steps.append(max(h.edge_count, predicted_line_edge_count(h)))
+        return grow(h)
+
+    monkeypatch.setattr(graphs, "line_graph", measured)
+    monkeypatch.setattr(analysis, "line_graph", measured)
+    (run,) = verify_plan([name], **bounds)
+    assert run()
+    largest = max(steps)
+    with pytest.raises(BudgetExceededError):
+        verify_plan([name], largest - 1, **bounds)
+    (run,) = verify_plan([name], largest, **bounds)
+    assert run()

@@ -152,7 +152,7 @@ def test_ua_past_the_budget_fails_without_being_built(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError(f"worked on {args} before the budget check")
 
-    monkeypatch.setattr(cli, "build", refuse)
+    monkeypatch.setattr(cli.analysis, "build", refuse)
     monkeypatch.setattr(cli.analysis, "subdivided_quipu_beats_path", refuse)
     code, out, err = run(
         capsys, "verify", "thm5", "--a", "100000", "--budget", "1000000"
@@ -238,7 +238,7 @@ def test_ua_budget_check_predicts_the_line_graph_sizes():
     # must fail exactly where check_line_budget on the built U_a fails,
     # with the same error
     from linewiener import SubdividedQuipu, build
-    from linewiener.cli import _check_ua_budget
+    from linewiener.analysis import _check_ua_budget
     from linewiener.errors import BudgetExceededError
     from linewiener.graphs import check_line_budget
 
@@ -383,6 +383,30 @@ def test_verify_rejects_bounds_it_cannot_run(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+# the whole stderr of each refusal; `--a-range` is parsed when it is
+# given, whatever bundles are selected
+VERIFY_REFUSALS = {
+    "thm5 --a 0": "thm5 needs --a >= 2, got 0",
+    "buckley --max-n 21":
+        "buckley needs --max-n <= 20 (the search limit), got 21",
+    "thm4 --a-range 5..3": "thm4 needs --a-range 2 <= LO <= HI, got 5..3",
+    "lemmas --max-a 1": "lemmas needs --max-a >= 2, got 1",
+    "thm1 --max-n 3": "thm1 needs --max-n >= 4, got 3",
+    "buckley buckley": "check named twice: buckley",
+    "nope": "unknown check 'nope'; pick from paper-numbers, buckley, "
+        "lemmas, thm4, limits, thm5, thm1",
+    "thm5 --a 30 --budget 100":
+        "line graph iteration 1 would need 989 vertices, budget is 100",
+    "limits --a-range junk": "range must look like 2..30, got 'junk'",
+}
+
+
+@pytest.mark.parametrize("argv", list(VERIFY_REFUSALS))
+def test_verify_refusals_keep_their_messages(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv.split())
+    assert (code, out, err) == (2, "", f"error: {VERIFY_REFUSALS[argv]}\n")
 
 
 @pytest.mark.parametrize(

@@ -20,10 +20,13 @@ function in `analysis` walks that stream: every exhaustive sweep reads
 k = 1 table sweep `_tree_scores`, which counts its own trees, and
 `min_r2_search`. And `graphs`, home of the BFS oracle,
 imports no module of the package but `errors`. And no module but
-`graphs` constructs a `BudgetExceededError`, save `cli._check_ua_budget`,
-which reads the sizes of `L^2(U_a)` off `a`: every other overrun comes
-from the one rule `graphs.line_iterates` grows by, so its step numbering
-holds everywhere. And every child process a
+`graphs` constructs a `BudgetExceededError`, save
+`analysis._check_ua_budget`, which reads the sizes of `L^2(U_a)` off `a`:
+every other overrun comes from the one rule `graphs.line_iterates` grows
+by, so its step numbering holds everywhere. And `cli` names no check
+record, budget check or tree family of the `verify` bundles: their
+bounds and budget pre-checks live in `analysis.verify_plan` alone. And
+every child process a
 test starts through `subprocess.Popen` or `subprocess.run` is handed its
 environment: the package reaches it only through `PYTHONPATH`, which
 pytest's own `pythonpath` setting does not set. And no function takes a
@@ -176,7 +179,23 @@ def test_budget_errors_are_raised_by_graphs_alone():
         if isinstance(node, ast.Call)
         and "BudgetExceededError" in names_in(node.func)
     )
-    assert found == ["cli._check_ua_budget"]
+    assert found == ["analysis._check_ua_budget"]
+
+
+def test_cli_holds_no_verify_plan():
+    # a check line, a budget check or a family built in cli.py would be a
+    # second copy of what analysis.verify_plan knows of a bundle
+    plan = {
+        "CheckResult",
+        "check_line_budget",
+        "BudgetExceededError",
+        "Spider",
+        "BalancedQuipu",
+        "Path",
+        "Star",
+    }
+    found = sorted(set(names_in(parsed(PACKAGE / "cli.py"))) & plan)
+    assert found == []
 
 
 def test_no_module_imports_multiprocessing():
