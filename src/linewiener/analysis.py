@@ -878,11 +878,19 @@ def line_wiener_tree_identity(n: int) -> bool:
     """W(L(T)) = W(T) - C(n,2) for every tree of order n, from one sweep
     (_k1_sweep).
 
-    Raises CrossCheckError unless the sweep saw free_tree_count(n) trees.
+    Orders above DEFAULT_SEARCH_LIMIT raise SearchLimitError, as in
+    star_minimizes_r1. Raises CrossCheckError unless the sweep saw
+    free_tree_count(n) trees.
     """
-    if n < 2:
-        raise ParameterError(f"identity check needs n >= 2, got {n}")
+    _check_identity_order(n, "n")
     return _k1_sweep(n)[0]
+
+
+def _check_identity_order(n: int, what: str) -> None:
+    if n < 2:
+        raise ParameterError(f"identity check needs {what} >= 2, got {n}")
+    if n > DEFAULT_SEARCH_LIMIT:
+        raise SearchLimitError(n, DEFAULT_SEARCH_LIMIT)
 
 
 # ------------------------------------------------- verification bundles
@@ -920,6 +928,13 @@ def _check_oracle_budget(max_a: int, max_path_n: int, budget: int) -> None:
     _built_within(specs, budget)
 
 
+def _agree(pairs: list) -> bool:
+    """The pass rule of a closed-form check: at least one (closed form,
+    BFS) pair, and every pair equal, so a range that compares nothing
+    fails."""
+    return bool(pairs) and all(form == bfs for form, bfs in pairs)
+
+
 @sweep_once()
 def closed_form_oracle_checks(
     max_a: int = _ORACLE_MAX_A,
@@ -932,6 +947,7 @@ def closed_form_oracle_checks(
     range from 2 up (its formula needs arms >= 2), quipu forms over
     2 <= a <= max_a, and the path forms over n up to max_path_n. Every
     L^2 is built within `budget`, checked for the largest before any build.
+    Each check passes by _agree, so a range that compares nothing fails.
 
     Each distinct graph is swept once (_bfs), its W kept by the graph
     itself: L^2(P_n) is P_{n-2} vertex for vertex, so the path R2 check
@@ -945,74 +961,39 @@ def closed_form_oracle_checks(
     def bfs_l2(g: Graph) -> int:
         return _bfs(iterated_line_graph(g, 2, budget))
 
-    out = []
-    arm_triples = list(combinations_with_replacement(range(1, max_a + 1), 3))
-    bad_w = bad_d2 = d2_combos = 0
-    for arms in arm_triples:
-        spider = build(Spider(*arms))
-        w = _bfs(spider)
-        # d2_spider needs every arm >= 2; arms[0] is the shortest
-        if arms[0] >= 2:
-            d2_combos += 1
-            if d2_spider(*arms) != w - bfs_l2(spider):
-                bad_d2 += 1
-        if w_spider(*arms) != w:
-            bad_w += 1
-    out.append(
-        _check(
-            "spider W closed form = BFS",
-            bad_w == 0,
-            f"{len(arm_triples)} arm combos with 1 <= a <= b <= c <= {max_a}",
-        )
-    )
-    out.append(
-        _check(
-            "spider D2 closed form = BFS",
-            bad_d2 == 0,
-            f"{d2_combos} arm combos with 2 <= a <= b <= c <= {max_a}",
-        )
-    )
-    bad_w = bad_d2 = 0
-    for a in range(2, max_a + 1):
-        quipu = build(BalancedQuipu(a))
-        w = _bfs(quipu)
-        if w_quipu(a) != w:
-            bad_w += 1
-        if d2_quipu(a) != w - bfs_l2(quipu):
-            bad_d2 += 1
-    out.append(
-        _check("quipu W closed form = BFS", bad_w == 0, f"a = 2..{max_a}")
-    )
-    out.append(
-        _check("quipu D2 closed form = BFS", bad_d2 == 0, f"a = 2..{max_a}")
-    )
-    bad_w = bad_r2 = 0
-    for n in range(1, max_path_n + 1):
-        path = build(Path(n))
-        w = _bfs(path)
-        if w_path(n) != w:
-            bad_w += 1
-        if n >= 3:
-            if r2_path(n) != Fraction(bfs_l2(path), w):
-                bad_r2 += 1
-    out.append(
-        _check("path W closed form = BFS", bad_w == 0, f"n = 1..{max_path_n}")
-    )
-    out.append(
-        _check(
-            "path R2 closed form = BFS",
-            bad_r2 == 0,
-            f"n = 3..{max_path_n}",
-        )
-    )
-    return out
+    arms = combinations_with_replacement(range(1, max_a + 1), 3)
+    spiders = {abc: build(Spider(*abc)) for abc in arms}
+    # d2_spider needs every arm >= 2; the first arm is the shortest
+    deep = {abc: g for abc, g in spiders.items() if abc[0] >= 2}
+    quipus = {a: build(BalancedQuipu(a)) for a in range(2, max_a + 1)}
+    paths = {n: build(Path(n)) for n in range(1, max_path_n + 1)}
+    rows = [
+        ("spider W",
+         f"{len(spiders)} arm combos with 1 <= a <= b <= c <= {max_a}",
+         [(w_spider(*abc), _bfs(g)) for abc, g in spiders.items()]),
+        ("spider D2", f"{len(deep)} arm combos with 2 <= a <= b <= c <= {max_a}",
+         [(d2_spider(*abc), _bfs(g) - bfs_l2(g)) for abc, g in deep.items()]),
+        ("quipu W", f"a = 2..{max_a}",
+         [(w_quipu(a), _bfs(g)) for a, g in quipus.items()]),
+        ("quipu D2", f"a = 2..{max_a}",
+         [(d2_quipu(a), _bfs(g) - bfs_l2(g)) for a, g in quipus.items()]),
+        ("path W", f"n = 1..{max_path_n}",
+         [(w_path(n), _bfs(g)) for n, g in paths.items()]),
+        ("path R2", f"n = 3..{max_path_n}",
+         [(r2_path(n), Fraction(bfs_l2(g), _bfs(g)))
+          for n, g in paths.items() if n >= 3]),
+    ]
+    return [
+        _check(f"{name} closed form = BFS", _agree(pairs), detail)
+        for name, detail, pairs in rows
+    ]
 
 
 @sweep_once()
 def line_identity_checks(max_n: int = _IDENTITY_MAX_N) -> list[CheckResult]:
-    """W(L(T)) = W(T) - C(n,2) over every tree of each order up to max_n."""
-    if max_n < 2:
-        raise ParameterError(f"identity check needs max_n >= 2, got {max_n}")
+    """W(L(T)) = W(T) - C(n,2) over every tree of each order up to max_n,
+    which is refused above DEFAULT_SEARCH_LIMIT before any sweep."""
+    _check_identity_order(max_n, "max_n")
     bad = [n for n in range(2, max_n + 1) if not line_wiener_tree_identity(n)]
     return [
         _check(
@@ -1042,45 +1023,32 @@ def near_balanced_checks(
     `budget`, each distinct graph swept once, as in closed_form_oracle_checks),
     sign pattern of the gap, and the realized crossover at a = 7."""
     lo, hi = _case_spiders(a_lo, a_hi, budget)
+    built = f"a = {lo}..{hi}" if lo <= hi else (
+        "no spider built: the scan misses a = 2..8"
+    )
+    scanned = f"scan a = {a_lo}..{a_hi}"
     out = []
     for case in CASES:
         report = threshold_scan(case, a_lo, a_hi)
-        out.append(
-            _check(
-                f"case {case}: first a beating the path is 7",
-                report.smallest_passing_a == 7,
-                f"scan a = {a_lo}..{a_hi}, got {report.smallest_passing_a}",
-            )
-        )
-        sign_ok = all(
-            (gap > 0) == (a >= 7) for a, gap in report.per_a_gap
-        )
-        out.append(
-            _check(
-                f"case {case}: gap > 0 exactly for a >= 7",
-                sign_ok,
-                f"scan a = {a_lo}..{a_hi}",
-            )
-        )
-        oracle_ok = lo <= hi
+        first = report.smallest_passing_a
+        signs = all((gap > 0) == (a >= 7) for a, gap in report.per_a_gap)
+        pairs = []
         for a in range(lo, hi + 1):
             values = balanced_spider_case(a, case)
-            spider = build(Spider(*spider_case_arms(a, case)))
-            w, w2 = _w_w2(spider, budget)
-            if values.w != w or values.d2 != w - w2:
-                oracle_ok = False
-            if values.one_minus_r2_tree != Fraction(w - w2, w):
-                oracle_ok = False
-            if values.one_minus_r2_path != path_deficit(values.n):
-                oracle_ok = False
-        out.append(
-            _check(
-                f"case {case}: case record = BFS on built spider",
-                oracle_ok,
-                f"a = {lo}..{hi}" if lo <= hi
-                else "no spider built: the scan misses a = 2..8",
-            )
-        )
+            w, w2 = _w_w2(build(Spider(*spider_case_arms(a, case))), budget)
+            pairs += [
+                (values.w, w),
+                (values.d2, w - w2),
+                (values.one_minus_r2_tree, Fraction(w - w2, w)),
+                (values.one_minus_r2_path, path_deficit(values.n)),
+            ]
+        out += [
+            _check(f"case {case}: first a beating the path is 7", first == 7,
+                   f"{scanned}, got {first}"),
+            _check(f"case {case}: gap > 0 exactly for a >= 7", signs, scanned),
+            _check(f"case {case}: case record = BFS on built spider",
+                   _agree(pairs), built),
+        ]
     return out
 
 

@@ -911,6 +911,21 @@ def test_line_wiener_tree_identity():
         assert line_wiener_tree_identity(n)
 
 
+def test_identity_sweeps_refuse_orders_above_the_search_limit(monkeypatch):
+    # refused at the call, before the sweep of any order
+    from linewiener import analysis
+
+    orders = []
+    monkeypatch.setattr(
+        analysis, "_tree_scores", lambda n: orders.append(n) or iter(())
+    )
+    for call in (line_identity_checks, line_wiener_tree_identity):
+        with pytest.raises(SearchLimitError) as info:
+            call(21)
+        assert (info.value.n, info.value.limit) == (21, 20)
+    assert orders == []
+
+
 @pytest.mark.parametrize("fault", ["drop", "repeat"])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_unfiltered_sweeps_check_the_tree_count(monkeypatch, fault, jobs):
@@ -1090,6 +1105,65 @@ def test_check_bundles_pass():
     all_ok(line_identity_checks(max_n=8))
     all_ok(near_balanced_checks(2, 10))
     all_ok(limit_quotient_checks())
+
+
+def test_oracle_path_checks_fail_when_their_range_compares_nothing():
+    def failed(max_path_n):
+        results = closed_form_oracle_checks(2, max_path_n=max_path_n)
+        return [r.name for r in results if not r.ok]
+
+    assert failed(0) == ["path W closed form = BFS", "path R2 closed form = BFS"]
+    assert failed(2) == ["path R2 closed form = BFS"]
+    assert failed(3) == []
+
+
+#: closed form -> (the one input it is made wrong at, the lemmas check that
+#: compares it)
+ORACLE_FORMS = {
+    "w_spider": ((1, 2, 3), "spider W closed form = BFS"),
+    "d2_spider": ((2, 3, 4), "spider D2 closed form = BFS"),
+    "w_quipu": ((3,), "quipu W closed form = BFS"),
+    "d2_quipu": ((3,), "quipu D2 closed form = BFS"),
+    "w_path": ((5,), "path W closed form = BFS"),
+    "r2_path": ((5,), "path R2 closed form = BFS"),
+}
+
+
+@pytest.mark.parametrize("form", sorted(ORACLE_FORMS))
+def test_each_oracle_check_compares_the_form_it_names(monkeypatch, form):
+    from linewiener import analysis
+
+    wrong_at, name = ORACLE_FORMS[form]
+    exact = getattr(analysis, form)
+    monkeypatch.setattr(
+        analysis, form, lambda *args: exact(*args) + (args == wrong_at)
+    )
+    results = closed_form_oracle_checks(4, max_path_n=10)
+    assert [r.name for r in results if not r.ok] == [name]
+
+
+@pytest.mark.parametrize("field", ["w", "d2"])
+@pytest.mark.parametrize("case", ["i", "ii", "iii"])
+def test_each_case_record_check_compares_its_own_case(monkeypatch, case, field):
+    # one field of one case record made wrong at a = 5 fails that case's
+    # record check alone; the scan reads the deficits, which stay exact
+    from linewiener import analysis
+
+    exact = analysis.balanced_spider_case
+
+    def faulty(a, c):
+        values = exact(a, c)
+        if (a, c) != (5, case):
+            return values
+        fields = {name: getattr(values, name) for name in values.__match_args__}
+        fields[field] += 1
+        return type(values)(**fields)
+
+    monkeypatch.setattr(analysis, "balanced_spider_case", faulty)
+    results = near_balanced_checks(5, 7)
+    assert [r.name for r in results if not r.ok] == [
+        f"case {case}: case record = BFS on built spider"
+    ]
 
 
 def test_oracle_checks_sweep_each_distinct_graph_once(monkeypatch):
