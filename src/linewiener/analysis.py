@@ -614,35 +614,13 @@ def _witness_code(layout: list[int], w: int, wk: int) -> bytes:
     ])
 
 
-def _relayed_error(exc: Exception, index: int, jobs: int) -> bytes:
-    """The pickled exception a worker sends back in place of its result.
-
-    An exception that does not survive a pickle round trip (one holding a
-    lambda, say) is replaced by a CrossCheckError naming the worker and
-    the exception's repr, so its cause still reaches the parent.
-    """
-    import pickle
-
-    try:
-        payload = pickle.dumps(exc)
-        pickle.loads(payload)
-    except Exception:
-        payload = pickle.dumps(
-            CrossCheckError(
-                f"search worker {index} of {jobs} raised {exc!r}, "
-                f"which cannot be sent back"
-            )
-        )
-    return payload
-
-
 def _scan_child(fd: int, args) -> None:
     """Body of a forked search worker; it never returns.
 
-    Writes _scan_block(args) to fd, marshalled behind b"R", or the
-    exception it raised, pickled behind b"E", then leaves by os._exit, so
-    no caller's cleanup, exit handler or stdio flush runs in the child.
-    The exit code is 0 only once the whole reply is written.
+    Writes one marshalled reply to fd: _scan_block(args), or the text
+    naming this worker and the exception that share raised. Then leaves
+    by os._exit, so no caller's cleanup, exit handler or stdio flush runs
+    in the child. The exit code is 0 only once the whole reply is written.
     """
     import marshal
     import os
@@ -654,10 +632,10 @@ def _scan_child(fd: int, args) -> None:
         # it and kills its workers
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         try:
-            reply = b"R" + marshal.dumps(_scan_block(args))
+            reply = _scan_block(args)
         except Exception as exc:
-            reply = b"E" + _relayed_error(exc, args[-2], args[-1])
-        view = memoryview(reply)
+            reply = f"search worker {args[-2]} of {args[-1]} raised {exc!r}"
+        view = memoryview(marshal.dumps(reply))
         while view:
             view = view[os.write(fd, view) :]
         code = 0
@@ -671,11 +649,12 @@ def _scan_in_workers(args: list) -> list:
 
     Each worker writes its reply to its own pipe and exits; this process
     scans its own share first, then reads each pipe to EOF and reaps its
-    worker. A worker's exception is raised again here. A worker that
-    exits without a complete reply (killed, say) raises CrossCheckError,
-    noticed once this process has finished its own share. Every worker
-    still alive on the way out, by return, error, Ctrl-C or a failed
-    fork, is killed and reaped. Needs os.fork, so POSIX only.
+    worker. A worker's exception comes back as its text (_scan_child) and
+    is raised here as CrossCheckError, as is a worker that exits without a
+    complete reply (killed, say), once this process has finished its own
+    share. Every worker still alive on the way out, by return, error,
+    Ctrl-C or a failed fork, is killed and reaped. Needs os.fork, so
+    POSIX only.
     """
     import marshal
     import os
@@ -721,11 +700,10 @@ def _scan_in_workers(args: list) -> list:
                     f"search worker {index} of {jobs} exited with code "
                     f"{code} before sending its result"
                 )
-            if reply[:1] == b"E":
-                import pickle
-
-                raise pickle.loads(reply[1:])
-            results.append(marshal.loads(reply[1:]))
+            reply = marshal.loads(reply)
+            if isinstance(reply, str):
+                raise CrossCheckError(reply)
+            results.append(reply)
         return results
     finally:
         for pid, receiver in workers:
@@ -745,11 +723,18 @@ def _check_tree_count(n: int, scanned: int) -> None:
         )
 
 
-def _check_search_bounds(n: int, limit: int) -> None:
-    if n < 4:
-        raise ParameterError(f"search needs order >= 4, got {n}")
-    if n > limit:
-        raise SearchLimitError(n, limit)
+def _check_order(n: int, low: int, what: str, limit) -> None:
+    """ParameterError unless n >= low, SearchLimitError unless n <= limit.
+    A limit of None is DEFAULT_SEARCH_LIMIT, which no caller of the k = 1
+    sweeps can raise, so that error's text asks for no other limit."""
+    if n < low:
+        raise ParameterError(f"{what} >= {low}, got {n}")
+    top = DEFAULT_SEARCH_LIMIT if limit is None else limit
+    if n > top:
+        exc = SearchLimitError(n, top)
+        if limit is None:
+            exc.args = (str(exc).partition(";")[0],)
+        raise exc
 
 
 def min_r2_search(
@@ -783,7 +768,7 @@ def min_r2_search(
     workers through the fork; each row is one top-level choice, so there
     are no more shares than rows.
     """
-    _check_search_bounds(n, limit)
+    _check_order(n, 4, "search needs order", limit)
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     check_degree_bounds(max_degree, min_max_degree, min_degree3_count)
@@ -860,7 +845,7 @@ def star_minimizes_r1(n: int) -> bool:
     argmin's graphs give the star's ratio. Raises CrossCheckError unless
     the sweep saw free_tree_count(n) trees.
     """
-    _check_search_bounds(n, DEFAULT_SEARCH_LIMIT)
+    _check_order(n, 4, "search needs order", None)
     _, best_w1, best_w, layouts = _k1_sweep(n)
     codes = []
     for layout in layouts:
@@ -882,15 +867,8 @@ def line_wiener_tree_identity(n: int) -> bool:
     star_minimizes_r1. Raises CrossCheckError unless the sweep saw
     free_tree_count(n) trees.
     """
-    _check_identity_order(n, "n")
+    _check_order(n, 2, "identity check needs n", None)
     return _k1_sweep(n)[0]
-
-
-def _check_identity_order(n: int, what: str) -> None:
-    if n < 2:
-        raise ParameterError(f"identity check needs {what} >= 2, got {n}")
-    if n > DEFAULT_SEARCH_LIMIT:
-        raise SearchLimitError(n, DEFAULT_SEARCH_LIMIT)
 
 
 # ------------------------------------------------- verification bundles
@@ -993,7 +971,7 @@ def closed_form_oracle_checks(
 def line_identity_checks(max_n: int = _IDENTITY_MAX_N) -> list[CheckResult]:
     """W(L(T)) = W(T) - C(n,2) over every tree of each order up to max_n,
     which is refused above DEFAULT_SEARCH_LIMIT before any sweep."""
-    _check_identity_order(max_n, "max_n")
+    _check_order(max_n, 2, "identity check needs max_n", None)
     bad = [n for n in range(2, max_n + 1) if not line_wiener_tree_identity(n)]
     return [
         _check(

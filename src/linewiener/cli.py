@@ -22,9 +22,10 @@ from typing import Optional
 from . import analysis, reporting
 from .enumeration import free_trees
 from .errors import LineWienerError, ParameterError
-from .families import build, parse_family
+from .families import Complete, build, parse_family, spec_order
 from .graphio import read_graph, sniff_format, write_graph
-from .graphs import DEFAULT_BUDGET, Graph, iterated_line_graph, wiener_index
+from .graphs import DEFAULT_BUDGET, Graph, check_step_size, iterated_line_graph
+from .graphs import wiener_index
 
 BUDGET_ENV = "LINEWIENER_BUDGET"
 
@@ -115,9 +116,17 @@ def _degree_filters(args) -> dict:
     return {name: value for name, _, value in bounds}
 
 
-def _load_graph(args) -> Graph:
+def _load_graph(args, k: int) -> Graph:
+    """The --family or --file graph. A --family graph to be iterated k >= 1
+    times is sized first: L(g) has one vertex per edge of g, so step 1's
+    first budget check needs no build."""
     if args.family is not None:
-        return build(parse_family(args.family))
+        spec = parse_family(args.family)
+        if k >= 1:
+            n = spec_order(spec)
+            edges = n * (n - 1) // 2 if isinstance(spec, Complete) else n - 1
+            check_step_size(edges, 1, _budget_of(args))
+        return build(spec)
     if args.file == "-":
         data = sys.stdin.buffer.read()
         fmt = args.input_format or "edge-list"
@@ -240,14 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_wiener(args) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args, 0)
     report = analysis.WienerReport(order=g.vertex_count, wiener=wiener_index(g))
     sys.stdout.write(reporting.render(report, args.format))
     return 0
 
 
 def _cmd_line(args) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args, args.k)
     if args.k < 0:
         raise ParameterError(f"-k must be >= 0, got {args.k}")
     h = iterated_line_graph(g, args.k, _budget_of(args))
@@ -256,7 +265,7 @@ def _cmd_line(args) -> int:
 
 
 def _cmd_ratio(args) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args, args.k)
     report = analysis.ratio_rk(g, args.k, _budget_of(args))
     sys.stdout.write(reporting.render(report, args.format))
     return 0

@@ -59,14 +59,17 @@ class CrossCheckError(LineWienerError, ArithmeticError):
     Raised by the package's internal cross-checks, never by bad input: it
     means a fault in the code. A search also raises it when one of its
     worker processes dies before it reports, since that worker's trees
-    went unchecked, and in place of a worker's exception that cannot be
-    pickled. It keeps the default one-message constructor, so a worker
-    process can send it back to the parent.
+    went unchecked, and in place of any exception a worker raises, with
+    the worker and that exception's repr as its text. Its constructor has
+    no constraint: a worker sends back text alone, never an exception.
     """
 
 
 class SearchLimitError(LineWienerError, ValueError):
-    """An exhaustive search was requested above the configured order limit."""
+    """An exhaustive search was requested above the configured order limit.
+
+    The text asks for a higher limit, save where no caller can pass one.
+    """
 
     def __init__(self, n: int, limit: int):
         super().__init__(

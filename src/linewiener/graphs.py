@@ -282,13 +282,20 @@ def predicted_line_edge_count(g: Graph) -> int:
     return sum(d * (d - 1) // 2 for d in map(len, g.adjacency))
 
 
+def check_step_size(predicted: int, step: int, budget: int) -> None:
+    """Raise BudgetExceededError if line graph iteration `step` would need
+    `predicted` vertices or edges, more than `budget`: _check_step's rule,
+    for a caller that knows the size without a build."""
+    if predicted > budget:
+        raise BudgetExceededError(predicted, budget, step)
+
+
 def _check_step(degrees: list[int], step: int, budget: int) -> None:
-    """Raise BudgetExceededError unless L of a graph with these degrees,
-    step `step` counted from the input, fits `budget`: first its
-    sum(degrees) / 2 vertices, then its sum C(d, 2) edges."""
+    """check_step_size of L of a graph with these degrees, step `step`
+    counted from the input: first its sum(degrees) / 2 vertices, then its
+    sum C(d, 2) edges."""
     for predicted in (sum(degrees) // 2, sum(d * (d - 1) // 2 for d in degrees)):
-        if predicted > budget:
-            raise BudgetExceededError(predicted, budget, step)
+        check_step_size(predicted, step, budget)
 
 
 def check_line_budget(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> None:

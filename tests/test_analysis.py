@@ -926,6 +926,24 @@ def test_identity_sweeps_refuse_orders_above_the_search_limit(monkeypatch):
     assert orders == []
 
 
+def test_fixed_limit_refusals_ask_for_no_other_limit():
+    # the k = 1 sweeps take no limit, so their refusal names the limit
+    # without asking for a higher one; the search, which takes one, asks
+    for call in (line_identity_checks, line_wiener_tree_identity, star_minimizes_r1):
+        with pytest.raises(SearchLimitError) as info:
+            call(21)
+        assert (info.value.n, info.value.limit) == (21, 20)
+        assert str(info.value) == (
+            "exhaustive search at order 21 exceeds the limit 20"
+        )
+    with pytest.raises(SearchLimitError) as info:
+        min_r2_search(21)
+    assert str(info.value) == (
+        "exhaustive search at order 21 exceeds the limit 20; "
+        "pass a higher limit explicitly to run it"
+    )
+
+
 @pytest.mark.parametrize("fault", ["drop", "repeat"])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_unfiltered_sweeps_check_the_tree_count(monkeypatch, fault, jobs):

@@ -194,6 +194,10 @@ def test_every_iteration_path_stops_at_the_same_step(capsys, tmp_path):
         ("--family", "spider:3,3,3"): build(parse_family("spider:3,3,3")),
         ("--family", "path:6"): build(parse_family("path:6")),
     }
+    # line and ratio size a --family spec before they build it, by the
+    # same rule
+    for spec in ("spider:7,7,7", "complete:10", "ua:5"):
+        sources["--family", spec] = build(parse_family(spec))
     for source, g in sources.items():
         iterates = [g]
         for _ in range(3):
@@ -231,6 +235,26 @@ def test_every_iteration_path_stops_at_the_same_step(capsys, tmp_path):
                         assert (code, out, err) == (2, "", f"error: {expected}\n"), (
                             command, case
                         )
+
+
+@pytest.mark.parametrize("command, k", [("line", 1), ("ratio", 2)])
+def test_family_past_the_budget_fails_without_being_built(
+    capsys, monkeypatch, command, k
+):
+    # U_5000 has 25,015,000 vertices: its spec alone must refuse it
+    import linewiener.cli as cli
+
+    def refuse(*args):
+        raise AssertionError(f"built {args} before the budget check")
+
+    monkeypatch.setattr(cli, "build", refuse)
+    argv = ("--family", "ua:5000", "-k", str(k), "--budget", "10")
+    assert run(capsys, command, *argv) == (
+        2,
+        "",
+        "error: line graph iteration 1 would need 25014999 vertices, "
+        "budget is 10\n",
+    )
 
 
 def test_ua_budget_check_predicts_the_line_graph_sizes():
@@ -333,7 +357,10 @@ def test_search_json(capsys):
 def test_search_respects_limit(capsys):
     code, _, err = run(capsys, "search", "min-r2", "--n", "21")
     assert code == 2
-    assert "exceeds the limit" in err
+    assert err == (
+        "error: exhaustive search at order 21 exceeds the limit 20; "
+        "pass a higher limit explicitly to run it\n"
+    )
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -658,36 +685,28 @@ def test_ctrl_c_with_workers_running_exits_130_and_leaves_no_child(
     assert_no_child_left()
 
 
-def test_worker_error_is_raised_in_the_parent(capfd, monkeypatch):
-    failing_share(monkeypatch, 1, CrossCheckError("share 1 is wrong"))
-    code = main(["search", "min-r2", "--n", "9", "--jobs", "2"])
-    out, err = capfd.readouterr()
-    assert code == 2
-    assert out == ""
-    assert err == "error: share 1 is wrong\n"
-    assert_no_child_left()
-
-
 @pytest.mark.parametrize(
-    "exc, shown",
+    "exc",
     [
-        # pickling fails: the exception holds a lambda
-        (ValueError("bad share", lambda: None), "ValueError('bad share', "),
-        # unpickling fails: the constructor wants two arguments, args has one
-        (SearchLimitError(30, 20), "SearchLimitError('exhaustive search at"),
+        CrossCheckError("share 1 is wrong"),
+        # from outside the package: it once escaped main with exit 1
+        MemoryError("share 1 ran out"),
+        # neither could be pickled back: one holds a lambda, the other's
+        # constructor wants two arguments where its args has one
+        ValueError("bad share", lambda: None),
+        SearchLimitError(30, 20),
     ],
-    ids=["dumps", "loads"],
+    ids=["package", "memory", "dumps", "loads"],
 )
-def test_worker_error_that_cannot_be_pickled_keeps_its_cause(
-    capfd, monkeypatch, exc, shown
-):
+def test_worker_error_keeps_its_cause(capfd, monkeypatch, exc):
+    # a worker sends back the text of whatever its share raised, and the
+    # parent raises it as CrossCheckError
     failing_share(monkeypatch, 1, exc)
     code = main(["search", "min-r2", "--n", "9", "--jobs", "2"])
     out, err = capfd.readouterr()
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: search worker 1 of 2 raised {shown}"), err
-    assert err.count("\n") == 1, err
+    assert err == f"error: search worker 1 of 2 raised {exc!r}\n"
     assert_no_child_left()
 
 
@@ -940,8 +959,8 @@ def test_cli_import_leaves_multiprocessing_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-    # nor does a --jobs search: its workers are bare forks over pipes, and
-    # pickle is imported only to send back a worker's exception
+    # nor does a --jobs search: its workers are bare forks over pipes that
+    # carry marshalled builtins alone, a worker's exception as its text
     proc = subprocess.run(
         [
             sys.executable,

@@ -7,8 +7,9 @@ with exit code 2. And every module may use the
 others only through their public names, so a helper can change shape
 inside its own module without breaking its callers. And `cli` writes
 every report through `reporting.render`, so the choice between text, JSON
-and CSV is made in one place. And no module imports `multiprocessing`:
-`--jobs` workers are bare forks over pipes. And the two O(n) kernels of
+and CSV is made in one place. And no module imports `multiprocessing`
+or `pickle`: `--jobs` workers are bare forks over pipes that carry
+marshalled builtins alone. And the two O(n) kernels of
 `_fast`, `wiener_tree_layout` and `wiener2_tree_layout`, never call
 `layout_parents`: the k = 1 sweeps of `verify` take W of every tree from
 the table sums of `analysis._tables`, the min-R_2 search confirms its
@@ -200,12 +201,13 @@ def test_cli_holds_no_verify_plan():
 
 def test_no_module_imports_multiprocessing():
     # importing it costs more than the forks, pipes and exits it would
-    # manage for a `--jobs` search
+    # manage for a `--jobs` search; and no pickle either: a worker sends
+    # back marshalled builtins alone, its exception as text
     found = [
         f"{path.name}:{line}"
         for path in sorted(PACKAGE.glob("*.py"))
         for line, module in imported_modules(parsed(path))
-        if module.partition(".")[0] == "multiprocessing"
+        if module.partition(".")[0] in ("multiprocessing", "pickle")
     ]
     assert found == []
 
