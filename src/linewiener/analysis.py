@@ -907,10 +907,10 @@ def _check_oracle_budget(max_a: int, max_path_n: int, budget: int) -> None:
 
 
 def _agree(pairs: list) -> bool:
-    """The pass rule of a closed-form check: at least one (closed form,
-    BFS) pair, and every pair equal, so a range that compares nothing
-    fails."""
-    return bool(pairs) and all(form == bfs for form, bfs in pairs)
+    """The pass rule of every check of paper-numbers, lemmas and thm4: at
+    least one (value, expected) pair, and every pair equal, so a range
+    that compares nothing fails."""
+    return bool(pairs) and all(value == expected for value, expected in pairs)
 
 
 @sweep_once()
@@ -999,35 +999,37 @@ def near_balanced_checks(
     """Near-balanced spider cases: closed forms against BFS for each a of
     the scan in 2..8, failing if there is none (each L^2 built within
     `budget`, each distinct graph swept once, as in closed_form_oracle_checks),
-    sign pattern of the gap, and the realized crossover at a = 7."""
+    sign pattern of the gap, and the realized crossover at a = 7; each
+    check passes by _agree."""
     lo, hi = _case_spiders(a_lo, a_hi, budget)
     built = f"a = {lo}..{hi}" if lo <= hi else (
         "no spider built: the scan misses a = 2..8"
     )
     scanned = f"scan a = {a_lo}..{a_hi}"
-    out = []
+    rows = []
     for case in CASES:
         report = threshold_scan(case, a_lo, a_hi)
         first = report.smallest_passing_a
-        signs = all((gap > 0) == (a >= 7) for a, gap in report.per_a_gap)
-        pairs = []
+        record = []
         for a in range(lo, hi + 1):
             values = balanced_spider_case(a, case)
             w, w2 = _w_w2(build(Spider(*spider_case_arms(a, case))), budget)
-            pairs += [
+            record += [
                 (values.w, w),
                 (values.d2, w - w2),
                 (values.one_minus_r2_tree, Fraction(w - w2, w)),
                 (values.one_minus_r2_path, path_deficit(values.n)),
             ]
-        out += [
-            _check(f"case {case}: first a beating the path is 7", first == 7,
-                   f"{scanned}, got {first}"),
-            _check(f"case {case}: gap > 0 exactly for a >= 7", signs, scanned),
-            _check(f"case {case}: case record = BFS on built spider",
-                   _agree(pairs), built),
+        rows += [
+            (f"case {case}: first a beating the path is 7",
+             f"{scanned}, got {first}", [(first, 7)]),
+            (f"case {case}: gap > 0 exactly for a >= 7", scanned,
+             [(gap > 0, a >= 7) for a, gap in report.per_a_gap]),
+            (f"case {case}: case record = BFS on built spider", built, record),
         ]
-    return out
+    return [
+        _check(name, _agree(pairs), detail) for name, detail, pairs in rows
+    ]
 
 
 def limit_quotient_checks() -> list[CheckResult]:
@@ -1071,8 +1073,9 @@ _WORKED_EXAMPLE_SPECS = (
 def worked_example_checks(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     """The frozen worked numbers: every headline constant recomputed from
     scratch (closed form where one exists, BFS oracle everywhere, each
-    distinct graph swept once, as in closed_form_oracle_checks). The
-    budget of every L^2 it builds is checked before the first."""
+    distinct graph swept once, as in closed_form_oracle_checks), each
+    check a row of (value, expected) pairs passing by _agree. The budget
+    of every L^2 it builds is checked before the first."""
     spider777, spider666, spider345, quipu2 = _built_within(
         _WORKED_EXAMPLE_SPECS, budget
     )
@@ -1081,64 +1084,36 @@ def worked_example_checks(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     wq, wq2 = _w_w2(quipu2, budget)
     case7 = balanced_spider_case(7, "i")
     both = "closed form and BFS"
+    rows = [
+        ("W(P_22) = 1771", both,
+         [(w_path(22), 1771), (_bfs(build(Path(22))), 1771)]),
+        ("1 - R2(P_22) = 126/506", "closed form, reduced",
+         [(path_deficit(22), Fraction(126, 506))]),
+        ("W(T_{7,7,7}) = 1428", both, [(w_spider(7, 7, 7), 1428), (w, 1428)]),
+        ("D2(T_{7,7,7}) = 357", both,
+         [(d2_spider(7, 7, 7), 357), (w - w2, 357)]),
+        ("1 - R2(T_{7,7,7}) = 1/4", "BFS",
+         [(Fraction(w - w2, w), Fraction(1, 4))]),
+        ("T_{7,7,7} beats P_22", "exact comparison at order 22",
+         [(beats_path(spider777, budget), True),
+          (Fraction(1, 4) > Fraction(126, 506), True)]),
+        ("T_{6,6,6} does not beat P_19", "exact comparison at order 19",
+         [(beats_path(spider666, budget), False)]),
+        ("W(T_{3,4,5}) = 304 and D2 = 113", both,
+         [(w_spider(3, 4, 5), 304), (w345, 304),
+          (d2_spider(3, 4, 5), 113), (w345 - w345_2, 113)]),
+        ("W of the order-4 star = 9", both,
+         [(w_spider(1, 1, 1), 9), (_bfs(build(Star(4))), 9)]),
+        ("W(Q_2) = 68 and D2(Q_2) = 22", both,
+         [(w_quipu(2), 68), (wq, 68), (d2_quipu(2), 22), (wq - wq2, 22)]),
+        ("case i at a=7: W=1428, D2=357, path deficit 126/506", "case record",
+         [(case7.w, 1428), (case7.d2, 357),
+          (case7.one_minus_r2_path, Fraction(126, 506)), (case7.n, 22)]),
+        ("deficit quotient of T_{7,7,7} vs P_22 = 253/252", "exact",
+         [(deficit_quotient(7, "i"), Fraction(253, 252))]),
+    ]
     return [
-        _check(
-            "W(P_22) = 1771", w_path(22) == 1771 == _bfs(build(Path(22))), both
-        ),
-        _check(
-            "1 - R2(P_22) = 126/506",
-            path_deficit(22) == Fraction(126, 506),
-            "closed form, reduced",
-        ),
-        _check("W(T_{7,7,7}) = 1428", w_spider(7, 7, 7) == 1428 == w, both),
-        _check(
-            "D2(T_{7,7,7}) = 357", d2_spider(7, 7, 7) == 357 == w - w2, both
-        ),
-        _check(
-            "1 - R2(T_{7,7,7}) = 1/4",
-            Fraction(w - w2, w) == Fraction(1, 4),
-            "BFS",
-        ),
-        _check(
-            "T_{7,7,7} beats P_22",
-            beats_path(spider777, budget)
-            and Fraction(1, 4) > Fraction(126, 506),
-            "exact comparison at order 22",
-        ),
-        _check(
-            "T_{6,6,6} does not beat P_19",
-            not beats_path(spider666, budget),
-            "exact comparison at order 19",
-        ),
-        _check(
-            "W(T_{3,4,5}) = 304 and D2 = 113",
-            w_spider(3, 4, 5) == 304 == w345
-            and d2_spider(3, 4, 5) == 113 == w345 - w345_2,
-            both,
-        ),
-        _check(
-            "W of the order-4 star = 9",
-            w_spider(1, 1, 1) == 9 == _bfs(build(Star(4))),
-            both,
-        ),
-        _check(
-            "W(Q_2) = 68 and D2(Q_2) = 22",
-            w_quipu(2) == 68 == wq and d2_quipu(2) == 22 == wq - wq2,
-            both,
-        ),
-        _check(
-            "case i at a=7: W=1428, D2=357, path deficit 126/506",
-            case7.w == 1428
-            and case7.d2 == 357
-            and case7.one_minus_r2_path == Fraction(126, 506)
-            and case7.n == 22,
-            "case record",
-        ),
-        _check(
-            "deficit quotient of T_{7,7,7} vs P_22 = 253/252",
-            deficit_quotient(7, "i") == Fraction(253, 252),
-            "exact",
-        ),
+        _check(name, _agree(pairs), detail) for name, detail, pairs in rows
     ]
 
 

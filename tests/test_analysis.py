@@ -1184,6 +1184,70 @@ def test_each_case_record_check_compares_its_own_case(monkeypatch, case, field):
     ]
 
 
+#: (closed form, the worked input it is made wrong at) -> the
+#: paper-numbers checks that read it there
+WORKED_FORMS = {
+    ("w_path", (22,)): ["W(P_22) = 1771"],
+    ("path_deficit", (22,)): ["1 - R2(P_22) = 126/506"],
+    ("w_spider", (7, 7, 7)): ["W(T_{7,7,7}) = 1428"],
+    ("w_spider", (3, 4, 5)): ["W(T_{3,4,5}) = 304 and D2 = 113"],
+    ("w_spider", (1, 1, 1)): ["W of the order-4 star = 9"],
+    ("d2_spider", (7, 7, 7)): ["D2(T_{7,7,7}) = 357"],
+    ("d2_spider", (3, 4, 5)): ["W(T_{3,4,5}) = 304 and D2 = 113"],
+    ("w_quipu", (2,)): ["W(Q_2) = 68 and D2(Q_2) = 22"],
+    ("d2_quipu", (2,)): ["W(Q_2) = 68 and D2(Q_2) = 22"],
+    ("deficit_quotient", (7, "i")): [
+        "deficit quotient of T_{7,7,7} vs P_22 = 253/252"
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "form, wrong_at", sorted(WORKED_FORMS), ids=lambda v: str(v)
+)
+def test_each_worked_number_check_compares_what_it_names(
+    monkeypatch, form, wrong_at
+):
+    from linewiener import analysis
+
+    exact = getattr(analysis, form)
+    step = 1 if form.startswith(("w_", "d2_")) else Fraction(1, 1000)
+    monkeypatch.setattr(
+        analysis, form, lambda *args: exact(*args) + step * (args == wrong_at)
+    )
+    results = worked_example_checks()
+    assert len(results) == 12
+    assert [r.name for r in results if not r.ok] == WORKED_FORMS[form, wrong_at]
+
+
+@pytest.mark.parametrize("case", ["i", "ii", "iii"])
+def test_a_case_that_stops_beating_the_path_at_7_fails_its_three_checks(
+    monkeypatch, case
+):
+    # the tree deficit of one case dropped below the path's at a = 7: the
+    # scan sees its first positive gap at 8, the sign pattern breaks, and
+    # the record no longer matches the BFS of the built spider
+    from linewiener import analysis
+
+    exact = analysis.balanced_spider_case
+
+    def faulty(a, c):
+        values = exact(a, c)
+        if (a, c) != (7, case):
+            return values
+        fields = {name: getattr(values, name) for name in values.__match_args__}
+        fields["one_minus_r2_tree"] = values.one_minus_r2_path - Fraction(1, 1000)
+        return type(values)(**fields)
+
+    monkeypatch.setattr(analysis, "balanced_spider_case", faulty)
+    results = near_balanced_checks(5, 9)
+    assert [r.name for r in results if not r.ok] == [
+        f"case {case}: first a beating the path is 7",
+        f"case {case}: gap > 0 exactly for a >= 7",
+        f"case {case}: case record = BFS on built spider",
+    ]
+
+
 def test_oracle_checks_sweep_each_distinct_graph_once(monkeypatch):
     # L^2(P_n) is P_{n-2}, so the path loop sweeps P_1..P_60 and no L^2;
     # the 120 spiders, the L^2 of the 84 with arms >= 2, the 7 quipus and

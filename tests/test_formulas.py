@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -198,3 +199,79 @@ def test_deficit_quotient_values():
         q1000 = deficit_quotient(1000, case)
         assert abs(q1000 - target) < Fraction(1, 100)
         assert abs(q1000 - target) < abs(q100 - target)
+
+
+# case -> (P, the factors of D), coefficients highest power first, where
+# (1 - R2(T)) - (1 - R2(P_n)) = P(a) / D(a) for the case's spider T: its
+# two deficits cross-multiplied over their positive denominators. These
+# make ROADMAP item 4's spider certificate, for every a >= 2
+SPIDER_GAPS = {
+    "i": ((9, -54, -33, -6), ((1, 1), (7, 2), (3, 1), (3, 2))),
+    "ii": ((3, -17, -16, -4), ((1, 1), (1, 1), (7, 2), (3, 2))),
+    "iii": ((3, -13, -32, -16), ((1, 1), (7, 16, 8), (3, 4))),
+}
+
+
+def poly(coefficients, a):
+    """The polynomial with these coefficients, highest power first, at a."""
+    value = 0
+    for c in coefficients:
+        value = value * a + c
+    return value
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_spider_gap_is_its_numerator_over_a_positive_denominator(case):
+    # P is a cubic over D, so agreeing at 13 points, more than the 4 that
+    # fix a cubic, makes a slip in any coefficient fail
+    numerator, factors = SPIDER_GAPS[case]
+    # D(a) > 0 for every a >= 0: each factor has positive coefficients
+    assert all(c > 0 for factor in factors for c in factor)
+    for a in [*range(2, 13), 100, 1000]:
+        values = balanced_spider_case(a, case)
+        gap = values.one_minus_r2_tree - values.one_minus_r2_path
+        denominator = math.prod(poly(factor, a) for factor in factors)
+        assert Fraction(poly(numerator, a), denominator) == gap, a
+
+
+@pytest.mark.parametrize(
+    "case, bound", [("i", 7), ("ii", Fraction(20, 3)), ("iii", Fraction(35, 3))]
+)
+def test_spider_beats_the_path_iff_a_is_at_least_seven(case, bound):
+    # Cauchy: every root of P has |a| < 1 + max |c_i| / c_0, so from the
+    # bound on the positive leading term decides and P stays positive;
+    # below it, a = 2..12 are read one by one
+    numerator, _ = SPIDER_GAPS[case]
+    lead = numerator[0]
+    assert lead > 0
+    assert 1 + max(Fraction(abs(c), lead) for c in numerator[1:]) == bound
+    assert bound <= 12
+    for a in range(2, 13):
+        assert poly(numerator, a) != 0, a
+        assert (poly(numerator, a) > 0) == (a >= 7), a
+        assert balanced_spider_case(a, case).beats_path == (a >= 7), a
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_deficit_quotient_limit_is_exactly_15_14(case):
+    # n = 3a + r, so the path deficit 6(n-1) / (n(n+1)) is 2/a to leading
+    # order; the tree deficit adds P / D, a cubic over a quartic, so it is
+    # (2 + lead(P) / lead(D)) / a = 15 / (7a); the quotient tends to the
+    # ratio of the two leading terms
+    numerator, factors = SPIDER_GAPS[case]
+    assert len(numerator) - 1 == 3
+    assert sum(len(factor) - 1 for factor in factors) == 4
+    path_lead = Fraction(6, 3)
+    tree_lead = path_lead + Fraction(
+        numerator[0], math.prod(factor[0] for factor in factors)
+    )
+    assert (tree_lead, path_lead) == (Fraction(15, 7), 2)
+    assert tree_lead / path_lead == Fraction(15, 14)
+    # and the quotient is 1 + (P / D) / (1 - R2(P_n)), exactly
+    for a in (2, 7, 100):
+        n = balanced_spider_case(a, case).n
+        gap = Fraction(
+            poly(numerator, a),
+            math.prod(poly(factor, a) for factor in factors),
+        )
+        assert deficit_quotient(a, case) == 1 + gap / path_deficit(n), a

@@ -33,7 +33,10 @@ environment: the package reaches it only through `PYTHONPATH`, which
 pytest's own `pythonpath` setting does not set. And no function takes a
 `swept` or `sweeps` parameter: the bundles of `verify` share their BFS
 and k = 1 sweeps through one `analysis.sweep_once()` scope, not through a
-memo handed from call to call.
+memo handed from call to call. And every check of the `paper-numbers`,
+`lemmas` and `thm4` bundles passes by one rule: each `_check` call in
+their functions takes an `_agree(...)` call, over (value, expected)
+pairs, as its `ok`.
 """
 
 from __future__ import annotations
@@ -300,3 +303,41 @@ def test_no_function_takes_a_sweep_memo():
         if isinstance(node, ast.arg) and node.arg in ("swept", "sweeps")
     ]
     assert found == []
+
+
+def called(node, name):
+    """Whether node is a call of the bare name `name`."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == name
+    )
+
+
+def test_closed_form_bundles_pass_by_agree_alone():
+    # a check that hand-writes its own comparison chain is a second pass
+    # rule beside _agree's, and one that may compare nothing yet pass
+    bundles = (
+        "worked_example_checks",
+        "closed_form_oracle_checks",
+        "near_balanced_checks",
+    )
+    functions = {
+        node.name: node
+        for node in parsed(PACKAGE / "analysis.py").body
+        if isinstance(node, ast.FunctionDef)
+    }
+    found = {}
+    for name in bundles:
+        checks = [
+            node for node in ast.walk(functions[name]) if called(node, "_check")
+        ]
+        oks = [
+            call.args[1] if len(call.args) > 1
+            else next(k.value for k in call.keywords if k.arg == "ok")
+            for call in checks
+        ]
+        found[name] = [
+            ast.unparse(ok) for ok in oks if not called(ok, "_agree")
+        ] if checks else ["no _check call"]
+    assert found == dict.fromkeys(bundles, [])

@@ -42,6 +42,7 @@ MINIMA = {
     24: (Fraction(1423, 1852), "spider:7,8,8", 39_299_897),
     25: (Fraction(45, 58), "spider:8,8,8", 104_636_890),
     26: (Fraction(1841, 2349), "spider:8,8,9", 279_793_450),
+    27: (Fraction(1039, 1314), "spider:8,9,9", 751_065_460),
 }
 
 #: order -> (exact min R2 over trees of maximum degree <= 3, its one
