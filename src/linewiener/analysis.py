@@ -27,7 +27,7 @@ from .enumeration import (
     free_tree_count,
     layout_graph,
 )
-from .errors import BudgetExceededError, CrossCheckError, ParameterError
+from .errors import CrossCheckError, ParameterError
 from .errors import SearchLimitError
 from .families import BalancedQuipu, Path, Spider, Star, SubdividedQuipu, build
 from .formulas import (
@@ -48,7 +48,7 @@ from .formulas import (
 from .graphs import (
     DEFAULT_BUDGET,
     Graph,
-    check_line_budget,
+    check_step_size,
     is_tree,
     iterated_line_graph,
     line_graph,
@@ -153,8 +153,9 @@ def ratio_rk(g: Graph, k_max: int, budget: int = DEFAULT_BUDGET) -> RatioReport:
     The graph must be connected with at least 2 vertices. The iterates
     are line_iterates(g, k_max, budget), so a budget overrun stops at the
     step, with the message, that iterated_line_graph(g, k_max, budget)
-    gives, and at steps 1 and 2 before g is swept; once an iterate
-    vanishes, later slots are None.
+    gives. L and L^2 are grown before g is swept, so an overrun at step 1
+    or 2 raises before any sweep; each iterate is let go once swept. Once
+    an iterate vanishes, later slots are None.
     """
     if g.vertex_count < 2:
         raise ParameterError(
@@ -162,13 +163,18 @@ def ratio_rk(g: Graph, k_max: int, budget: int = DEFAULT_BUDGET) -> RatioReport:
         )
     if k_max < 1:
         raise ParameterError(f"ratio report needs k_max >= 1, got {k_max}")
-    check_line_budget(g, min(k_max, 2), budget)
+
+    def swept(h: Graph) -> Optional[int]:
+        # the line graph of an empty iterate is empty again
+        return wiener_index(h) if h.vertex_count else None
+
+    iterates = line_iterates(g, k_max, budget)
+    grown = list(islice(iterates, 2))
     w = wiener_index(g)
-    # the line graph of an empty iterate is empty again
-    wiener_k = [w] + [
-        wiener_index(h) if h.vertex_count else None
-        for h in line_iterates(g, k_max, budget)
-    ]
+    wiener_k = [w]
+    while grown:
+        wiener_k.append(swept(grown.pop(0)))
+    wiener_k += map(swept, iterates)
     r_k = [None if wk is None else Fraction(wk, w) for wk in wiener_k]
     d2 = None
     if k_max >= 2 and wiener_k[2] is not None:
@@ -266,15 +272,13 @@ def threshold_scan(case: str, a_lo: int, a_hi: int) -> ThresholdReport:
 
 
 def _check_ua_budget(a: int, budget: int) -> None:
-    """Raise the BudgetExceededError that L^2(U_a) would raise, as
-    check_line_budget would, without building U_a. U_a has a hubs of
-    degree 3 in a row, a + 2 leaves and every other vertex of degree 2, so
-    L(U_a) has a^2 + 3a - 1 vertices and a^2 + 4a - 2 edges, and L^2(U_a)
-    has a^2 + 9a - 4 edges."""
+    """Raise the BudgetExceededError that growing L^2(U_a) would raise,
+    without building U_a. U_a has a hubs of degree 3 in a row, a + 2
+    leaves and every other vertex of degree 2, so L(U_a) has a^2 + 3a - 1
+    vertices and a^2 + 4a - 2 edges, and L^2(U_a) has a^2 + 9a - 4 edges."""
     sizes = (a * a + 3 * a - 1, a * a + 4 * a - 2, a * a + 9 * a - 4)
     for step, predicted in zip((1, 1, 2), sizes):
-        if predicted > budget:
-            raise BudgetExceededError(predicted, budget, step)
+        check_step_size(predicted, step, budget)
 
 
 def subdivided_quipu_beats_path(
@@ -889,11 +893,12 @@ def _check(name: str, ok: bool, detail: str) -> CheckResult:
 
 
 def _built_within(specs, budget: int) -> list[Graph]:
-    """build(spec) of each spec, in order, once its L^2 fits `budget`."""
+    """build(spec) of each spec, in order, once its L^2 is grown within
+    `budget`; the L^2 is let go."""
     graphs = []
     for spec in specs:
         graphs.append(build(spec))
-        check_line_budget(graphs[-1], 2, budget)
+        iterated_line_graph(graphs[-1], 2, budget)
     return graphs
 
 
@@ -1184,7 +1189,7 @@ def _runner(name: str, budget: int, max_n, max_a, a_range, a):
         top = _bound(max_n, 12, 4, "thm1 needs --max-n", DEFAULT_SEARCH_LIMIT)
         # the star has the largest L of any tree of its order: n - 1
         # vertices, as every tree, and the most edges, C(n - 1, 2)
-        check_line_budget(build(Star(top)), 1, budget)
+        iterated_line_graph(build(Star(top)), 1, budget)
 
         def thm1():
             bad = [n for n in range(4, top + 1) if not star_minimizes_r1(n)]

@@ -137,6 +137,13 @@ def _load_graph(args, k: int) -> Graph:
     return read_graph(data, fmt)
 
 
+def _iterations(args, least: int) -> int:
+    """-k, refused below `least` before any graph is loaded."""
+    if args.k < least:
+        raise ParameterError(f"-k must be >= {least}, got {args.k}")
+    return args.k
+
+
 def _budget_of(args) -> int:
     """--budget, else $LINEWIENER_BUDGET, else DEFAULT_BUDGET."""
     if getattr(args, "budget", None) is not None:
@@ -256,17 +263,15 @@ def _cmd_wiener(args) -> int:
 
 
 def _cmd_line(args) -> int:
-    g = _load_graph(args, args.k)
-    if args.k < 0:
-        raise ParameterError(f"-k must be >= 0, got {args.k}")
-    h = iterated_line_graph(g, args.k, _budget_of(args))
+    k = _iterations(args, 0)
+    h = iterated_line_graph(_load_graph(args, k), k, _budget_of(args))
     sys.stdout.buffer.write(write_graph(h, args.format))
     return 0
 
 
 def _cmd_ratio(args) -> int:
-    g = _load_graph(args, args.k)
-    report = analysis.ratio_rk(g, args.k, _budget_of(args))
+    k = _iterations(args, 1)
+    report = analysis.ratio_rk(_load_graph(args, k), k, _budget_of(args))
     sys.stdout.write(reporting.render(report, args.format))
     return 0
 

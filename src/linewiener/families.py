@@ -107,38 +107,36 @@ FamilySpec = Union[Path, Star, Complete, Spider, Quipu, BalancedQuipu, Subdivide
 
 def spec_order(spec: FamilySpec) -> int:
     """Order of build(spec) without building it."""
-    if isinstance(spec, (Path, Star, Complete)):
+    if isinstance(spec, Complete):
         return spec.n
-    if isinstance(spec, Spider):
-        return spec.a + spec.b + spec.c + 1
-    if isinstance(spec, Quipu):
-        return spec.k + 2 + sum(spec.heights)
-    if isinstance(spec, BalancedQuipu):
-        return spec.a * spec.a + spec.a + 2
-    if isinstance(spec, SubdividedQuipu):
-        return spec.a * spec.a + 3 * spec.a
-    raise ParameterError(f"not a family spec: {spec!r}")
+    spine, hanging = _tree_shape(spec)
+    return spine + sum(len(hubs) * length * count for hubs, length, count in hanging)
 
 
-def _tree_shape(spec: FamilySpec) -> tuple[int, list[tuple[int, int]]]:
-    """A tree family as (spine order, hanging paths as (hub, length)).
+def _tree_shape(spec: FamilySpec) -> tuple[int, list[tuple[range, int, int]]]:
+    """A tree family as (spine order, runs of hanging paths), each run
+    (hubs, length, count): `count` paths of `length` vertices at each hub
+    in the range `hubs`; the list is O(1) long for every family but Quipu,
+    so spec_order reads the order of star:n or ua:a in O(1).
 
     The spine is labeled 0..spine-1 in path order; each hanging path is then
-    appended root to tip, in list order, at its spine hub.
+    appended root to tip, run by run, hub by hub, at its spine hub.
     """
     if isinstance(spec, Path):
         return spec.n, []
     if isinstance(spec, Star):
-        return 1, [(0, 1)] * (spec.n - 1)
+        return 1, [(range(1), 1, spec.n - 1)]
     if isinstance(spec, Spider):
-        return 1, [(0, spec.a), (0, spec.b), (0, spec.c)]
+        return 1, [(range(1), arm, 1) for arm in (spec.a, spec.b, spec.c)]
     if isinstance(spec, Quipu):
-        return spec.k + 2, list(enumerate(spec.heights, 1))
+        return spec.k + 2, [
+            (range(hub, hub + 1), h, 1) for hub, h in enumerate(spec.heights, 1)
+        ]
     if isinstance(spec, BalancedQuipu):
-        return spec.a + 2, [(hub, spec.a) for hub in range(1, spec.a + 1)]
+        return spec.a + 2, [(range(1, spec.a + 1), spec.a, 1)]
     if isinstance(spec, SubdividedQuipu):
         a = spec.a
-        return 3 * a, [(hub, a) for hub in range(a, 2 * a)]
+        return 3 * a, [(range(a, 2 * a), a, 1)]
     raise ParameterError(f"not a family spec: {spec!r}")
 
 
@@ -150,12 +148,14 @@ def build(spec: FamilySpec) -> Graph:
     spine, hanging = _tree_shape(spec)
     edges = [(i, i + 1) for i in range(spine - 1)]
     nxt = spine
-    for hub, length in hanging:
-        prev = hub
-        for _ in range(length):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
+    for hubs, length, count in hanging:
+        for hub in hubs:
+            for _ in range(count):
+                prev = hub
+                for _ in range(length):
+                    edges.append((prev, nxt))
+                    prev = nxt
+                    nxt += 1
     return Graph(nxt, edges)
 
 

@@ -284,39 +284,20 @@ def predicted_line_edge_count(g: Graph) -> int:
 
 def check_step_size(predicted: int, step: int, budget: int) -> None:
     """Raise BudgetExceededError if line graph iteration `step` would need
-    `predicted` vertices or edges, more than `budget`: _check_step's rule,
-    for a caller that knows the size without a build."""
+    `predicted` vertices or edges, more than `budget`. line_iterates holds
+    every step it grows to this rule; a caller that knows a step's size
+    without a build holds it to the same one."""
     if predicted > budget:
         raise BudgetExceededError(predicted, budget, step)
 
 
-def _check_step(degrees: list[int], step: int, budget: int) -> None:
-    """check_step_size of L of a graph with these degrees, step `step`
-    counted from the input: first its sum(degrees) / 2 vertices, then its
-    sum C(d, 2) edges."""
-    for predicted in (sum(degrees) // 2, sum(d * (d - 1) // 2 for d in degrees)):
-        check_step_size(predicted, step, budget)
-
-
-def check_line_budget(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> None:
-    """Raise the BudgetExceededError that line_iterates(g, k, budget)
-    would raise, by its rule but without building a line graph; k is 0, 1
-    or 2. The edge uv of g is a vertex of degree deg u + deg v - 2 in L(g).
-    """
-    if not 0 <= k <= 2:
-        raise ParameterError(f"check_line_budget predicts k = 0, 1 or 2, got {k}")
-    degrees = [len(nbrs) for nbrs in g.adjacency]
-    if k >= 1:
-        _check_step(degrees, 1, budget)
-    if k == 2:
-        _check_step([degrees[u] + degrees[v] - 2 for u, v in g.edges()], 2, budget)
-
-
 def line_iterates(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> Iterator[Graph]:
     """L(g), ..., L^k(g), each the line graph of the one before. Before
-    line_graph builds step i, counted from g, the step's predicted size
-    must pass `budget` (_check_step): an overrun raises BudgetExceededError
-    in place of a runaway allocation. `k` is checked at the call."""
+    line_graph builds step i, counted from g, the step's size must pass
+    `budget` (check_step_size): first its vertices, the edges of the graph
+    before, then its edges, sum C(deg, 2) over that graph. An overrun
+    raises BudgetExceededError in place of a runaway allocation; this is
+    the one rule every iterate is grown by. `k` is checked at the call."""
     if k < 0:
         raise ParameterError(f"k must be nonnegative, got {k}")
     return _grow(g, k, budget)
@@ -324,7 +305,8 @@ def line_iterates(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> Iterator[Gr
 
 def _grow(g: Graph, k: int, budget: int) -> Iterator[Graph]:
     for step in range(1, k + 1):
-        _check_step([len(nbrs) for nbrs in g.adjacency], step, budget)
+        check_step_size(g.edge_count, step, budget)
+        check_step_size(predicted_line_edge_count(g), step, budget)
         g = line_graph(g)
         yield g
 

@@ -1340,17 +1340,26 @@ def test_oracle_bundles_build_every_l2_within_the_budget():
     ids=["worked_example_checks", "closed_form_oracle_checks",
          "near_balanced_checks"],
 )
-def test_bundles_check_their_budget_before_any_line_graph(
-    monkeypatch, call, budget
-):
-    # each budget fits the first L^2 the bundle builds but not its largest
-    from linewiener import graphs
+def test_bundles_check_their_budget_before_any_sweep(monkeypatch, call, budget):
+    # each budget fits the first L^2 the bundle builds but not its largest:
+    # the bundle grows line graphs within the budget alone, and refuses
+    # before it sweeps any graph
+    from linewiener import analysis, graphs
 
-    built = []
-    monkeypatch.setattr(graphs, "line_graph", built.append)
+    swept, grown = [], []
+    line_graph = graphs.line_graph
+
+    def measured(h):
+        built = line_graph(h)
+        grown.append(max(built.vertex_count, built.edge_count))
+        return built
+
+    monkeypatch.setattr(graphs, "line_graph", measured)
+    monkeypatch.setattr(analysis, "wiener_index", swept.append)
     with pytest.raises(BudgetExceededError):
         call(budget)
-    assert built == []
+    assert swept == []
+    assert grown and max(grown) <= budget
 
 
 @pytest.mark.parametrize(
@@ -1365,8 +1374,8 @@ def test_bundles_check_their_budget_before_any_line_graph(
 )
 def test_verify_plan_budget_is_exact(monkeypatch, name, bounds):
     # the plan refuses exactly the budgets below the largest step of any
-    # line_graph call its bundle makes, sized as graphs._check_step sizes
-    # it: |E| vertices and sum C(deg, 2) edges
+    # line_graph call its bundle makes, sized as graphs.line_iterates
+    # sizes it: |E| vertices and sum C(deg, 2) edges
     from linewiener import analysis, graphs
     from linewiener.graphs import predicted_line_edge_count
 

@@ -166,18 +166,13 @@ def test_ua_past_the_budget_fails_without_being_built(capsys, monkeypatch):
 
 
 def test_every_iteration_path_stops_at_the_same_step(capsys, tmp_path):
-    # line, ratio, iterated_line_graph, line_iterates and check_line_budget
-    # hold each step to one rule: at, below and above every step's size,
+    # line, ratio, iterated_line_graph and line_iterates hold each step
+    # to one rule: at, below and above every step's size,
     # each stops at the same step with the same message, the one the
     # sizes of the iterates themselves give
     from linewiener import Graph, build, parse_family
     from linewiener.errors import BudgetExceededError
-    from linewiener.graphs import (
-        check_line_budget,
-        iterated_line_graph,
-        line_graph,
-        line_iterates,
-    )
+    from linewiener.graphs import iterated_line_graph, line_graph, line_iterates
 
     def error(call, *args):
         try:
@@ -223,8 +218,6 @@ def test_every_iteration_path_stops_at_the_same_step(capsys, tmp_path):
                 case = (source, k, budget)
                 assert error(iterated_line_graph, g, k, budget) == expected, case
                 assert error(lambda: list(line_iterates(g, k, budget))) == expected
-                if k <= 2:
-                    assert error(check_line_budget, g, k, budget) == expected, case
                 for command in ("line", "ratio"):
                     code, out, err = run(
                         capsys, command, *source, "-k", str(k), "--budget", str(budget)
@@ -241,30 +234,50 @@ def test_every_iteration_path_stops_at_the_same_step(capsys, tmp_path):
 def test_family_past_the_budget_fails_without_being_built(
     capsys, monkeypatch, command, k
 ):
-    # U_5000 has 25,015,000 vertices: its spec alone must refuse it
+    # U_5000 has 25,015,000 vertices and the star 10^9: each spec alone
+    # must refuse its graph
     import linewiener.cli as cli
 
     def refuse(*args):
         raise AssertionError(f"built {args} before the budget check")
 
     monkeypatch.setattr(cli, "build", refuse)
-    argv = ("--family", "ua:5000", "-k", str(k), "--budget", "10")
-    assert run(capsys, command, *argv) == (
+    for spec, edges in (("ua:5000", 25014999), ("star:1000000000", 999999999)):
+        argv = ("--family", spec, "-k", str(k), "--budget", "10")
+        assert run(capsys, command, *argv) == (
+            2,
+            "",
+            f"error: line graph iteration 1 would need {edges} vertices, "
+            "budget is 10\n",
+        ), spec
+
+
+@pytest.mark.parametrize("command, k, least", [("line", -1, 0), ("ratio", 0, 1)])
+def test_bad_k_is_refused_before_the_graph_is_loaded(
+    capsys, monkeypatch, command, k, least
+):
+    # a bad -k is refused before U_2000, 4,006,000 vertices, is built
+    import linewiener.cli as cli
+
+    def refuse(*args):
+        raise AssertionError(f"built {args} before -k was checked")
+
+    monkeypatch.setattr(cli, "build", refuse)
+    assert run(capsys, command, "--family", "ua:2000", "-k", str(k)) == (
         2,
         "",
-        "error: line graph iteration 1 would need 25014999 vertices, "
-        "budget is 10\n",
+        f"error: -k must be >= {least}, got {k}\n",
     )
 
 
 def test_ua_budget_check_predicts_the_line_graph_sizes():
     # the check reads the sizes of L(U_a) and L^2(U_a) off a alone; it
-    # must fail exactly where check_line_budget on the built U_a fails,
-    # with the same error
+    # must fail exactly where growing L^2 of the built U_a fails, with the
+    # same error
     from linewiener import SubdividedQuipu, build
     from linewiener.analysis import _check_ua_budget
     from linewiener.errors import BudgetExceededError
-    from linewiener.graphs import check_line_budget
+    from linewiener.graphs import iterated_line_graph
 
     def error(check, *args):
         try:
@@ -278,7 +291,7 @@ def test_ua_budget_check_predicts_the_line_graph_sizes():
         n = g.vertex_count
         for size in (n - 1, a * a + 4 * a - 2, a * a + 9 * a - 4):
             for budget in (size - 1, size, size + 1):
-                expected = error(check_line_budget, g, 2, budget)
+                expected = error(iterated_line_graph, g, 2, budget)
                 assert error(_check_ua_budget, a, budget) == expected, (
                     a, budget
                 )

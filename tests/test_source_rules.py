@@ -21,10 +21,9 @@ function in `analysis` walks that stream: every exhaustive sweep reads
 k = 1 table sweep `_tree_scores`, which counts its own trees, and
 `min_r2_search`. And `graphs`, home of the BFS oracle,
 imports no module of the package but `errors`. And no module but
-`graphs` constructs a `BudgetExceededError`, save
-`analysis._check_ua_budget`, which reads the sizes of `L^2(U_a)` off `a`:
-every other overrun comes from the one rule `graphs.line_iterates` grows
-by, so its step numbering holds everywhere. And `cli` names no check
+`graphs` constructs a `BudgetExceededError`: every overrun comes from
+`graphs.check_step_size`, the one rule `graphs.line_iterates` grows by,
+so its step numbering holds everywhere. And `cli` names no check
 record, budget check or tree family of the `verify` bundles: their
 bounds and budget pre-checks live in `analysis.verify_plan` alone. And
 every child process a
@@ -183,7 +182,7 @@ def test_budget_errors_are_raised_by_graphs_alone():
         if isinstance(node, ast.Call)
         and "BudgetExceededError" in names_in(node.func)
     )
-    assert found == ["analysis._check_ua_budget"]
+    assert found == []
 
 
 def test_cli_holds_no_verify_plan():
@@ -191,7 +190,6 @@ def test_cli_holds_no_verify_plan():
     # second copy of what analysis.verify_plan knows of a bundle
     plan = {
         "CheckResult",
-        "check_line_budget",
         "BudgetExceededError",
         "Spider",
         "BalancedQuipu",
