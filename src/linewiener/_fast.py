@@ -14,8 +14,9 @@ kinds only to confirm its final argmins, and the k = 1 checks run one
 lane-parallel BFS per chunk of trees (line_wiener_lanes), which decodes
 the parents of the whole chunk from its level columns at once, and the
 mask BFS on each chunk's first and last tree only. General-purpose code
-goes through graphs.Graph instead, whose wiener_index runs bitset sweeps
-from up to 4096 sources at once over the adjacency lists.
+goes through graphs.Graph instead, whose wiener_index sums the distances
+across bridges exactly and runs bitset sweeps from up to 4096 sources at
+once inside each 2-edge-connected piece.
 """
 
 from __future__ import annotations

@@ -214,8 +214,10 @@ def sweep_once() -> Iterator[None]:
 
 
 def _bfs(g: Graph) -> int:
-    """W of g by BFS, read from the open sweep_once scope when it has
-    swept g; with no scope open, g is swept each time."""
+    """W of g by wiener_index, which runs BFS inside each 2-edge-connected
+    piece and sums the distance across bridges exactly, read from the open
+    sweep_once scope when it has swept g; with no scope open, g is swept
+    each time."""
     memo = _SWEPT.get({})
     w = memo.get(g)
     if w is None:
@@ -595,10 +597,12 @@ def _scan_block(args):
 
 def _confirmed_code(layout: list[int], w: int, checks: list) -> bytes:
     """The canonical code of a swept argmin, once each (name, by_sweep,
-    value, method) in checks and then W by BFS on its graph (_bfs) agree
-    with the sweep; else CrossCheckError."""
+    value, method) in checks and then W by BFS on its tree agree with the
+    sweep; else CrossCheckError. On a tree wiener_index sums edge cuts, as
+    the kernels do, so W is taken by the mask BFS (_masks_wk at k = 0),
+    not from _bfs."""
     g = layout_graph(layout)
-    checks = [*checks, ("W", w, _bfs(g), "BFS")]
+    checks = [*checks, ("W", w, _masks_wk(layout, 0), "BFS")]
     for name, by_sweep, value, method in checks:
         if value != by_sweep:
             raise CrossCheckError(
@@ -842,12 +846,13 @@ def star_minimizes_r1(n: int) -> bool:
 
     One sweep of the free trees (_k1_sweep) takes the exact minimum of
     W(L(T))/W(T) and all its argmins; each argmin's W(L(T)) and W are
-    confirmed by BFS on its line graph and on its graph. The star's own
-    ratio and code are computed independently of the sweep (direct build
-    and BFS) and compared with that minimum and the full witness list,
-    exactly. Each distinct graph is swept by BFS once (_bfs), so the star
-    argmin's graphs give the star's ratio. Raises CrossCheckError unless
-    the sweep saw free_tree_count(n) trees.
+    confirmed by wiener_index on its line graph and by BFS on its graph
+    (_confirmed_code). The star's own ratio and code are computed
+    independently of the sweep (direct build and wiener_index) and compared
+    with that minimum and the full witness list, exactly. Each distinct
+    graph goes to wiener_index once (_bfs), so the star argmin's line graph
+    gives the star's W(L(T)). Raises CrossCheckError unless the sweep saw
+    free_tree_count(n) trees.
     """
     _check_order(n, 4, "search needs order", None)
     _, best_w1, best_w, layouts = _k1_sweep(n)

@@ -108,7 +108,13 @@ def layout_parents(layout: list[int]) -> list[int]:
 def layout_graph(layout: list[int]) -> Graph:
     """The tree of a layout, vertex i at preorder position i."""
     parent = layout_parents(layout)
-    return Graph(len(parent), ((parent[i], i) for i in range(1, len(parent))))
+    # a parent precedes its children, so each neighbor list, the parent
+    # and then the children in preorder, is built sorted
+    adj = [[] for _ in parent]
+    for i in range(1, len(parent)):
+        adj[parent[i]].append(i)
+        adj[i].append(parent[i])
+    return Graph._trusted(len(adj), tuple(map(tuple, adj)), max(len(adj) - 1, 0))
 
 
 def _degree_filter(

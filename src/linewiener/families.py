@@ -144,19 +144,26 @@ def build(spec: FamilySpec) -> Graph:
     """Construct the family member with the documented labeling."""
     if isinstance(spec, Complete):
         n = spec.n
-        return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+        adjacency = tuple(tuple(u for u in range(n) if u != v) for v in range(n))
+        return Graph._trusted(n, adjacency, n * (n - 1) // 2)
+    # each vertex meets its smaller neighbors first: a spine vertex its
+    # spine neighbors, below every hanging vertex, and a hanging vertex the
+    # one it hangs from, so every neighbor list is built sorted
     spine, hanging = _tree_shape(spec)
-    edges = [(i, i + 1) for i in range(spine - 1)]
-    nxt = spine
+    adj = [[] for _ in range(spine)]
+    for i in range(1, spine):
+        adj[i - 1].append(i)
+        adj[i].append(i - 1)
     for hubs, length, count in hanging:
         for hub in hubs:
             for _ in range(count):
                 prev = hub
                 for _ in range(length):
-                    edges.append((prev, nxt))
+                    nxt = len(adj)
+                    adj[prev].append(nxt)
+                    adj.append([prev])
                     prev = nxt
-                    nxt += 1
-    return Graph(nxt, edges)
+    return Graph._trusted(len(adj), tuple(map(tuple, adj)), len(adj) - 1)
 
 
 # ------------------------------------------------------------- text forms

@@ -3,11 +3,26 @@
 Graphs are immutable adjacency-list values with 0-based vertex indices and
 sorted neighbor tuples. All arithmetic uses Python integers, so Wiener sums
 never wrap no matter how large the graph gets.
+
+wiener_index sums distances across bridges exactly and runs BFS sweeps only
+inside the 2-edge-connected pieces that cutting every bridge leaves. A
+bridge with s vertices on one side lies on the shortest path of exactly the
+s(n - s) pairs it separates, and on no other; a pair's path crosses a piece
+from the vertex where one end enters it to the vertex where the other does.
+So with w_v the number of vertices that enter v's piece at v,
+
+    W(G) = sum over bridges of s(n - s)
+         + sum over pieces of sum_{u < v} w_u w_v d(u, v),
+
+which for a tree is the bridge sum alone. Most graphs this package measures
+are trees or close to one, L^2 of a tree among them, so almost all of their
+distance is summed in closed form over long bridges.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -23,10 +38,13 @@ from .errors import (
 #: so unbounded iteration can exhaust memory before any useful output.
 DEFAULT_BUDGET = 10**6
 
-# Sources per sweep of wiener_index. A sweep holds two lists of n ints of
-# this many bits and one small tuple per vertex, its row, so memory grows as
-# n rather than n^2; graphs of up to this order, L^2(U_a) for a <= 62 among
-# them, take a single sweep.
+# Source copies per block of a wiener_index sweep. A sweep runs over the
+# whole graph when it has no bridge, and else over each piece, where a
+# source of weight w counts as w copies of one bit each, and every piece
+# holds as many copies as the graph has vertices. A block holds two lists of
+# one int of this many bits per swept vertex and one small tuple per vertex,
+# its row, so memory grows as n rather than n^2; graphs of up to this order,
+# L^2(U_a) for a <= 62 among them, take one block per sweep.
 _SWEEP_SOURCES = 4096
 
 
@@ -141,77 +159,302 @@ def is_tree(g: Graph) -> bool:
 
 
 def wiener_index(g: Graph) -> int:
-    """Exact Wiener index: sum of d(u, v) over unordered vertex pairs,
-    computed by level-synchronous sweeps that serve many sources at once.
+    """Exact Wiener index: sum of d(u, v) over unordered vertex pairs.
 
-    A sweep takes a block S of up to 4096 sources. ``reach[v]`` is a bitset
-    of the sources in S within distance d of v. Round d adds |S| - |reach[v]|,
-    the sources still farther than d from v, for each v; summed over all
-    rounds, each pair (s, v) is counted d(s, v) times. Round 0 is the closed
-    form n|S| - |S|: each source reaches only itself. Round 1 ORs each
-    source's own bit into its neighbors' reaches, in place, and then visits
+    A bridge is an edge whose removal disconnects the graph; cutting every
+    bridge leaves the 2-edge-connected pieces. Give each vertex v of a
+    piece the weight w_v: v itself plus every vertex beyond a bridge at v.
+    Then, with s and n - s the vertex counts on a bridge's two sides,
+
+        W(G) = sum over bridges of s(n - s)
+             + sum over pieces P of sum_{u < v in P} w_u w_v d(u, v).
+
+    Proof: the bridges join the pieces in a tree, since a cycle of them
+    would put each on a cycle. So a path from x to y crosses every bridge
+    on the tree path between their pieces, and a shortest one crosses each
+    of those once and no other bridge: a path that left a piece over a
+    bridge would have to come back over it. The s(n - s) pairs a bridge
+    separates make the first sum. Inside each piece P it crosses, a
+    shortest x-y path runs, by a shortest path of P, from the vertex where
+    x's side enters P to the vertex where y's side does, and the entry
+    vertex of x is x itself or the end in P of the bridge that leads
+    towards x; so the pairs entering P at u and v number w_u w_v and each
+    spends d(u, v) steps in P, none when u = v. That is the second sum. A
+    tree has no piece of two or more vertices, so W(T) is the bridge sum
+    alone.
+
+    One breadth-first pass from vertex 0 checks connectivity and marks the
+    loose vertices: those whose neighbors, but for the parent, are all
+    their own children. Every bridge is the parent edge of a loose vertex:
+    any other neighbor of c was reached before c's scan, so lies outside
+    c's subtree and closes a cycle through c's parent edge. A graph with no
+    loose vertex
+    has no bridge, and _piece_sweep sweeps it whole with every weight 1. A
+    graph whose every vertex but 0 is loose is a tree, its own BFS tree,
+    and W is the sum of s(n - s) over its edges. Any other graph goes to
+    _bridges, which tests the loose vertices' parent edges and sweeps each
+    piece.
+
+    Raises EmptyGraphError for 0 vertices and DisconnectedGraphError when any
+    distance is infinite; neither case has a defined value here. A sweep
+    still open after more rounds than any connected graph needs raises
+    CrossCheckError instead of looping forever.
+    """
+    n = g.vertex_count
+    if n == 0:
+        raise EmptyGraphError("Wiener index of the empty graph is undefined")
+    adj = g.adjacency
+    seen = [False] * n
+    seen[0] = True
+    parent = [0] * n
+    queue = [0]
+    loose = []
+    for u in queue:
+        nbrs = adj[u]
+        # the neighbors reached before u's scan, its parent among them
+        before = len(nbrs) + len(queue)
+        for v in nbrs:
+            if not seen[v]:
+                seen[v] = True
+                parent[v] = u
+                queue.append(v)
+        if before - len(queue) < 2 and u:
+            loose.append(u)
+    if len(queue) < n:
+        raise DisconnectedGraphError(
+            "Wiener index is undefined for disconnected graphs"
+        )
+    if not loose:
+        return _piece_sweep(adj, [1] * n) // 2
+    if len(loose) == n - 1:
+        size = [1] * n
+        total = 0
+        for v in reversed(queue[1:]):
+            s = size[v]
+            size[parent[v]] += s
+            total += s * (n - s)
+        return total
+    return _bridges(adj, queue, parent, loose)
+
+
+def _bridges(
+    adj: tuple[tuple[int, ...], ...],
+    order: list[int],
+    parent: list[int],
+    loose: list[int],
+) -> int:
+    """W of a connected graph by its bridges and pieces, as wiener_index
+    states it, from the BFS order, BFS tree and loose vertices that
+    wiener_index found.
+
+    The parent edge of a loose vertex c is a bridge exactly when no other
+    edge leaves c's subtree, whose s = sub[c] vertices are then the bridge's
+    far side; it adds s(n - s) to W, s to w_p and n - s to w_c. The
+    vertices in the subtrees of loose vertices are numbered in a preorder
+    of those subtrees, and every other vertex takes -1, so each subtree is
+    an interval of numbers and an edge leaves c's subtree exactly when the
+    number of its far end lies outside c's. A loose vertex's edges, to its
+    parent and its children, stay inside the subtree of every loose vertex
+    above it, so only the other vertices in those subtrees read their
+    neighbors' numbers, each by one min and one max; the least and greatest
+    number each subtree meets are gathered up the tree in reverse BFS
+    order. A vertex in no such subtree is never read, so a few pendant
+    vertices on a dense graph cost passes over its vertices, not its edges.
+
+    A vertex lies in its parent's piece unless its parent edge is a bridge,
+    and each piece of two or more vertices is swept on its own. A vertex of
+    weight 1 meets no bridge, so all its neighbors are in its piece; a
+    renumbered piece keeps only those at a heavier one. A piece of more
+    than half the vertices keeps the graph's numbering, every vertex
+    outside it of weight 0 (_piece_sweep says why that is exact), which
+    spares renumbering most of the edges; any other is renumbered, its
+    members in ascending order. With no bridge found, the graph is swept
+    whole.
+    """
+    n = len(adj)
+    # 2: loose; 1: in a loose vertex's subtree; 0: in none
+    kind = [0] * n
+    for v in loose:
+        kind[v] = 2
+    kids: dict[int, list[int]] = {}
+    stack = []
+    for v in order:
+        if kind[v]:
+            p = parent[v]
+            if kind[p]:
+                kids.setdefault(p, []).append(v)
+            else:
+                stack.append(v)
+        elif kind[parent[v]]:
+            kind[v] = 1
+            kids.setdefault(parent[v], []).append(v)
+    number = [-1] * n
+    count = 0
+    while stack:
+        v = stack.pop()
+        number[v] = count
+        count += 1
+        stack += kids.get(v, ())
+    low = number[:]
+    high = number[:]
+    at = number.__getitem__
+    for v in order:
+        if kind[v] == 1:
+            low[v] = min(map(at, adj[v]))
+            high[v] = max(map(at, adj[v]))
+    sub = [1] * n
+    for v in reversed(order):
+        if kind[v]:
+            p = parent[v]
+            sub[p] += sub[v]
+            if low[v] < low[p]:
+                low[p] = low[v]
+            if high[v] > high[p]:
+                high[p] = high[v]
+    weight = [1] * n
+    cut = [False] * n
+    total = 0
+    for c in loose:
+        s = sub[c]
+        if low[c] >= number[c] and high[c] < number[c] + s:
+            cut[c] = True
+            total += s * (n - s)
+            weight[parent[c]] += s
+            weight[c] += n - s
+    if not total:
+        return _piece_sweep(adj, [1] * n) // 2
+    top = list(range(n))
+    for v in order[1:]:
+        if not cut[v]:
+            top[v] = top[parent[v]]
+    pieces: dict[int, list[int]] = {}
+    for v in range(n):
+        pieces.setdefault(top[v], []).append(v)
+    rank = [0] * n
+    twice = 0
+    for head, members in pieces.items():
+        if 2 * len(members) > n:
+            # the largest piece keeps the graph's numbering, every vertex
+            # outside it of weight 0
+            inside = [0] * n
+            for v in members:
+                inside[v] = weight[v]
+            twice += _piece_sweep(adj, inside)
+        elif len(members) > 1:
+            for i, v in enumerate(members):
+                rank[v] = i
+            rows = [
+                tuple(map(rank.__getitem__, adj[v]))
+                if weight[v] == 1
+                else tuple(rank[u] for u in adj[v] if top[u] == head)
+                for v in members
+            ]
+            twice += _piece_sweep(rows, [weight[v] for v in members])
+    return total + twice // 2
+
+
+def _piece_sweep(adj: Sequence[tuple[int, ...]], weights: list[int]) -> int:
+    """Sum of w_u w_v d(u, v) over ordered vertex pairs of a connected
+    graph, by bitset BFS from all its vertices at once: twice its W when
+    every weight is 1. A vertex of weight 0 is no source and is never
+    visited, so its reach holds at most the runs that round 1 ORs into it,
+    those of its neighbors. A vertex outside a 2-edge-connected piece has
+    at most one neighbor in it, across a bridge, which reads back only its
+    own run; so a piece can be swept in its graph's numbering, with weight
+    0 outside it.
+
+    Source s stands for w_s copies of itself, one bit each, laid in runs
+    end to end from source 0 and cut into blocks of up to 4096 copies, so a
+    run may span blocks. ``reach[v]`` is a bitset of the block's copies
+    whose source lies within distance d of v. Round d adds w_v times the
+    copies still farther than d from v, for each v; summed over all rounds,
+    each pair (s, v) is counted w_s w_v d(s, v) times. Round 0 is the
+    closed form: a copy reaches only its own source. Round 1 ORs each run
+    into its source's reach and its neighbors', in place, and then visits
     every vertex once for its term.
 
     From round 2 on, v's reach is the union of its neighbors' reaches alone.
     This is exact for d >= 1: v lies within d of each neighbor, and any other
     source within d + 1 of v lies within d of the neighbor that starts a
     shortest path to it. A round visits the vertices whose reach is not yet
-    full, kept as rows split by degree, each class in its own loop:
-    (v, a, c) for degree 2 costs one OR, (v, a) for a leaf none, and
-    (v, nbrs) for any other degree one OR per neighbor. The new reach goes
-    to a copy, so that no round-d reach is overwritten while it is still
-    read. Each visit takes one popcount, which gives v's term and tells
-    whether v is full; a row is kept for the next round only while it is
-    not. A round costs at most 2m ORs of |S|-bit ints, so a graph of
-    diameter D costs about D * 2m of them per block: far below one BFS per
-    vertex when D << n, and worst on paths. Memory stays at two lists of n
-    such ints and one small row per vertex.
+    full, kept as rows in three classes, each in its own loop: of weight 1,
+    (v, a, c) for degree 2 costs one OR and (v, nbrs) for any other degree
+    one OR per neighbor; (v, nbrs, w_v) for a heavier vertex, which meets
+    a bridge and so is rare, costs that and one multiply. The new reach
+    goes to a copy, so that
+    no round-d reach is overwritten while it is still read. Each visit takes
+    one popcount, which gives v's term and tells whether v is full; a row is
+    kept for the next round only while it is not. A round costs at most 2m
+    ORs of block-wide ints, so a graph of diameter D costs about D * 2m of
+    them per block. Memory stays at two lists of n such ints and one small
+    row per vertex.
 
-    Raises EmptyGraphError for 0 vertices and DisconnectedGraphError when any
-    distance is infinite; neither case has a defined value here. A block
-    still open after n rounds, more than any connected graph needs, raises
-    CrossCheckError instead of looping forever.
+    The pieces of a graph of order n weigh n each, so a piece's reaches
+    are no wider than a sweep of the whole graph, and it visits only its
+    own vertices. A block still open after n rounds, more than any
+    connected graph of order n needs, raises CrossCheckError.
     """
-    n = g.vertex_count
-    if n == 0:
-        raise EmptyGraphError("Wiener index of the empty graph is undefined")
-    if not is_connected(g):
-        raise DisconnectedGraphError(
-            "Wiener index is undefined for disconnected graphs"
-        )
-    adj = g.adjacency
-    chains, leaves, hubs = [], [], []
+    n = len(adj)
+    chains, hubs, heavy = [], [], []
     for v, nbrs in enumerate(adj):
-        if len(nbrs) == 2:
+        if weights[v] != 1:
+            if weights[v]:
+                heavy.append((v, nbrs, weights[v]))
+        elif len(nbrs) == 2:
             chains.append((v, *nbrs))
-        elif len(nbrs) == 1:
-            leaves.append((v, *nbrs))
         else:
             hubs.append((v, nbrs))
+    # source s holds copies ends[s] - weights[s] .. ends[s] - 1
+    ends = list(accumulate(weights))
+    whole = ends[-1]
     total = 0
-    for first in range(0, n, _SWEEP_SOURCES):
-        width = min(_SWEEP_SOURCES, n - first)
+    s = 0
+    for first in range(0, whole, _SWEEP_SOURCES):
+        last = min(first + _SWEEP_SOURCES, whole)
+        width = last - first
         reach = [0] * n
-        for i in range(width):
-            reach[first + i] |= 1 << i
-            for u in adj[first + i]:
-                reach[u] |= 1 << i
-        total += n * width - width
+        total += whole * width
+        # the runs that meet the block, as round 1 reaches them; round 0
+        # leaves out each copy's own source
+        while s < n:
+            lo = ends[s] - weights[s]
+            if lo >= last:
+                break
+            hi = ends[s]
+            if lo < first:
+                lo = first
+            if hi > last:
+                hi = last
+            run = ((1 << hi - lo) - 1) << lo - first
+            reach[s] |= run
+            for u in adj[s]:
+                reach[u] |= run
+            total -= weights[s] * (hi - lo)
+            if hi < ends[s]:
+                # s runs on into the next block
+                break
+            s += 1
         # round 1's visits: the term of each vertex, and the rows still open
-        chain, leaf, hub = rows = [], [], []
-        for kept, every in zip(rows, (chains, leaves, hubs)):
+        chain, hub, held = rows = [], [], []
+        for kept, every in zip(rows, (chains, hubs)):
             for row in every:
                 k = width - reach[row[0]].bit_count()
                 if k:
                     total += k
                     kept.append(row)
+        for row in heavy:
+            k = width - reach[row[0]].bit_count()
+            if k:
+                total += row[2] * k
+                held.append(row)
         # connected, so every reach fills within D < n rounds
         rounds = 1
-        while chain or leaf or hub:
+        while chain or hub or held:
             rounds += 1
             if rounds > n:
+                size = len(chains) + len(hubs) + len(heavy)
                 raise CrossCheckError(
-                    f"Wiener sweep of {g!r} still open after {n} rounds"
+                    f"Wiener sweep of a {size}-vertex piece still open after {n} rounds"
                 )
             grown = reach[:]
             rows, chain = chain, []
@@ -223,15 +466,6 @@ def wiener_index(g: Graph) -> int:
                 if k:
                     total += k
                     chain.append(row)
-            rows, leaf = leaf, []
-            for row in rows:
-                v, a = row
-                b = reach[a]
-                grown[v] = b
-                k = width - b.bit_count()
-                if k:
-                    total += k
-                    leaf.append(row)
             rows, hub = hub, []
             for row in rows:
                 v, nbrs = row
@@ -243,8 +477,19 @@ def wiener_index(g: Graph) -> int:
                 if k:
                     total += k
                     hub.append(row)
+            rows, held = held, []
+            for row in rows:
+                v, nbrs, w = row
+                b = 0
+                for u in nbrs:
+                    b |= reach[u]
+                grown[v] = b
+                k = width - b.bit_count()
+                if k:
+                    total += w * k
+                    held.append(row)
             reach = grown
-    return total // 2
+    return total
 
 
 def line_graph(g: Graph) -> Graph:

@@ -340,8 +340,11 @@ def test_wiener_tree_layout_against_graph_bfs_on_random_trees():
     from linewiener._fast import wiener_tree_layout
     from linewiener.graphs import wiener_index
 
+    # on a tree wiener_index is an edge-cut sum too, so the plain BFS of
+    # naive_wiener pins both
     for g, layout in seeded_random_trees():
-        assert wiener_tree_layout(layout) == wiener_index(g), g.vertex_count
+        w = wiener_tree_layout(layout)
+        assert w == wiener_index(g) == naive_wiener(g), g.vertex_count
 
 
 def test_tree_kernels_on_tiny_trees_and_a_path_rooted_at_one_end():
@@ -385,7 +388,8 @@ def test_wiener2_formula_against_subdivided_quipu_bfs():
 def test_search_runs_the_bfs_only_on_running_argmins(monkeypatch):
     # the search confirms only the argmins left after the shares merge;
     # the path is the unique minimizer at these orders, so its
-    # confirmation is the only BFS of the search
+    # confirmation, W by the mask BFS of the tree and W_2 by that of its
+    # L^2, is the only BFS of the search
     from linewiener import _fast
 
     calls = []
@@ -397,7 +401,7 @@ def test_search_runs_the_bfs_only_on_running_argmins(monkeypatch):
         del calls[:]
         report = min_r2_search(n)
         assert report.witnesses == (canonical_code(tree(f"path:{n}")),)
-        assert len(calls) == 1, n
+        assert len(calls) == 2, n
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

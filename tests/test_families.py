@@ -116,6 +116,58 @@ def test_builds_are_pinned():
     assert found == BUILD_SHA256
 
 
+def _checked_build(spec):
+    """The family member through the checked Graph constructor, from the
+    edge list of its documented labeling."""
+    from linewiener.families import _tree_shape
+
+    if isinstance(spec, Complete):
+        n = spec.n
+        return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+    spine, hanging = _tree_shape(spec)
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    nxt = spine
+    for hubs, length, count in hanging:
+        for hub in hubs:
+            for _ in range(count):
+                prev = hub
+                for _ in range(length):
+                    edges.append((prev, nxt))
+                    prev = nxt
+                    nxt += 1
+    return Graph(nxt, edges)
+
+
+def _same_graph(g, checked):
+    assert g == checked
+    assert g.adjacency == checked.adjacency
+    assert g.edge_count == checked.edge_count
+    for fmt in ("edge-list", "graph6"):
+        assert write_graph(g, fmt) == write_graph(checked, fmt)
+
+
+def test_trusted_builds_match_the_checked_constructor():
+    # build and layout_graph skip the checked constructor's range check,
+    # de-duplication and sort; each must give the graph it would have built
+    from linewiener.enumeration import free_tree_layouts, layout_graph, layout_parents
+
+    specs = [Path(n) for n in range(1, 30)] + [Star(n) for n in range(2, 30)]
+    specs += [Complete(n) for n in range(1, 9)]
+    specs += [Spider(*arms) for arms in itertools.product(range(1, 6), repeat=3)]
+    specs += [BalancedQuipu(a) for a in range(2, 15)]
+    specs += [SubdividedQuipu(a) for a in range(2, 15)]
+    for spec in specs:
+        _same_graph(build(spec), _checked_build(spec))
+    layouts = 0
+    for n in range(1, 11):
+        for layout in free_tree_layouts(n):
+            parent = layout_parents(layout)
+            checked = Graph(n, ((parent[i], i) for i in range(1, n)))
+            _same_graph(layout_graph(layout), checked)
+            layouts += 1
+    assert layouts == 201
+
+
 def test_spider_wiener_ignores_arm_order():
     values = {
         wiener_index(build(Spider(*perm)))

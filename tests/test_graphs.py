@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import random
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 
@@ -116,10 +117,11 @@ def test_wiener_undefined_cases():
         wiener_index(Graph(4, [(0, 1), (2, 3)]))
 
 
-def test_wiener_sweep_raises_when_a_reach_never_fills(monkeypatch):
-    # past a connectivity check that lies, vertex 2's reach stays empty;
-    # the sweep must stop with an error, so an alarm fails the test if it
-    # spins
+def test_wiener_sweep_raises_when_a_reach_never_fills():
+    # wiener_index checks connectivity before any sweep, so the piece sweep
+    # is handed a disconnected adjacency itself: vertex 2's reach stays
+    # empty, and the sweep must stop with an error, so an alarm fails the
+    # test if it spins
     import signal
 
     from linewiener import graphs
@@ -127,12 +129,11 @@ def test_wiener_sweep_raises_when_a_reach_never_fills(monkeypatch):
     def spins(signum, frame):
         raise TimeoutError("Wiener sweep still running after 10 s")
 
-    monkeypatch.setattr(graphs, "is_connected", lambda g: True)
     previous = signal.signal(signal.SIGALRM, spins)
     signal.alarm(10)
     try:
         with pytest.raises(CrossCheckError, match="still open after 3 rounds"):
-            wiener_index(Graph(3, [(0, 1)]))
+            graphs._piece_sweep([(1,), (0,), ()], [1, 1, 1])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -255,50 +256,176 @@ def _distances(g):
     return rows
 
 
+def _components(n, edges):
+    """Each vertex's component, labeled by its least vertex."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    label = [-1] * n
+    for root in range(n):
+        if label[root] < 0:
+            label[root] = root
+            stack = [root]
+            while stack:
+                for v in adj[stack.pop()]:
+                    if label[v] < 0:
+                        label[v] = root
+                        stack.append(v)
+    return label
+
+
+def _bridge_pieces(g):
+    """The bridges of a connected graph, found by deleting each edge in turn,
+    and each piece of two or more vertices left by cutting them all, in the
+    order of its least vertex, as (members, adjacency, weights): members
+    ascending, the adjacency on their ranks, and each member's weight one
+    plus the vertex count beyond every bridge at it."""
+    n = g.vertex_count
+    edges = list(g.edges())
+    bridges = []
+    for e in edges:
+        label = _components(n, [f for f in edges if f != e])
+        u, v = e
+        if label[u] != label[v]:
+            # u gains the vertices on v's side, and v those on u's
+            bridges.append((u, v, label.count(label[v]), label.count(label[u])))
+    weight = [1] * n
+    for u, v, beyond_u, beyond_v in bridges:
+        weight[u] += beyond_u
+        weight[v] += beyond_v
+    cut = {(u, v) for u, v, _, _ in bridges}
+    piece = _components(n, [e for e in edges if e not in cut])
+    pieces = []
+    for head in sorted(set(piece)):
+        members = [v for v in range(n) if piece[v] == head]
+        if len(members) > 1:
+            rank = {v: i for i, v in enumerate(members)}
+            adjacency = [
+                tuple(rank[u] for u in g.adjacency[v] if piece[u] == head)
+                for v in members
+            ]
+            pieces.append((members, adjacency, [weight[v] for v in members]))
+    return [(u, v) for u, v, _, _ in bridges], pieces
+
+
+def _rows_graph(adjacency):
+    return Graph(
+        len(adjacency), ((v, u) for v, nbrs in enumerate(adjacency) for u in nbrs)
+    )
+
+
+def _sweep_visits(g, width, weights=None):
+    """One Counter per block of `width` source copies, of the reaches a
+    sweep of g visits: v in round 1, and in round d > 1 while v's reach of
+    round d - 1 is not full, so max(1, the distance from v to its farthest
+    source in the block) times; its visit of round d sees the sources
+    within d. Source s stands for weights[s] copies (default 1), one bit
+    each, in runs laid end to end from source 0, cut into blocks."""
+    n = g.vertex_count
+    weights = weights or [1] * n
+    dist = _distances(g)
+    ends = list(accumulate(weights))
+    blocks = []
+    for first in range(0, ends[-1], width):
+        last = min(first + width, ends[-1])
+        runs = {}
+        for s in range(n):
+            lo, hi = max(ends[s] - weights[s], first), min(ends[s], last)
+            if lo < hi:
+                runs[s] = ((1 << hi - lo) - 1) << lo - first
+        visits = Counter()
+        for v in range(n):
+            farthest = max(dist[s][v] for s in runs)
+            for d in range(1, max(1, farthest) + 1):
+                ball = 0
+                for s, run in runs.items():
+                    if dist[s][v] <= d:
+                        ball |= run
+                visits[ball] += 1
+        blocks.append(visits)
+    return blocks
+
+
+def _as_piece(adjacency, weights):
+    """A _piece_sweep call as (adjacency, weights) of its members, the
+    vertices of nonzero weight, renumbered in ascending order; a call in
+    the graph's own numbering passes the whole graph's adjacency."""
+    members = [v for v, w in enumerate(weights) if w]
+    rank = {v: i for i, v in enumerate(members)}
+    return (
+        [tuple(rank[u] for u in adjacency[v] if u in rank) for v in members],
+        [weights[v] for v in members],
+    )
+
+
 @pytest.mark.parametrize("width", [1, 3, 7, 4096])
 def test_wiener_sweep_reads_each_vertex_once_per_round_until_it_fills(
     monkeypatch, width
 ):
-    # Each visit of a vertex takes one popcount, of the reach it computed.
-    # Each block of sources S visits v in round 1 and in round d > 1 while
-    # v's reach of round d - 1 is not full, so max(1, the distance from v to
-    # its farthest source in S) times, and its visit of round d sees the
-    # sources within d of v. A vertex visited again in a round, or kept once
-    # its reach fills, makes a visit past that multiset. The popcounts are
-    # read as the profiler's calls of int.bit_count in wiener_index's frame.
+    # Each visit of a vertex takes one popcount, of the reach it computed,
+    # read as the profiler's calls of int.bit_count in the frame of
+    # graphs._piece_sweep. A vertex visited again in a round, or kept once
+    # its reach fills, makes a visit past the multiset _sweep_visits lists.
+    #
+    # A graph with no bridge is swept whole, in one call with every weight
+    # 1, and its visits are those _sweep_visits lists for the graph. A graph
+    # with a bridge is swept piece by piece, one call per piece of two or
+    # more vertices, with the members and weights of _bridge_pieces: the
+    # largest piece in the graph's numbering with weight 0 outside it when
+    # it holds more than half the vertices, any other renumbered. Each
+    # call's visits are those _sweep_visits lists for its piece and
+    # weights. A tree has no such piece and makes no popcount at all.
     from linewiener import graphs
 
     monkeypatch.setattr(graphs, "_SWEEP_SOURCES", width)
-    code = graphs.wiener_index.__code__
+    piece_code = graphs._piece_sweep.__code__
+    sweep_piece = graphs._piece_sweep
+    swept = []
+
+    def recorded(adjacency, weights):
+        swept.append((list(adjacency), list(weights), []))
+        return sweep_piece(adjacency, weights)
+
+    monkeypatch.setattr(graphs, "_piece_sweep", recorded)
     rng = random.Random(24)
     cases = [Graph(1), path(2), path(9), cycle(10), star(6), complete(5)]
-    # both connected
+    # both connected, the second with no bridge
     cases += [random_tree(rng, 20), random_graph(rng, 12, 0.5)]
+    # bridges between pieces of two or more vertices
+    two_rings = Graph(
+        13,
+        [*cycle(4).edges(), (3, 4), (4, 5), (5, 6)]
+        + [(u + 6, v + 6) for u, v in cycle(5).edges()]
+        + [(8, 11), (11, 12)],
+    )
+    cases += [two_rings, iterated_line_graph(build(SubdividedQuipu(3)), 2)]
+    kinds = []
+    # calls with a vertex of weight 0, and calls renumbered, over graphs
+    # with a bridge
+    in_place = renumbered = 0
     for g in cases:
-        n = g.vertex_count
-        dist = _distances(g)
-        blocks = []
-        for first in range(0, n, width):
-            sources = range(first, min(first + width, n))
-            visits = Counter()
-            for v in range(n):
-                farthest = max(dist[s][v] for s in sources)
-                for d in range(1, max(1, farthest) + 1):
-                    ball = sum(1 << s - first for s in sources if dist[s][v] <= d)
-                    visits[ball] += 1
-            blocks.append(visits)
-        expected = sum(block.total() for block in blocks)
-        seen = []
+        bridges, pieces = _bridge_pieces(g)
+        kinds.append((bool(bridges), len(pieces)))
+        if not bridges:
+            n = g.vertex_count
+            pieces = [(list(range(n)), list(g.adjacency), [1] * n)]
+        expected = [
+            _sweep_visits(_rows_graph(adjacency), width, weights)
+            for _, adjacency, weights in pieces
+        ]
+        limit = sum(block.total() for blocks in expected for block in blocks)
+        swept.clear()
 
         def popcounts(frame, event, arg):
             if (
                 event == "c_call"
-                and frame.f_code is code
                 and getattr(arg, "__name__", None) == "bit_count"
+                and frame.f_code is piece_code
             ):
-                seen.append(arg.__self__)
-                if len(seen) > expected:
-                    raise AssertionError(f"more than {expected} visits in {g}")
+                swept[-1][2].append(arg.__self__)
+                if sum(len(seen) for _, _, seen in swept) > limit:
+                    raise AssertionError(f"more than {limit} popcounts in {g}")
 
         previous = sys.getprofile()
         sys.setprofile(popcounts)
@@ -306,16 +433,37 @@ def test_wiener_sweep_reads_each_vertex_once_per_round_until_it_fills(
             w = wiener_index(g)
         finally:
             sys.setprofile(previous)
-        assert w == sum(map(sum, dist)) // 2
-        for block in blocks:
-            size = block.total()
-            assert Counter(seen[:size]) == block, g
-            del seen[:size]
-        assert seen == [], g
+        assert w == sum(map(sum, _distances(g))) // 2
+        calls = [_as_piece(a, w) for a, w, _ in swept]
+        assert calls == [(a, w) for _, a, w in pieces], g
+        if bridges:
+            in_place += sum(0 in w for _, w, _ in swept)
+            renumbered += sum(len(a) < g.vertex_count for a, _, _ in swept)
+        for (_, _, seen), blocks in zip(swept, expected, strict=True):
+            for block in blocks:
+                size = block.total()
+                assert Counter(seen[:size]) == block, g
+                del seen[:size]
+            assert seen == [], g
+    # (has a bridge, pieces of two or more vertices) per case
+    assert kinds == [
+        (False, 0),
+        (True, 0),
+        (True, 0),
+        (False, 1),
+        (True, 0),
+        (False, 1),
+        (True, 0),
+        (False, 1),
+        (True, 2),
+        (True, 1),
+    ]
+    assert in_place and renumbered
 
 
 def test_wiener_sweep_past_one_block_of_sources():
-    # 4096 sources per block: orders 4097 and 4225 take two blocks
+    # 4096 sources per block: the grid, of order 4225 and with no bridge,
+    # takes two blocks; the star of order 4097 is all bridges
     n = 4097
     assert wiener_index(star(n)) == (n - 1) ** 2
     a = b = 65
@@ -327,6 +475,141 @@ def test_wiener_sweep_past_one_block_of_sources():
     # W(G x H) = |H|^2 W(G) + |G|^2 W(H), and W(P_k) = C(k + 1, 3)
     w_path = (a + 1) * a * (a - 1) // 6
     assert wiener_index(grid) == 2 * b * b * w_path
+
+
+def test_wiener_piece_past_one_block_of_sources():
+    # a wheel, hub 0 and rim 1..m, with a pendant vertex at rim vertex 1: one
+    # piece of order m + 1 = 4097, whose 4098 source copies (rim vertex 1
+    # weighs 2) take two blocks; W(wheel) = m(m - 1), and the pendant vertex
+    # adds 1 + d(1, y) to every y
+    m = 4096
+    rim = [(i, i % m + 1) for i in range(1, m + 1)]
+    g = Graph(m + 2, [*((0, i) for i in range(1, m + 1)), *rim, (1, m + 1)])
+    assert wiener_index(g) == m * (m - 1) + 3 * m - 2
+
+
+def _glued(rng, blocks):
+    """Blocks, each a (order, edges) pair, glued into one connected graph:
+    each block after the first hangs from a random earlier vertex by a path
+    of 1-3 bridges into its vertex 0."""
+    n, edges = 0, []
+    for order, block in blocks:
+        if n:
+            at = rng.randrange(n)
+            for _ in range(rng.randrange(3)):
+                edges.append((at, n))
+                at = n
+                n += 1
+            edges.append((at, n))
+        edges += [(u + n, v + n) for u, v in block]
+        n += order
+    return Graph(n, edges)
+
+
+def _bridged_cases():
+    """Seeded graphs with bridges and pieces of two or more vertices: cycles
+    joined by paths, cliques with pendant trees, and L and L^2 of random
+    trees with a few extra edges."""
+    rng = random.Random(3737)
+    cases = []
+    for _ in range(12):
+        cases.append(
+            _glued(
+                rng,
+                [
+                    (k, list(cycle(k).edges()))
+                    for k in (rng.randrange(3, 13) for _ in range(rng.randrange(2, 5)))
+                ],
+            )
+        )
+    for _ in range(12):
+        blocks = []
+        for _ in range(rng.randrange(2, 8)):
+            k = rng.choice((1, 1, 1, 3, 4, 5, 9))
+            blocks.append((k, list(complete(k).edges())))
+        cases.append(_glued(rng, blocks))
+    for _ in range(12):
+        n = rng.randrange(4, 13)
+        t = random_tree(rng, n)
+        extra = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(1, 3))]
+        g = Graph(n, [*t.edges(), *extra])
+        cases += [g, line_graph(g), iterated_line_graph(g, 2)]
+    return cases
+
+
+@pytest.mark.parametrize("width", [1, 3, 7, 4096])
+def test_wiener_across_bridges_on_seeded_graphs_with_pieces(monkeypatch, width):
+    # narrow widths split the pieces into several blocks of weighted sources
+    from linewiener import graphs
+
+    monkeypatch.setattr(graphs, "_SWEEP_SOURCES", width)
+    cases = _bridged_cases()
+    shapes = [_bridge_pieces(g) for g in cases]
+    # graphs with a bridge and two or more pieces, and with a bridge and a
+    # piece past one block
+    assert sum(bool(bridges) and len(pieces) > 1 for bridges, pieces in shapes) >= 20
+    if width < 4096:
+        assert sum(
+            bool(bridges) and any(len(members) > width for members, _, _ in pieces)
+            for bridges, pieces in shapes
+        ) >= 10
+    for g in cases:
+        assert wiener_index(g) == naive_wiener(g), list(g.edges())
+
+
+@pytest.mark.parametrize("width", [1, 3, 7, 4096])
+def test_wiener_on_every_free_tree_to_order_9_and_its_line_graphs(
+    monkeypatch, width
+):
+    from linewiener import graphs
+    from linewiener.enumeration import free_tree_layouts, layout_graph
+
+    monkeypatch.setattr(graphs, "_SWEEP_SOURCES", width)
+    seen = 0
+    for n in range(1, 10):
+        for layout in free_tree_layouts(n):
+            g = layout_graph(layout)
+            for k in range(3):
+                h = iterated_line_graph(g, k)
+                if h.vertex_count:
+                    assert wiener_index(h) == naive_wiener(h), (layout, k)
+                    seen += 1
+    # 95 trees, L of the 94 of order >= 2, and L^2 of the 93 of order >= 3
+    assert seen == 95 + 94 + 93
+
+
+@pytest.mark.parametrize("width", [1, 3, 7, 4096])
+def test_wiener_piece_with_weights_past_eight_bits(monkeypatch, width):
+    # a 4-cycle with a path of 300 vertices at vertex 0 and a star of 260
+    # leaves at vertex 2: the piece's weights 301, 1, 261, 1 take nine bits,
+    # and at the narrow widths the runs of copies of 0 and 2 span many blocks
+    from linewiener import graphs
+
+    monkeypatch.setattr(graphs, "_SWEEP_SOURCES", width)
+    sweep_piece = graphs._piece_sweep
+    swept = []
+
+    def recorded(adjacency, weights):
+        swept.append((list(adjacency), list(weights)))
+        return sweep_piece(adjacency, weights)
+
+    monkeypatch.setattr(graphs, "_piece_sweep", recorded)
+    g = _heavy_ring()
+    assert wiener_index(g) == _heavy_ring_wiener()
+    assert swept == [([(1, 3), (0, 2), (1, 3), (0, 2)], [301, 1, 261, 1])]
+
+
+def _heavy_ring():
+    edges = list(cycle(4).edges())
+    edges += [(0, 4)] + [(i, i + 1) for i in range(4, 303)]
+    edges += [(2, i) for i in range(304, 564)]
+    return Graph(564, edges)
+
+
+@functools.cache
+def _heavy_ring_wiener():
+    # the plain BFS once per run; every width compares with it
+    return naive_wiener(_heavy_ring())
 
 
 def test_wiener_sweep_matches_networkx():
