@@ -195,17 +195,15 @@ def ratio_rk(g: Graph, k_max: int, budget: int = DEFAULT_BUDGET) -> RatioReport:
     )
 
 
-#: The memo of the open sweep_once scope: W by graph (_bfs), and the k = 1
-#: summary by order (_k1_sweep).
 _SWEPT: ContextVar[dict] = ContextVar("swept")
 
 
 @contextmanager
 def sweep_once() -> Iterator[None]:
-    """A scope that sweeps each distinct graph by BFS, and the trees of each
-    order at k = 1, once; a scope opened inside another reuses it. Each
-    verification bundle runs in one (decorated with sweep_once()), so the
-    bundles run inside one scope share their sweeps, as `verify` runs them."""
+    """A scope that grows each line graph, sweeps each distinct graph by
+    BFS, and the trees of each order at k = 1, once; a scope opened inside
+    another reuses it. Each verification bundle runs in one (decorated
+    with sweep_once()), so bundles in one scope share all three."""
     token = _SWEPT.set(_SWEPT.get({}))
     try:
         yield
@@ -213,26 +211,39 @@ def sweep_once() -> Iterator[None]:
         _SWEPT.reset(token)
 
 
+def _scoped(f):
+    """f, run once per open sweep_once scope for each tuple of arguments,
+    its result kept there; with no scope open, f runs at each call."""
+    def once(*args):
+        memo = _SWEPT.get({})
+        key = (f, *args)
+        if key not in memo:
+            memo[key] = f(*args)
+        return memo[key]
+    return once
+
+
+@_scoped
 def _bfs(g: Graph) -> int:
     """W of g by wiener_index, which runs BFS inside each 2-edge-connected
-    piece and sums the distance across bridges exactly, read from the open
-    sweep_once scope when it has swept g; with no scope open, g is swept
-    each time."""
-    memo = _SWEPT.get({})
-    w = memo.get(g)
-    if w is None:
-        w = memo[g] = wiener_index(g)
-    return w
+    piece and sums the distance across bridges exactly."""
+    return wiener_index(g)
+
+
+@_scoped
+def _grown(g: Graph, k: int, budget: int) -> Graph:
+    """iterated_line_graph(g, k, budget). The budget is in the scope's key,
+    so a read under another budget grows again and refuses as it would."""
+    return iterated_line_graph(g, k, budget)
 
 
 def _w_w2(g: Graph, budget: int) -> tuple[int, int]:
     """(W, W2) of a connected graph, both by direct BFS (_bfs). L^2 is
-    built first, so a budget overrun raises before any sweep."""
-    l2 = iterated_line_graph(g, 2, budget)
+    grown first (_grown), so a budget overrun raises before any sweep."""
+    l2 = _grown(g, 2, budget)
     return _bfs(g), _bfs(l2)
 
 
-@sweep_once()
 def beats_path(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
     """Exact test of R2(G) < R2(P_n) at n = |V(G)|.
 
@@ -815,17 +826,14 @@ def min_r2_search(
     )
 
 
+@_scoped
 def _k1_sweep(n: int) -> tuple:
     """(identity holds, best W_1, best W, argmin layouts) of order n.
 
     One pass of _tree_scores gives both k = 1 facts: whether W(L(T)) =
     W(T) - C(n,2) for every tree, and the exact minimum of W(L(T))/W(T)
-    with all its argmins (_keep_min). Within a sweep_once scope each order
-    is swept once.
+    with all its argmins (_keep_min).
     """
-    memo = _SWEPT.get({})
-    if n in memo:
-        return memo[n]
     shift = comb(n, 2)
     holds = True
     best = [1, 0, []]
@@ -836,8 +844,7 @@ def _k1_sweep(n: int) -> tuple:
         if w1 * best_w <= best_w1 * w:
             _keep_min(best, w1, w, [list(layout)])
             best_w1, best_w = best[0], best[1]
-    memo[n] = summary = (holds, *best)
-    return summary
+    return (holds, *best)
 
 
 @sweep_once()
@@ -867,7 +874,6 @@ def star_minimizes_r1(n: int) -> bool:
     return star_ratio == ratio and codes == [canonical_code(star)]
 
 
-@sweep_once()
 def line_wiener_tree_identity(n: int) -> bool:
     """W(L(T)) = W(T) - C(n,2) for every tree of order n, from one sweep
     (_k1_sweep).
@@ -897,23 +903,27 @@ def _check(name: str, ok: bool, detail: str) -> CheckResult:
     return CheckResult(name=name, ok=bool(ok), detail=detail)
 
 
-def _built_within(specs, budget: int) -> list[Graph]:
-    """build(spec) of each spec, in order, once its L^2 is grown within
-    `budget`; the L^2 is let go."""
-    graphs = []
-    for spec in specs:
-        graphs.append(build(spec))
-        iterated_line_graph(graphs[-1], 2, budget)
+def _with_l2(specs, budget: int) -> list[Graph]:
+    """build(spec) of each spec, in order, each with its L^2 grown (_grown)."""
+    graphs = [build(spec) for spec in specs]
+    for g in graphs:
+        _grown(g, 2, budget)
     return graphs
 
 
-def _check_oracle_budget(max_a: int, max_path_n: int, budget: int) -> None:
-    """Check the budget of the largest L^2 closed_form_oracle_checks builds:
-    spider:a,a,a's and qa:a's at max_a, and the longest R2-checked path's."""
-    specs = [Spider(max_a, max_a, max_a), BalancedQuipu(max_a)]
-    if max_path_n >= 3:
-        specs.append(Path(max_path_n))
-    _built_within(specs, budget)
+@_scoped
+def _oracle_trees(max_a: int, max_path_n: int, budget: int) -> tuple:
+    """The trees of closed_form_oracle_checks by arms, a and n: spiders,
+    deep spiders (every arm >= 2, as d2_spider needs; the first arm is the
+    shortest), quipus and paths; and by graph the L^2 it sweeps, grown in
+    this order: of the deep spiders, the quipus and the paths from order 3."""
+    arms = combinations_with_replacement(range(1, max_a + 1), 3)
+    spiders = {abc: build(Spider(*abc)) for abc in arms}
+    deep = {abc: g for abc, g in spiders.items() if abc[0] >= 2}
+    quipus = {a: build(BalancedQuipu(a)) for a in range(2, max_a + 1)}
+    paths = {n: build(Path(n)) for n in range(1, max_path_n + 1)}
+    swept = [*deep.values(), *quipus.values(), *list(paths.values())[2:]]
+    return spiders, deep, quipus, paths, {g: _grown(g, 2, budget) for g in swept}
 
 
 def _agree(pairs: list) -> bool:
@@ -934,7 +944,7 @@ def closed_form_oracle_checks(
     Spider W over all 1 <= a <= b <= c <= max_a, spider D2 over the same
     range from 2 up (its formula needs arms >= 2), quipu forms over
     2 <= a <= max_a, and the path forms over n up to max_path_n. Every
-    L^2 is built within `budget`, checked for the largest before any build.
+    L^2 is grown within `budget` before the first sweep (_oracle_trees).
     Each check passes by _agree, so a range that compares nothing fails.
 
     Each distinct graph is swept once (_bfs), its W kept by the graph
@@ -944,31 +954,21 @@ def closed_form_oracle_checks(
     """
     if max_a < 2:
         raise ParameterError(f"oracle check needs max_a >= 2, got {max_a}")
-    _check_oracle_budget(max_a, max_path_n, budget)
-
-    def bfs_l2(g: Graph) -> int:
-        return _bfs(iterated_line_graph(g, 2, budget))
-
-    arms = combinations_with_replacement(range(1, max_a + 1), 3)
-    spiders = {abc: build(Spider(*abc)) for abc in arms}
-    # d2_spider needs every arm >= 2; the first arm is the shortest
-    deep = {abc: g for abc, g in spiders.items() if abc[0] >= 2}
-    quipus = {a: build(BalancedQuipu(a)) for a in range(2, max_a + 1)}
-    paths = {n: build(Path(n)) for n in range(1, max_path_n + 1)}
+    spiders, deep, quipus, paths, l2 = _oracle_trees(max_a, max_path_n, budget)
     rows = [
         ("spider W",
          f"{len(spiders)} arm combos with 1 <= a <= b <= c <= {max_a}",
          [(w_spider(*abc), _bfs(g)) for abc, g in spiders.items()]),
         ("spider D2", f"{len(deep)} arm combos with 2 <= a <= b <= c <= {max_a}",
-         [(d2_spider(*abc), _bfs(g) - bfs_l2(g)) for abc, g in deep.items()]),
+         [(d2_spider(*abc), _bfs(g) - _bfs(l2[g])) for abc, g in deep.items()]),
         ("quipu W", f"a = 2..{max_a}",
          [(w_quipu(a), _bfs(g)) for a, g in quipus.items()]),
         ("quipu D2", f"a = 2..{max_a}",
-         [(d2_quipu(a), _bfs(g) - bfs_l2(g)) for a, g in quipus.items()]),
+         [(d2_quipu(a), _bfs(g) - _bfs(l2[g])) for a, g in quipus.items()]),
         ("path W", f"n = 1..{max_path_n}",
          [(w_path(n), _bfs(g)) for n, g in paths.items()]),
         ("path R2", f"n = 3..{max_path_n}",
-         [(r2_path(n), Fraction(bfs_l2(g), _bfs(g)))
+         [(r2_path(n), Fraction(_bfs(l2[g]), _bfs(g)))
           for n, g in paths.items() if n >= 3]),
     ]
     return [
@@ -993,13 +993,11 @@ def line_identity_checks(max_n: int = _IDENTITY_MAX_N) -> list[CheckResult]:
     ]
 
 
-def _case_spiders(a_lo: int, a_hi: int, budget: int) -> tuple[int, int]:
-    """(lo, hi): the a in 2..8 whose case spiders near_balanced_checks
-    builds, once L^2 of the largest, case iii's at a = hi, fits `budget`."""
-    lo, hi = max(2, a_lo), min(8, a_hi)
-    if lo <= hi:
-        _built_within([Spider(*spider_case_arms(hi, "iii"))], budget)
-    return lo, hi
+def _case_spiders(a_lo: int, a_hi: int, budget: int) -> tuple[range, Iterator]:
+    """The a of a_lo..a_hi in 2..8 and their spiders by case, L^2 grown."""
+    built = range(max(2, a_lo), min(8, a_hi) + 1)
+    arms = [spider_case_arms(a, case) for case in CASES for a in built]
+    return built, iter(_with_l2([Spider(*abc) for abc in arms], budget))
 
 
 @sweep_once()
@@ -1007,12 +1005,12 @@ def near_balanced_checks(
     a_lo: int = _CASE_LO, a_hi: int = _CASE_HI, budget: int = DEFAULT_BUDGET
 ) -> list[CheckResult]:
     """Near-balanced spider cases: closed forms against BFS for each a of
-    the scan in 2..8, failing if there is none (each L^2 built within
-    `budget`, each distinct graph swept once, as in closed_form_oracle_checks),
+    the scan in 2..8, failing if there is none (every L^2 grown before any
+    sweep, each distinct graph swept once, as in closed_form_oracle_checks),
     sign pattern of the gap, and the realized crossover at a = 7; each
     check passes by _agree."""
-    lo, hi = _case_spiders(a_lo, a_hi, budget)
-    built = f"a = {lo}..{hi}" if lo <= hi else (
+    built, spiders = _case_spiders(a_lo, a_hi, budget)
+    detail = f"a = {built[0]}..{built[-1]}" if built else (
         "no spider built: the scan misses a = 2..8"
     )
     scanned = f"scan a = {a_lo}..{a_hi}"
@@ -1021,9 +1019,9 @@ def near_balanced_checks(
         report = threshold_scan(case, a_lo, a_hi)
         first = report.smallest_passing_a
         record = []
-        for a in range(lo, hi + 1):
+        for a in built:
             values = balanced_spider_case(a, case)
-            w, w2 = _w_w2(build(Spider(*spider_case_arms(a, case))), budget)
+            w, w2 = _w_w2(next(spiders), budget)
             record += [
                 (values.w, w),
                 (values.d2, w - w2),
@@ -1035,7 +1033,7 @@ def near_balanced_checks(
              f"{scanned}, got {first}", [(first, 7)]),
             (f"case {case}: gap > 0 exactly for a >= 7", scanned,
              [(gap > 0, a >= 7) for a, gap in report.per_a_gap]),
-            (f"case {case}: case record = BFS on built spider", built, record),
+            (f"case {case}: case record = BFS on built spider", detail, record),
         ]
     return [
         _check(name, _agree(pairs), detail) for name, detail, pairs in rows
@@ -1070,7 +1068,7 @@ def limit_quotient_checks() -> list[CheckResult]:
     return out
 
 
-# the trees whose L^2 worked_example_checks builds, in the order it builds them
+# the trees whose L^2 worked_example_checks sweeps, in the order it grows them
 _WORKED_EXAMPLE_SPECS = (
     Spider(7, 7, 7),
     Spider(6, 6, 6),
@@ -1084,9 +1082,9 @@ def worked_example_checks(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     """The frozen worked numbers: every headline constant recomputed from
     scratch (closed form where one exists, BFS oracle everywhere, each
     distinct graph swept once, as in closed_form_oracle_checks), each
-    check a row of (value, expected) pairs passing by _agree. The budget
-    of every L^2 it builds is checked before the first."""
-    spider777, spider666, spider345, quipu2 = _built_within(
+    check a row of (value, expected) pairs passing by _agree. Every L^2
+    it sweeps is grown within `budget` before the first sweep."""
+    spider777, spider666, spider345, quipu2 = _with_l2(
         _WORKED_EXAMPLE_SPECS, budget
     )
     w, w2 = _w_w2(spider777, budget)
@@ -1148,8 +1146,9 @@ def verify_plan(
     its bundle's CheckResults, once every bundle has passed its checks: a
     known name, named once; bounds in range (max_n of buckley and thm1,
     max_a of lemmas, a_range (lo, hi) of thm4, a of thm5; None takes the
-    default; errors name the `verify` flags); and the budget of the
-    largest line graph the bundle builds. Run them in one sweep_once()."""
+    default; errors name the `verify` flags); and the budget, by growing
+    the line graphs paper-numbers, lemmas, thm4 sweep and thm1's L(star),
+    and sizing thm5's. Run them in one sweep_once() to grow each once."""
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ParameterError(f"check named twice: {', '.join(repeated)}")
@@ -1159,7 +1158,7 @@ def verify_plan(
 def _runner(name: str, budget: int, max_n, max_a, a_range, a):
     """The runner of one bundle of verify_plan, once it is checked."""
     if name == "paper-numbers":
-        _built_within(_WORKED_EXAMPLE_SPECS, budget)
+        _with_l2(_WORKED_EXAMPLE_SPECS, budget)
         return lambda: worked_example_checks(budget)
     if name == "buckley":
         top = _bound(
@@ -1168,7 +1167,7 @@ def _runner(name: str, budget: int, max_n, max_a, a_range, a):
         return lambda: line_identity_checks(top)
     if name == "lemmas":
         top = _bound(max_a, _ORACLE_MAX_A, 2, "lemmas needs --max-a")
-        _check_oracle_budget(top, _ORACLE_PATH_N, budget)
+        _oracle_trees(top, _ORACLE_PATH_N, budget)
         return lambda: closed_form_oracle_checks(top, budget=budget)
     if name == "thm4":
         lo, hi = a_range or (_CASE_LO, _CASE_HI)
@@ -1194,7 +1193,7 @@ def _runner(name: str, budget: int, max_n, max_a, a_range, a):
         top = _bound(max_n, 12, 4, "thm1 needs --max-n", DEFAULT_SEARCH_LIMIT)
         # the star has the largest L of any tree of its order: n - 1
         # vertices, as every tree, and the most edges, C(n - 1, 2)
-        iterated_line_graph(build(Star(top)), 1, budget)
+        _grown(build(Star(top)), 1, budget)
 
         def thm1():
             bad = [n for n in range(4, top + 1) if not star_minimizes_r1(n)]

@@ -301,16 +301,16 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    runners = analysis.verify_plan(
-        args.checks or analysis.VERIFY_BUNDLES,
-        _budget_of(args),
-        max_n=args.max_n,
-        max_a=args.max_a,
-        a_range=_a_range(args, None),
-        a=args.a,
-    )
-    # the bundles share their sweeps, within this command alone
+    # the plan's growth and the bundles' sweeps last for this command alone
     with analysis.sweep_once():
+        runners = analysis.verify_plan(
+            args.checks or analysis.VERIFY_BUNDLES,
+            _budget_of(args),
+            max_n=args.max_n,
+            max_a=args.max_a,
+            a_range=_a_range(args, None),
+            a=args.a,
+        )
         checks = [check for run in runners for check in run()]
     sys.stdout.write(reporting.render(checks, args.format))
     return 0 if all(c.ok for c in checks) else 1

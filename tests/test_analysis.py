@@ -1366,6 +1366,71 @@ def test_bundles_check_their_budget_before_any_sweep(monkeypatch, call, budget):
     assert grown and max(grown) <= budget
 
 
+def test_a_line_graph_grown_in_the_scope_never_skips_a_refusal():
+    # a line graph grown under the default budget is not read under a
+    # smaller one: budget 23 refuses inside the scope as it does alone
+    from linewiener import analysis
+
+    with pytest.raises(BudgetExceededError) as alone:
+        worked_example_checks(23)
+    with analysis.sweep_once():
+        all_ok(worked_example_checks())
+        with pytest.raises(BudgetExceededError) as scoped:
+            worked_example_checks(23)
+        all_ok(worked_example_checks())
+    assert str(scoped.value) == str(alone.value)
+
+
+def test_star_line_graph_has_the_most_edges_of_any_tree():
+    # thm1's budget pre-check grows L of the star of order --max-n alone:
+    # L of every tree of order n has n - 1 vertices, and its edges, the sum
+    # of C(deg, 2), are most for the star, C(n - 1, 2)
+    from math import comb
+
+    from linewiener.enumeration import free_tree_layouts
+
+    for n in range(4, 13):
+        edges = [
+            sum(comb(len(nbrs), 2) for nbrs in layout_graph(layout).adjacency)
+            for layout in free_tree_layouts(n)
+        ]
+        assert max(edges) == comb(n - 1, 2) == iterated_line_graph(
+            build(parse_family(f"star:{n}")), 1
+        ).edge_count, n
+        # so the plan refuses thm1 exactly below that count
+        verify_plan(["thm1"], comb(n - 1, 2), max_n=n)
+        with pytest.raises(BudgetExceededError):
+            verify_plan(["thm1"], comb(n - 1, 2) - 1, max_n=n)
+
+
+@pytest.mark.parametrize(
+    "name, bounds",
+    [
+        ("paper-numbers", {}),
+        ("lemmas", {"max_a": 3}),
+        ("thm4", {"a_range": (2, 3)}),
+    ],
+)
+def test_verify_plan_grows_what_the_bundle_sweeps(monkeypatch, name, bounds):
+    # with no scope open the plan's growth is let go, and the bundle grows
+    # its own list again: the same (graph, k) pairs, in the same order
+    from linewiener import graphs
+
+    grown = []
+    line_iterates = graphs.line_iterates
+
+    def spy(g, k, budget):
+        grown.append((g, k))
+        return line_iterates(g, k, budget)
+
+    monkeypatch.setattr(graphs, "line_iterates", spy)
+    (run,) = verify_plan([name], **bounds)
+    planned = grown[:]
+    grown.clear()
+    run()
+    assert planned and planned == grown
+
+
 @pytest.mark.parametrize(
     "name, bounds",
     [

@@ -525,6 +525,27 @@ def test_verify_sweeps_each_graph_once_per_command(capsys, monkeypatch):
         assert len(swept) == len(set(swept)) == 301
 
 
+def test_verify_grows_each_line_graph_once_per_command(capsys, monkeypatch):
+    # the plan grows every L^2 the bundles sweep, and L of thm1's star,
+    # and the bundles read them from the command's scope: one growth per
+    # distinct (graph, k); the next command grows afresh
+    from linewiener import graphs
+
+    grown = []
+    line_iterates = graphs.line_iterates
+
+    def spy(g, k, budget=graphs.DEFAULT_BUDGET):
+        grown.append((g, k))
+        return line_iterates(g, k, budget)
+
+    monkeypatch.setattr(graphs, "line_iterates", spy)
+    for _ in range(2):
+        grown.clear()
+        code, out, _ = run(capsys, "verify", "--a", "30")
+        assert code == 0, out
+        assert grown and len(grown) == len(set(grown))
+
+
 def test_verify_confirms_a_reused_sweep_by_bfs(capsys, monkeypatch):
     # a lane value wrong inside a chunk of three or more, where the mask
     # BFS of the chunk's ends does not look: buckley reports its identity

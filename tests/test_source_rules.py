@@ -35,7 +35,12 @@ and k = 1 sweeps through one `analysis.sweep_once()` scope, not through a
 memo handed from call to call. And every check of the `paper-numbers`,
 `lemmas` and `thm4` bundles passes by one rule: each `_check` call in
 their functions takes an `_agree(...)` call, over (value, expected)
-pairs, as its `ok`.
+pairs, as its `ok`. And neither `verify_plan`, its `_runner`, nor the
+`paper-numbers`, `lemmas` and `thm4` bundle functions call
+`iterated_line_graph` or `line_iterates`: they reach every line graph
+through the `sweep_once()` scope's growth, `_grown`, so the plan's budget
+check is the growth of what the bundles sweep, and no pre-check that
+restates which graph is the largest can come back.
 """
 
 from __future__ import annotations
@@ -339,3 +344,31 @@ def test_closed_form_bundles_pass_by_agree_alone():
             ast.unparse(ok) for ok in oks if not called(ok, "_agree")
         ] if checks else ["no _check call"]
     assert found == dict.fromkeys(bundles, [])
+
+
+def test_verify_plan_and_bundles_grow_only_through_the_scope():
+    # a direct growth here would be a budget pre-check of its own beside
+    # the scope's, or a second growth of a graph the plan already grew
+    growers = {"iterated_line_graph", "line_iterates"}
+    checked = (
+        "verify_plan",
+        "_runner",
+        "worked_example_checks",
+        "closed_form_oracle_checks",
+        "near_balanced_checks",
+    )
+    functions = {
+        node.name: node
+        for node in parsed(PACKAGE / "analysis.py").body
+        if isinstance(node, ast.FunctionDef)
+    }
+    found = {
+        name: sorted(
+            grower
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Call)
+            for grower in set(names_in(node.func)) & growers
+        )
+        for name in checked
+    }
+    assert found == dict.fromkeys(checked, [])
