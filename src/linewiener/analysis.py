@@ -215,8 +215,7 @@ def _scoped(f):
     """f, run once per open sweep_once scope for each tuple of arguments,
     its result kept there; with no scope open, f runs at each call."""
     def once(*args):
-        memo = _SWEPT.get({})
-        key = (f, *args)
+        memo, key = _SWEPT.get({}), (f, *args)
         if key not in memo:
             memo[key] = f(*args)
         return memo[key]
@@ -232,8 +231,7 @@ def _bfs(g: Graph) -> int:
 
 @_scoped
 def _grown(g: Graph, k: int, budget: int) -> Graph:
-    """iterated_line_graph(g, k, budget). The budget is in the scope's key,
-    so a read under another budget grows again and refuses as it would."""
+    """iterated_line_graph(g, k, budget); another budget grows it anew."""
     return iterated_line_graph(g, k, budget)
 
 
@@ -903,27 +901,26 @@ def _check(name: str, ok: bool, detail: str) -> CheckResult:
     return CheckResult(name=name, ok=bool(ok), detail=detail)
 
 
-def _with_l2(specs, budget: int) -> list[Graph]:
-    """build(spec) of each spec, in order, each with its L^2 grown (_grown)."""
-    graphs = [build(spec) for spec in specs]
-    for g in graphs:
-        _grown(g, 2, budget)
-    return graphs
+def _with_l2(spec, budget: int) -> Graph:
+    """build(spec), its L^2 grown (_grown) before the next tree is built."""
+    g = build(spec)
+    _grown(g, 2, budget)
+    return g
 
 
 @_scoped
 def _oracle_trees(max_a: int, max_path_n: int, budget: int) -> tuple:
-    """The trees of closed_form_oracle_checks by arms, a and n: spiders,
-    deep spiders (every arm >= 2, as d2_spider needs; the first arm is the
-    shortest), quipus and paths; and by graph the L^2 it sweeps, grown in
-    this order: of the deep spiders, the quipus and the paths from order 3."""
-    arms = combinations_with_replacement(range(1, max_a + 1), 3)
-    spiders = {abc: build(Spider(*abc)) for abc in arms}
-    deep = {abc: g for abc, g in spiders.items() if abc[0] >= 2}
-    quipus = {a: build(BalancedQuipu(a)) for a in range(2, max_a + 1)}
-    paths = {n: build(Path(n)) for n in range(1, max_path_n + 1)}
-    swept = [*deep.values(), *quipus.values(), *list(paths.values())[2:]]
-    return spiders, deep, quipus, paths, {g: _grown(g, 2, budget) for g in swept}
+    """closed_form_oracle_checks' spiders by arms, deep ones (arms >= 2)
+    too, quipus by a, paths by n. Each swept L^2 is grown largest first
+    (_with_l2): quipus, paths, deep spiders; a refusal takes O(max_a)."""
+    quipus = {a: _with_l2(BalancedQuipu(a), budget) for a in range(max_a, 1, -1)}
+    paths = {n: _with_l2(Path(n), budget) for n in range(max_path_n, 2, -1)}
+    paths |= {n: build(Path(n)) for n in range(min(2, max_path_n), 0, -1)}
+    arms = combinations_with_replacement(range(max_a, 1, -1), 3)
+    deep = {cba[::-1]: _with_l2(Spider(*cba[::-1]), budget) for cba in arms}
+    shallow = combinations_with_replacement(range(1, max_a + 1), 2)
+    spiders = deep | {(1, b, c): build(Spider(1, b, c)) for b, c in shallow}
+    return spiders, deep, quipus, paths
 
 
 def _agree(pairs: list) -> bool:
@@ -954,21 +951,25 @@ def closed_form_oracle_checks(
     """
     if max_a < 2:
         raise ParameterError(f"oracle check needs max_a >= 2, got {max_a}")
-    spiders, deep, quipus, paths, l2 = _oracle_trees(max_a, max_path_n, budget)
+    spiders, deep, quipus, paths = _oracle_trees(max_a, max_path_n, budget)
+
+    def bfs_l2(g: Graph) -> int:
+        return _bfs(_grown(g, 2, budget))
+
     rows = [
         ("spider W",
          f"{len(spiders)} arm combos with 1 <= a <= b <= c <= {max_a}",
          [(w_spider(*abc), _bfs(g)) for abc, g in spiders.items()]),
         ("spider D2", f"{len(deep)} arm combos with 2 <= a <= b <= c <= {max_a}",
-         [(d2_spider(*abc), _bfs(g) - _bfs(l2[g])) for abc, g in deep.items()]),
+         [(d2_spider(*abc), _bfs(g) - bfs_l2(g)) for abc, g in deep.items()]),
         ("quipu W", f"a = 2..{max_a}",
          [(w_quipu(a), _bfs(g)) for a, g in quipus.items()]),
         ("quipu D2", f"a = 2..{max_a}",
-         [(d2_quipu(a), _bfs(g) - _bfs(l2[g])) for a, g in quipus.items()]),
+         [(d2_quipu(a), _bfs(g) - bfs_l2(g)) for a, g in quipus.items()]),
         ("path W", f"n = 1..{max_path_n}",
          [(w_path(n), _bfs(g)) for n, g in paths.items()]),
         ("path R2", f"n = 3..{max_path_n}",
-         [(r2_path(n), Fraction(_bfs(l2[g]), _bfs(g)))
+         [(r2_path(n), Fraction(bfs_l2(g), _bfs(g)))
           for n, g in paths.items() if n >= 3]),
     ]
     return [
@@ -993,11 +994,13 @@ def line_identity_checks(max_n: int = _IDENTITY_MAX_N) -> list[CheckResult]:
     ]
 
 
-def _case_spiders(a_lo: int, a_hi: int, budget: int) -> tuple[range, Iterator]:
-    """The a of a_lo..a_hi in 2..8 and their spiders by case, L^2 grown."""
-    built = range(max(2, a_lo), min(8, a_hi) + 1)
-    arms = [spider_case_arms(a, case) for case in CASES for a in built]
-    return built, iter(_with_l2([Spider(*abc) for abc in arms], budget))
+@_scoped
+def _case_spiders(a_lo: int, a_hi: int, budget: int) -> dict:
+    """The spiders of near_balanced_checks by (case, a), a in a_lo..a_hi
+    and 2..8, each built with its L^2 (_with_l2), largest first."""
+    built = range(min(8, a_hi), max(2, a_lo) - 1, -1)
+    arms = {(c, a): spider_case_arms(a, c) for c in CASES[::-1] for a in built}
+    return {key: _with_l2(Spider(*abc), budget) for key, abc in arms.items()}
 
 
 @sweep_once()
@@ -1009,7 +1012,8 @@ def near_balanced_checks(
     sweep, each distinct graph swept once, as in closed_form_oracle_checks),
     sign pattern of the gap, and the realized crossover at a = 7; each
     check passes by _agree."""
-    built, spiders = _case_spiders(a_lo, a_hi, budget)
+    spiders = _case_spiders(a_lo, a_hi, budget)
+    built = sorted({a for _, a in spiders})
     detail = f"a = {built[0]}..{built[-1]}" if built else (
         "no spider built: the scan misses a = 2..8"
     )
@@ -1021,7 +1025,7 @@ def near_balanced_checks(
         record = []
         for a in built:
             values = balanced_spider_case(a, case)
-            w, w2 = _w_w2(next(spiders), budget)
+            w, w2 = _w_w2(spiders[case, a], budget)
             record += [
                 (values.w, w),
                 (values.d2, w - w2),
@@ -1068,13 +1072,11 @@ def limit_quotient_checks() -> list[CheckResult]:
     return out
 
 
-# the trees whose L^2 worked_example_checks sweeps, in the order it grows them
-_WORKED_EXAMPLE_SPECS = (
-    Spider(7, 7, 7),
-    Spider(6, 6, 6),
-    Spider(3, 4, 5),
-    BalancedQuipu(2),
-)
+@_scoped
+def _worked_examples(budget: int) -> list[Graph]:
+    """The trees of worked_example_checks, each built with its L^2."""
+    specs = Spider(7, 7, 7), Spider(6, 6, 6), Spider(3, 4, 5), BalancedQuipu(2)
+    return [_with_l2(spec, budget) for spec in specs]
 
 
 @sweep_once()
@@ -1084,9 +1086,7 @@ def worked_example_checks(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     distinct graph swept once, as in closed_form_oracle_checks), each
     check a row of (value, expected) pairs passing by _agree. Every L^2
     it sweeps is grown within `budget` before the first sweep."""
-    spider777, spider666, spider345, quipu2 = _with_l2(
-        _WORKED_EXAMPLE_SPECS, budget
-    )
+    spider777, spider666, spider345, quipu2 = _worked_examples(budget)
     w, w2 = _w_w2(spider777, budget)
     w345, w345_2 = _w_w2(spider345, budget)
     wq, wq2 = _w_w2(quipu2, budget)
@@ -1147,8 +1147,8 @@ def verify_plan(
     known name, named once; bounds in range (max_n of buckley and thm1,
     max_a of lemmas, a_range (lo, hi) of thm4, a of thm5; None takes the
     default; errors name the `verify` flags); and the budget, by growing
-    the line graphs paper-numbers, lemmas, thm4 sweep and thm1's L(star),
-    and sizing thm5's. Run them in one sweep_once() to grow each once."""
+    each L^2 paper-numbers, lemmas, thm4 sweep (once, inside the caller's
+    sweep_once()) and sizing thm1's and thm5's largest line graph."""
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ParameterError(f"check named twice: {', '.join(repeated)}")
@@ -1158,7 +1158,7 @@ def verify_plan(
 def _runner(name: str, budget: int, max_n, max_a, a_range, a):
     """The runner of one bundle of verify_plan, once it is checked."""
     if name == "paper-numbers":
-        _with_l2(_WORKED_EXAMPLE_SPECS, budget)
+        _worked_examples(budget)
         return lambda: worked_example_checks(budget)
     if name == "buckley":
         top = _bound(
@@ -1191,9 +1191,9 @@ def _runner(name: str, budget: int, max_n, max_a, a_range, a):
         return thm5
     if name == "thm1":
         top = _bound(max_n, 12, 4, "thm1 needs --max-n", DEFAULT_SEARCH_LIMIT)
-        # the star has the largest L of any tree of its order: n - 1
-        # vertices, as every tree, and the most edges, C(n - 1, 2)
-        _grown(build(Star(top)), 1, budget)
+        # L(star) is the largest L of a tree: top - 1 vertices, most edges
+        for predicted in (top - 1, comb(top - 1, 2)):
+            check_step_size(predicted, 1, budget)
 
         def thm1():
             bad = [n for n in range(4, top + 1) if not star_minimizes_r1(n)]

@@ -1382,7 +1382,7 @@ def test_a_line_graph_grown_in_the_scope_never_skips_a_refusal():
 
 
 def test_star_line_graph_has_the_most_edges_of_any_tree():
-    # thm1's budget pre-check grows L of the star of order --max-n alone:
+    # thm1's budget pre-check sizes L of the star of order --max-n alone:
     # L of every tree of order n has n - 1 vertices, and its edges, the sum
     # of C(deg, 2), are most for the star, C(n - 1, 2)
     from math import comb
@@ -1401,6 +1401,28 @@ def test_star_line_graph_has_the_most_edges_of_any_tree():
         verify_plan(["thm1"], comb(n - 1, 2), max_n=n)
         with pytest.raises(BudgetExceededError):
             verify_plan(["thm1"], comb(n - 1, 2) - 1, max_n=n)
+
+
+def test_an_over_budget_oracle_range_is_refused_within_a_few_builds(
+    monkeypatch,
+):
+    # closed_form_oracle_checks builds its largest tree first, qa:400 with
+    # L of 160,401 vertices, and refuses it before it builds any other of
+    # the C(402, 3) spiders; the spy stops a run that would build them all
+    from linewiener import analysis
+
+    built = []
+    build_spec = analysis.build
+
+    def spy(spec):
+        built.append(spec)
+        assert len(built) <= 100, "refusal not reached"
+        return build_spec(spec)
+
+    monkeypatch.setattr(analysis, "build", spy)
+    with pytest.raises(BudgetExceededError, match="need 160401 vertices"):
+        closed_form_oracle_checks(400, budget=1000)
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize(

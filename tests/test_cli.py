@@ -439,6 +439,21 @@ VERIFY_REFUSALS = {
         "lemmas, thm4, limits, thm5, thm1",
     "thm5 --a 30 --budget 100":
         "line graph iteration 1 would need 989 vertices, budget is 100",
+    # each bundle refuses its largest line graph first: L(spider:8,9,9),
+    # thm4's largest case spider, has 26 vertices and L^2 29 edges; L(qa:8)
+    # 73 vertices and L^2(qa:8) 116 edges; L(star:12), sized, not built,
+    # 11 vertices and 55 edges
+    "thm4 --budget 20":
+        "line graph iteration 1 would need 26 vertices, budget is 20",
+    "thm4 --budget 28":
+        "line graph iteration 2 would need 29 vertices, budget is 28",
+    "lemmas --budget 5":
+        "line graph iteration 1 would need 73 vertices, budget is 5",
+    "lemmas --budget 100":
+        "line graph iteration 2 would need 116 vertices, budget is 100",
+    "thm1 --budget 5": "line graph iteration 1 would need 11 vertices, budget is 5",
+    "thm1 --budget 54":
+        "line graph iteration 1 would need 55 vertices, budget is 54",
     "limits --a-range junk": "range must look like 2..30, got 'junk'",
 }
 
@@ -481,6 +496,30 @@ def test_verify_checks_every_bound_before_any_bundle_runs(
     assert out == ""
     assert err.startswith("error:")
     assert calls == []
+
+
+def test_verify_refuses_a_large_max_a_within_a_few_builds(capsys, monkeypatch):
+    # lemmas builds its largest tree, qa:400, first: the plan refuses it
+    # before any of the C(402, 3) spiders of --max-a 400 is built
+    import linewiener.cli as cli
+
+    built = []
+    build = cli.analysis.build
+
+    def spy(spec):
+        built.append(spec)
+        assert len(built) <= 100, "refusal not reached"
+        return build(spec)
+
+    monkeypatch.setattr(cli.analysis, "build", spy)
+    code, out, err = run(
+        capsys, "verify", "lemmas", "--max-a", "400", "--budget", "1000"
+    )
+    assert (code, out, err) == (
+        2, "", "error: line graph iteration 1 would need 160401 vertices, "
+        "budget is 1000\n"
+    )
+    assert len(built) == 1
 
 
 def test_verify_sweeps_each_order_once_per_command(capsys, monkeypatch):
